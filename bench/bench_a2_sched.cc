@@ -16,7 +16,7 @@ using namespace hscd;
 using namespace hscd::bench;
 
 int
-main()
+benchMain(int, char **)
 {
     MachineConfig cfg = makeConfig(SchemeKind::TPI);
     printHeader(std::cout, "A2",

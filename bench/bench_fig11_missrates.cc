@@ -16,7 +16,7 @@ using namespace hscd;
 using namespace hscd::bench;
 
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     SweepOptions opts = SweepOptions::parse(argc, argv);
     MachineConfig cfg = makeConfig(SchemeKind::TPI);

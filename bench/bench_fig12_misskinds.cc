@@ -46,7 +46,7 @@ emit(TextTable &t, const std::string &name, SchemeKind k,
 } // namespace
 
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     SweepOptions opts = SweepOptions::parse(argc, argv);
     MachineConfig cfg = makeConfig(SchemeKind::TPI);

@@ -7,13 +7,14 @@
 #include <iostream>
 
 #include "common/table.hh"
+#include "harness.hh"
 #include "mem/storage_model.hh"
 
 using namespace hscd;
 using namespace hscd::mem;
 
 int
-main()
+benchMain(int, char **)
 {
     std::cout << "== F5: coherence storage overhead (paper Figure 5) ==\n";
     std::cout << "P procs, L words/block, C cache blocks/node, M memory "

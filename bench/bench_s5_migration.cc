@@ -51,7 +51,7 @@ using namespace hscd;
 using namespace hscd::bench;
 
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     SweepOptions opts = SweepOptions::parse(argc, argv);
     MachineConfig cfg = makeConfig(SchemeKind::TPI);
@@ -74,7 +74,7 @@ main(int argc, char **argv)
 
     // (b) cells: the serial-reuse demo compiled with and without the
     // affinity assumption, at migration rates 0 and 1. The compiled
-    // programs live in main() and outlive the sweep.
+    // programs live in benchMain() and outlive the sweep.
     std::vector<compiler::CompiledProgram> demo;
     for (bool affinity : {true, false}) {
         compiler::AnalysisOptions aopts;

@@ -103,4 +103,10 @@ void requireSound(const sim::RunResult &r, const std::string &label);
 } // namespace bench
 } // namespace hscd
 
+/**
+ * An experiment binary's body. The shared main() in bench_main.cc calls
+ * it and turns a fatal() user error into verify::ExitUsage (2).
+ */
+int benchMain(int argc, char **argv);
+
 #endif // HSCD_BENCH_HARNESS_HH

@@ -148,4 +148,37 @@ parseBool(const std::string &s)
     throw std::invalid_argument("parseBool: cannot parse '" + s + "'");
 }
 
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20)
+                out += csprintf("\\u%04x", static_cast<int>(c));
+            else
+                out += c;
+            break;
+        }
+    }
+    return out;
+}
+
 } // namespace hscd

@@ -84,6 +84,13 @@ std::string toLower(const std::string &s);
 /** Render a count with thousands separators, e.g. 1234567 -> "1,234,567". */
 std::string withCommas(std::uint64_t v);
 
+/**
+ * Escape @p s for embedding in a JSON string literal (no quotes added):
+ * '"', '\\', '\n', '\t' and '\r' get their short escapes, other
+ * control characters \u00XX.
+ */
+std::string jsonEscape(const std::string &s);
+
 /** Parse a boolean ("1/0/true/false/yes/no/on/off"); throws on junk. */
 bool parseBool(const std::string &s);
 

@@ -35,40 +35,12 @@ missClassName(MissClass c)
 }
 
 SchemeStats::SchemeStats(stats::StatGroup *parent)
-    : group("scheme", parent),
-      reads(&group, "reads", "shared-data read references"),
-      writes(&group, "writes", "shared-data write references"),
-      readHits(&group, "read_hits", "read references served by the cache"),
-      readMisses(&group, "read_misses", "read references going remote"),
-      writeMisses(&group, "write_misses", "write-allocate line fetches"),
-      missCold(&group, "miss_cold", "first-touch misses"),
-      missReplacement(&group, "miss_replacement",
-                      "capacity/conflict re-fetches"),
-      missTrueShare(&group, "miss_true_share",
-                    "necessary coherence misses"),
-      missFalseShare(&group, "miss_false_share",
-                     "HW: invalidated by writes to other words"),
-      missConservative(&group, "miss_conservative",
-                       "TPI/SC: refetch of actually-fresh data"),
-      missTagReset(&group, "miss_tag_reset",
-                   "TPI: invalidated by timetag wrap"),
-      missUncached(&group, "miss_uncached", "BASE: uncached shared data"),
-      timeReads(&group, "time_reads", "reads executed as Time-Read"),
-      timeReadHits(&group, "time_read_hits",
-                   "Time-Reads satisfied by the cache"),
-      bypassReads(&group, "bypass_reads", "reads forced to memory"),
-      readPackets(&group, "read_packets", "network packets for reads"),
-      readWords(&group, "read_words", "data words fetched"),
-      writePackets(&group, "write_packets", "network packets for writes"),
-      writeWords(&group, "write_words", "data words written through"),
-      coherencePackets(&group, "coherence_packets",
-                       "invalidations, acks, forwards"),
-      writebackPackets(&group, "writeback_packets", "write-back packets"),
-      writebackWords(&group, "writeback_words", "write-back data words"),
-      invalidationsSent(&group, "invalidations",
-                        "directory invalidation messages"),
-      tagResets(&group, "tag_resets", "two-phase reset events"),
-      missLatency(&group, "miss_latency", "average read miss latency")
+    : group("scheme", parent)
+#define HSCD_SCHEME_STAT_INIT(type, member, name, desc)                     \
+      , member(&group, name, desc)
+      HSCD_RESULT_FIELDS(HSCD_COUNTER_SKIP, HSCD_SCHEME_STAT_INIT)
+      HSCD_SCHEME_ONLY_STATS(HSCD_SCHEME_STAT_INIT)
+#undef HSCD_SCHEME_STAT_INIT
 {
 }
 

@@ -18,6 +18,7 @@
 #include "compiler/marking.hh"
 #include "fault/abort.hh"
 #include "fault/injector.hh"
+#include "mem/counters.hh"
 #include "mem/machine_config.hh"
 #include "mem/memory.hh"
 #include "network/kruskal_snir.hh"
@@ -70,38 +71,20 @@ struct AccessResult
 };
 
 /**
- * Common statistics every scheme keeps.
+ * Common statistics every scheme keeps: the scheme-owned RunResult
+ * counters plus the scheme-only stats, both from the counter schema.
  */
 struct SchemeStats
 {
     explicit SchemeStats(stats::StatGroup *parent);
 
     stats::StatGroup group;
-    stats::Scalar reads;
-    stats::Scalar writes;
-    stats::Scalar readHits;
-    stats::Scalar readMisses;
-    stats::Scalar writeMisses;      ///< allocations triggered by writes
-    stats::Scalar missCold;
-    stats::Scalar missReplacement;
-    stats::Scalar missTrueShare;
-    stats::Scalar missFalseShare;
-    stats::Scalar missConservative;
-    stats::Scalar missTagReset;
-    stats::Scalar missUncached;
-    stats::Scalar timeReads;
-    stats::Scalar timeReadHits;
-    stats::Scalar bypassReads;
-    stats::Scalar readPackets;
-    stats::Scalar readWords;
-    stats::Scalar writePackets;
-    stats::Scalar writeWords;
-    stats::Scalar coherencePackets;  ///< invalidations, acks, forwards
-    stats::Scalar writebackPackets;
-    stats::Scalar writebackWords;
-    stats::Scalar invalidationsSent;
-    stats::Scalar tagResets;
-    stats::Average missLatency;
+#define HSCD_SCHEME_SCALAR(type, member, ...) stats::Scalar member;
+#define HSCD_SCHEME_STAT(kind, member, ...) stats::kind member;
+    HSCD_RESULT_FIELDS(HSCD_COUNTER_SKIP, HSCD_SCHEME_SCALAR)
+    HSCD_SCHEME_ONLY_STATS(HSCD_SCHEME_STAT)
+#undef HSCD_SCHEME_SCALAR
+#undef HSCD_SCHEME_STAT
 
     void classify(MissClass c);
 };

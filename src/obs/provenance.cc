@@ -5,28 +5,6 @@
 namespace hscd {
 namespace obs {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += csprintf("\\u%04x",
-                                unsigned(static_cast<unsigned char>(c)));
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
 std::uint64_t
 fnv1a(const std::string &s, std::uint64_t seed)
 {

@@ -22,11 +22,12 @@
 #include <cstdint>
 #include <string>
 
+#include "common/strutil.hh"
+
 namespace hscd {
 namespace obs {
 
-/** Escape a string for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
+using hscd::jsonEscape;
 
 /** FNV-1a over a byte string (the provenance config-hash primitive). */
 std::uint64_t fnv1a(const std::string &s,

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "common/strutil.hh"
 #include "obs/provenance.hh"
@@ -100,19 +101,12 @@ encodeResult(std::ostream &s, const sim::RunResult &r)
     auto d = [&](double v) { s << ' ' << doubleBits(v); };
     auto str = [&](const std::string &v) { s << ' ' << escapeTok(v); };
 
-    u(r.cycles); u(r.epochs); u(r.parallelEpochs); u(r.tasks);
-    u(r.reads); u(r.writes); u(r.readHits); u(r.readMisses);
-    d(r.readMissRate); d(r.avgMissLatency);
-    u(r.missCold); u(r.missReplacement); u(r.missTrueShare);
-    u(r.missFalseShare); u(r.missConservative); u(r.missTagReset);
-    u(r.missUncached);
-    u(r.timeReads); u(r.timeReadHits); u(r.bypassReads);
-    u(r.readPackets); u(r.writePackets); u(r.coherencePackets);
-    u(r.writebackPackets);
-    u(r.readWords); u(r.writeWords); u(r.writebackWords);
-    u(r.trafficPackets); u(r.trafficWords);
-    u(r.busyMax); d(r.busyAvg); u(r.serialCycles);
-    u(r.oracleViolations); u(r.doallViolations);
+    sim::forEachScalar(r, [&](const char *, auto v) {
+        if constexpr (std::is_floating_point_v<decltype(v)>)
+            d(v);
+        else
+            u(v);
+    });
     u(r.firstViolations.size());
     for (const sim::OracleViolation &v : r.firstViolations) {
         u(v.addr); u(v.ref); u(v.seen); u(v.expected);
@@ -137,26 +131,12 @@ decodeResult(TokenReader &in, sim::RunResult &r)
     // Caps torn/corrupt length prefixes before they become allocations.
     constexpr std::uint64_t kMaxViolations = 1u << 20;
 
-    r.cycles = in.u64(); r.epochs = in.u64();
-    r.parallelEpochs = in.u64(); r.tasks = in.u64();
-    r.reads = in.u64(); r.writes = in.u64();
-    r.readHits = in.u64(); r.readMisses = in.u64();
-    r.readMissRate = in.f64(); r.avgMissLatency = in.f64();
-    r.missCold = in.u64(); r.missReplacement = in.u64();
-    r.missTrueShare = in.u64(); r.missFalseShare = in.u64();
-    r.missConservative = in.u64(); r.missTagReset = in.u64();
-    r.missUncached = in.u64();
-    r.timeReads = in.u64(); r.timeReadHits = in.u64();
-    r.bypassReads = in.u64();
-    r.readPackets = in.u64(); r.writePackets = in.u64();
-    r.coherencePackets = in.u64(); r.writebackPackets = in.u64();
-    r.readWords = in.u64(); r.writeWords = in.u64();
-    r.writebackWords = in.u64();
-    r.trafficPackets = in.u64(); r.trafficWords = in.u64();
-    r.busyMax = in.u64(); r.busyAvg = in.f64();
-    r.serialCycles = in.u64();
-    r.oracleViolations = in.u64(); r.doallViolations = in.u64();
-
+    sim::forEachScalar(r, [&](const char *, auto &v) {
+        if constexpr (std::is_floating_point_v<std::decay_t<decltype(v)>>)
+            v = in.f64();
+        else
+            v = in.u64();
+    });
     std::uint64_t n = in.u64();
     if (!in.ok || n > kMaxViolations)
         return false;
@@ -181,7 +161,11 @@ decodeResult(TokenReader &in, sim::RunResult &r)
         v.writerProc = static_cast<ProcId>(in.u64());
         v.writerEpoch = in.u64();
     }
-    r.abort.kind = static_cast<fault::AbortKind>(in.u64());
+    // A kind past the last enumerator is corruption, not an abort.
+    const std::uint64_t kind = in.u64();
+    if (kind > static_cast<std::uint64_t>(fault::AbortKind::Deadlock))
+        return false;
+    r.abort.kind = static_cast<fault::AbortKind>(kind);
     r.abort.reason = in.str();
     r.abort.cycle = in.u64(); r.abort.epoch = in.u64();
     r.abort.proc = static_cast<std::uint32_t>(in.u64());
@@ -203,43 +187,14 @@ writeResultCellJson(std::ostream &f, const sim::RunResult &r,
 {
     using obs::jsonEscape;
     f << "      \"fingerprint\": \""
-      << csprintf("%016x", r.fingerprint()) << "\",\n";
-    f << "      \"cycles\": " << r.cycles << ",\n";
-    f << "      \"epochs\": " << r.epochs << ",\n";
-    f << "      \"parallel_epochs\": " << r.parallelEpochs << ",\n";
-    f << "      \"tasks\": " << r.tasks << ",\n";
-    f << "      \"reads\": " << r.reads << ",\n";
-    f << "      \"writes\": " << r.writes << ",\n";
-    f << "      \"read_hits\": " << r.readHits << ",\n";
-    f << "      \"read_misses\": " << r.readMisses << ",\n";
-    f << "      \"read_miss_rate\": "
-      << csprintf("%.17g", r.readMissRate) << ",\n";
-    f << "      \"avg_miss_latency\": "
-      << csprintf("%.17g", r.avgMissLatency) << ",\n";
-    f << "      \"miss_cold\": " << r.missCold << ",\n";
-    f << "      \"miss_replacement\": " << r.missReplacement << ",\n";
-    f << "      \"miss_true_share\": " << r.missTrueShare << ",\n";
-    f << "      \"miss_false_share\": " << r.missFalseShare << ",\n";
-    f << "      \"miss_conservative\": " << r.missConservative << ",\n";
-    f << "      \"miss_tag_reset\": " << r.missTagReset << ",\n";
-    f << "      \"miss_uncached\": " << r.missUncached << ",\n";
-    f << "      \"time_reads\": " << r.timeReads << ",\n";
-    f << "      \"time_read_hits\": " << r.timeReadHits << ",\n";
-    f << "      \"bypass_reads\": " << r.bypassReads << ",\n";
-    f << "      \"read_packets\": " << r.readPackets << ",\n";
-    f << "      \"write_packets\": " << r.writePackets << ",\n";
-    f << "      \"coherence_packets\": " << r.coherencePackets << ",\n";
-    f << "      \"writeback_packets\": " << r.writebackPackets << ",\n";
-    f << "      \"read_words\": " << r.readWords << ",\n";
-    f << "      \"write_words\": " << r.writeWords << ",\n";
-    f << "      \"writeback_words\": " << r.writebackWords << ",\n";
-    f << "      \"traffic_packets\": " << r.trafficPackets << ",\n";
-    f << "      \"traffic_words\": " << r.trafficWords << ",\n";
-    f << "      \"busy_max\": " << r.busyMax << ",\n";
-    f << "      \"busy_avg\": " << csprintf("%.17g", r.busyAvg) << ",\n";
-    f << "      \"serial_cycles\": " << r.serialCycles << ",\n";
-    f << "      \"oracle_violations\": " << r.oracleViolations << ",\n";
-    f << "      \"doall_violations\": " << r.doallViolations;
+      << csprintf("%016x", r.fingerprint()) << "\"";
+    sim::forEachScalar(r, [&](const char *key, auto v) {
+        f << ",\n      \"" << key << "\": ";
+        if constexpr (std::is_floating_point_v<decltype(v)>)
+            f << csprintf("%.17g", v);
+        else
+            f << v;
+    });
     // Robustness fields are emitted only when present so fault-free
     // sweeps keep their historical byte-identical JSON.
     if (r.shadowViolations != 0)

@@ -7,6 +7,7 @@
 #include <memory>
 #include <queue>
 #include <set>
+#include <type_traits>
 #include <utility>
 
 #include "common/log.hh"
@@ -47,18 +48,12 @@ RunResult::fingerprint() const
         std::memcpy(&bits, &d, sizeof(bits));
         mix(bits);
     };
-    mix(cycles); mix(epochs); mix(parallelEpochs); mix(tasks);
-    mix(reads); mix(writes); mix(readHits); mix(readMisses);
-    mixd(readMissRate); mixd(avgMissLatency);
-    mix(missCold); mix(missReplacement); mix(missTrueShare);
-    mix(missFalseShare); mix(missConservative); mix(missTagReset);
-    mix(missUncached);
-    mix(timeReads); mix(timeReadHits); mix(bypassReads);
-    mix(readPackets); mix(writePackets); mix(coherencePackets);
-    mix(writebackPackets); mix(readWords); mix(writeWords);
-    mix(writebackWords); mix(trafficPackets); mix(trafficWords);
-    mix(busyMax); mixd(busyAvg); mix(serialCycles);
-    mix(oracleViolations); mix(doallViolations);
+    forEachScalar(*this, [&](const char *, auto v) {
+        if constexpr (std::is_floating_point_v<decltype(v)>)
+            mixd(v);
+        else
+            mix(v);
+    });
     mix(firstViolations.size());
     for (const OracleViolation &v : firstViolations) {
         mix(v.addr); mix(v.ref); mix(v.seen); mix(v.expected);
@@ -88,6 +83,27 @@ RunResult::fingerprint() const
     }
     return h;
 }
+
+namespace {
+
+/**
+ * Copy each scheme counter into the same-named member of @p row (a
+ * RunResult or an obs::MetricSample); counters @p row has no member
+ * for are skipped.
+ */
+template <class Row, class Stats>
+void
+copySchemeCounters(Row &row, const Stats &st)
+{
+#define HSCD_COPY_COUNTER(type, member, ...)                                 \
+    if constexpr (requires { row.member = st.member.value(); })              \
+        row.member = st.member.value();
+    HSCD_RESULT_FIELDS(HSCD_COUNTER_SKIP, HSCD_COPY_COUNTER)
+    HSCD_SCHEME_ONLY_STATS(HSCD_COPY_COUNTER)
+#undef HSCD_COPY_COUNTER
+}
+
+} // namespace
 
 std::string
 RunResult::summary() const
@@ -498,26 +514,12 @@ class Executor
     obs::MetricSample
     sampleNow(Cycles now) const
     {
-        const mem::SchemeStats &st = _scheme.stats();
         obs::MetricSample s;
         s.epoch = _epoch;
         s.cycle = now;
-        s.reads = st.reads.value();
-        s.writes = st.writes.value();
-        s.readMisses = st.readMisses.value();
-        s.missCold = st.missCold.value();
-        s.missReplacement = st.missReplacement.value();
-        s.missTrueShare = st.missTrueShare.value();
-        s.missFalseShare = st.missFalseShare.value();
-        s.missConservative = st.missConservative.value();
-        s.missTagReset = st.missTagReset.value();
-        s.missUncached = st.missUncached.value();
-        s.timeReads = st.timeReads.value();
-        s.timeReadHits = st.timeReadHits.value();
-        s.bypassReads = st.bypassReads.value();
+        copySchemeCounters(s, _scheme.stats());
         s.trafficPackets = _m._network.totalPackets();
         s.trafficWords = _m._network.totalWords();
-        s.tagResets = st.tagResets.value();
         if (_m._faultInjector)
             s.faultsInjected = _m._faultInjector->stats().totalInjected();
         Cycles pending = 0;
@@ -591,30 +593,9 @@ class Executor
                           _procTime[_serialProc]);
         }
 
-        const mem::SchemeStats &st = _scheme.stats();
-        _res.reads = st.reads.value();
-        _res.writes = st.writes.value();
-        _res.readHits = st.readHits.value();
-        _res.readMisses = st.readMisses.value();
+        copySchemeCounters(_res, _scheme.stats());
         _res.readMissRate = _scheme.readMissRate();
-        _res.avgMissLatency = st.missLatency.mean();
-        _res.missCold = st.missCold.value();
-        _res.missReplacement = st.missReplacement.value();
-        _res.missTrueShare = st.missTrueShare.value();
-        _res.missFalseShare = st.missFalseShare.value();
-        _res.missConservative = st.missConservative.value();
-        _res.missTagReset = st.missTagReset.value();
-        _res.missUncached = st.missUncached.value();
-        _res.timeReads = st.timeReads.value();
-        _res.timeReadHits = st.timeReadHits.value();
-        _res.bypassReads = st.bypassReads.value();
-        _res.readPackets = st.readPackets.value();
-        _res.writePackets = st.writePackets.value();
-        _res.coherencePackets = st.coherencePackets.value();
-        _res.writebackPackets = st.writebackPackets.value();
-        _res.readWords = st.readWords.value();
-        _res.writeWords = st.writeWords.value();
-        _res.writebackWords = st.writebackWords.value();
+        _res.avgMissLatency = _scheme.stats().missLatency.mean();
         _res.trafficPackets = _m._network.totalPackets();
         _res.trafficWords = _m._network.totalWords();
 

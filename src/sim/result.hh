@@ -12,6 +12,7 @@
 
 #include "fault/abort.hh"
 #include "mem/coherence.hh"
+#include "mem/counters.hh"
 #include "obs/profile.hh"
 
 namespace hscd {
@@ -48,56 +49,18 @@ struct ShadowViolation
 
 struct RunResult
 {
-    Cycles cycles = 0;           ///< parallel execution time
-    EpochId epochs = 0;          ///< boundaries crossed
-    Counter parallelEpochs = 0;  ///< DOALL instances executed
-    Counter tasks = 0;           ///< DOALL iterations executed
+    /** The counter schema's scalars (mem/counters.hh), in schema order. */
+#define HSCD_RESULT_MEMBER(type, member, ...) type member = 0;
+    HSCD_RESULT_FIELDS(HSCD_RESULT_MEMBER, HSCD_RESULT_MEMBER)
+#undef HSCD_RESULT_MEMBER
 
-    Counter reads = 0;
-    Counter writes = 0;
-    Counter readHits = 0;
-    Counter readMisses = 0;
-    double readMissRate = 0;
-    double avgMissLatency = 0;
-
-    Counter missCold = 0;
-    Counter missReplacement = 0;
-    Counter missTrueShare = 0;
-    Counter missFalseShare = 0;
-    Counter missConservative = 0;
-    Counter missTagReset = 0;
-    Counter missUncached = 0;
-
-    Counter timeReads = 0;
-    Counter timeReadHits = 0;
-    Counter bypassReads = 0;
-
-    Counter readPackets = 0;
-    Counter writePackets = 0;
-    Counter coherencePackets = 0;
-    Counter writebackPackets = 0;
-    Counter readWords = 0;
-    Counter writeWords = 0;
-    Counter writebackWords = 0;
-    Counter trafficPackets = 0;
-    Counter trafficWords = 0;
-
-    /** Busiest / average processor work inside parallel epochs. */
-    Cycles busyMax = 0;
-    double busyAvg = 0;
     /** busyMax / busyAvg: 1.0 means perfectly balanced DOALLs. */
     double
     imbalance() const
     {
         return busyAvg > 0 ? double(busyMax) / busyAvg : 1.0;
     }
-    /** Cycles spent outside parallel epochs (serial + barriers). */
-    Cycles serialCycles = 0;
 
-    /** Coherence errors (must be 0 for a sound scheme + legal program). */
-    Counter oracleViolations = 0;
-    /** Data races that make the program an illegal DOALL program. */
-    Counter doallViolations = 0;
     std::vector<OracleViolation> firstViolations;
 
     /** Stale cache hits caught by the shadow-epoch race detector
@@ -146,6 +109,19 @@ struct RunResult
     /** FNV-1a digest over every field (doubles by bit pattern). */
     std::uint64_t fingerprint() const;
 };
+
+/**
+ * Call fn(key, field) on each schema scalar of @p r, in schema order.
+ * @p r is a RunResult, const to read the fields or not to write them.
+ */
+template <class Result, class Fn>
+void
+forEachScalar(Result &r, Fn &&fn)
+{
+#define HSCD_RESULT_VISIT(type, member, key, desc) fn(key, r.member);
+    HSCD_RESULT_FIELDS(HSCD_RESULT_VISIT, HSCD_RESULT_VISIT)
+#undef HSCD_RESULT_VISIT
+}
 
 } // namespace sim
 } // namespace hscd

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strutil.hh"
 #include "hir/program.hh"
 
 namespace hscd {
@@ -144,8 +145,7 @@ class DiagnosticEngine
     std::vector<Diagnostic> _diags;
 };
 
-/** Escape a string for embedding in a JSON literal (no quotes added). */
-std::string jsonEscape(const std::string &s);
+using hscd::jsonEscape;
 
 } // namespace verify
 } // namespace hscd

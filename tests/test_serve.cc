@@ -19,12 +19,14 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/log.hh"
 #include "harness.hh"
+#include "mem/coherence.hh"
 #include "serve/journal.hh"
 #include "serve/json.hh"
 #include "serve/protocol.hh"
@@ -201,6 +203,224 @@ TEST(ServeJournal, ResultTokensRoundTripBitExactly)
     sim::RunResult back;
     ASSERT_TRUE(decodeResult(tr, back));
     EXPECT_EQ(back, r); // bit-exact via doubleBits
+}
+
+TEST(ServeJournal, OutOfRangeAbortKindIsATornRecord)
+{
+    // A kind past AbortKind::Deadlock must fail to decode, so resume
+    // re-runs the cell instead of restoring a result that later panics
+    // in abortKindName (9) or silently reads as a clean run (256).
+    sim::RunResult r = fakeCell(CampaignSpec(), 3);
+    r.abort.kind = fault::AbortKind::Watchdog;
+    r.abort.reason = "marker";
+    std::ostringstream os;
+    encodeResult(os, r);
+    const std::string good = os.str();
+    const std::size_t at = good.find(" 2 marker ");
+    ASSERT_NE(at, std::string::npos) << good;
+    for (const char *kind : {"4", "9", "256"}) {
+        const std::string bad =
+            good.substr(0, at + 1) + kind + good.substr(at + 2);
+        TokenReader tr(bad);
+        sim::RunResult back;
+        EXPECT_FALSE(decodeResult(tr, back)) << "kind " << kind;
+    }
+    TokenReader tr(good);
+    sim::RunResult back;
+    ASSERT_TRUE(decodeResult(tr, back));
+    EXPECT_EQ(back, r);
+}
+
+// --- counter schema ------------------------------------------------------
+
+namespace {
+
+/** A distinct value for schema field @p i of type @p T. */
+template <class T>
+T
+distinctValue(std::uint64_t i)
+{
+    if constexpr (std::is_floating_point_v<T>)
+        return T(i) + 0.375;
+    else
+        return T(1000 + 7 * i);
+}
+
+/** One schema entry, expanded independently of the code under test. */
+struct SchemaField
+{
+    const char *key;
+    void (*set)(sim::RunResult &, std::uint64_t);
+};
+
+const std::vector<SchemaField> &
+schemaFields()
+{
+    static const std::vector<SchemaField> fields = {
+#define HSCD_TEST_FIELD(type, member, key, desc)                             \
+    {key, [](sim::RunResult &r, std::uint64_t i) {                          \
+         r.member = distinctValue<type>(i);                                  \
+     }},
+        HSCD_RESULT_FIELDS(HSCD_TEST_FIELD, HSCD_TEST_FIELD)
+#undef HSCD_TEST_FIELD
+    };
+    return fields;
+}
+
+} // namespace
+
+TEST(CounterSchema, EveryFieldRoundTripsFingerprintsAndEmitsOnce)
+{
+    const std::vector<SchemaField> &fields = schemaFields();
+    sim::RunResult r;
+    for (std::size_t i = 0; i < fields.size(); ++i)
+        fields[i].set(r, i);
+
+    std::ostringstream os;
+    encodeResult(os, r);
+    TokenReader tr(os.str());
+    sim::RunResult back;
+    ASSERT_TRUE(decodeResult(tr, back));
+    EXPECT_TRUE(tr.atEnd());
+    EXPECT_EQ(back, r);
+
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+        sim::RunResult flipped = r;
+        fields[i].set(flipped, i + fields.size());
+        EXPECT_NE(flipped.fingerprint(), r.fingerprint()) << fields[i].key;
+    }
+
+    std::ostringstream json;
+    writeResultCellJson(json, r, "");
+    const std::string cell = json.str();
+    std::size_t prev = 0;
+    for (const SchemaField &f : fields) {
+        const std::string key = std::string("\"") + f.key + "\": ";
+        const std::size_t at = cell.find(key);
+        ASSERT_NE(at, std::string::npos) << f.key;
+        EXPECT_EQ(cell.find(key, at + 1), std::string::npos) << f.key;
+        EXPECT_GT(at, prev) << f.key << " out of schema order";
+        prev = at;
+    }
+}
+
+TEST(CounterSchema, SchemeCountersRegisterUnderTheirKeys)
+{
+    stats::StatGroup root("root");
+    mem::SchemeStats st(&root);
+#define HSCD_TEST_STAT(type, member, key, text)                              \
+    ASSERT_EQ(st.group.find(key), &st.member) << key;                        \
+    EXPECT_EQ(st.member.desc(), text);
+    HSCD_RESULT_FIELDS(HSCD_COUNTER_SKIP, HSCD_TEST_STAT)
+    HSCD_SCHEME_ONLY_STATS(HSCD_TEST_STAT)
+#undef HSCD_TEST_STAT
+}
+
+namespace {
+
+/**
+ * A fixed non-trivial result: every scalar distinct, faults, one oracle
+ * and one shadow violation, and an abort whose strings need escaping.
+ */
+sim::RunResult
+pinnedResult()
+{
+    sim::RunResult r;
+    r.cycles = 123456789; r.epochs = 42; r.parallelEpochs = 17;
+    r.tasks = 2048;
+    r.reads = 100003; r.writes = 40009; r.readHits = 90001;
+    r.readMisses = 10002;
+    r.readMissRate = 10002.0 / 100003.0; r.avgMissLatency = 37.625;
+    r.missCold = 1201; r.missReplacement = 1302; r.missTrueShare = 1403;
+    r.missFalseShare = 1504; r.missConservative = 1605;
+    r.missTagReset = 1706; r.missUncached = 1807;
+    r.timeReads = 5001; r.timeReadHits = 4002; r.bypassReads = 303;
+    r.readPackets = 20011; r.writePackets = 20012;
+    r.coherencePackets = 20013; r.writebackPackets = 20014;
+    r.readWords = 30015; r.writeWords = 30016; r.writebackWords = 30017;
+    r.trafficPackets = 60050; r.trafficWords = 90048;
+    r.busyMax = 7000001; r.busyAvg = 6543210.125; r.serialCycles = 999;
+    r.oracleViolations = 1; r.doallViolations = 3;
+    r.firstViolations.push_back({0x1040, 7, 11, 12, 5, 3});
+    r.shadowViolations = 2;
+    r.firstShadowViolations.push_back({0x2080, 9, 1, 6, 2, 4});
+    r.abort.kind = fault::AbortKind::Protocol;
+    r.abort.reason = "retry budget \"exhausted\"\tat 3\\4";
+    r.abort.cycle = 123450000; r.abort.epoch = 41; r.abort.proc = 2;
+    r.abort.snapshot = "epoch 41, 0 parked\n  proc 0: t=1 busy=2\n";
+    r.faultsInjected = 14; r.faultsRecovered = 13; r.faultRetries = 27;
+    return r;
+}
+
+} // namespace
+
+TEST(CounterSchema, PinnedResultIsByteIdentical)
+{
+    // Byte goldens: the fingerprint, the journal record and the cell
+    // JSON of this result are compatibility contracts.
+    const sim::RunResult r = pinnedResult();
+    EXPECT_EQ(csprintf("%016x", r.fingerprint()), "31f3a46c753151e2");
+
+    std::ostringstream tokens;
+    encodeResult(tokens, r);
+    EXPECT_EQ(tokens.str(),
+              " 123456789 42 17 2048 100003 40009 90001 10002"
+              " 3fb99ab6cdda89c0 4042d00000000000 1201 1302 1403 1504 1605"
+              " 1706 1807 5001 4002 303 20011 20012 20013 20014 30015 30016"
+              " 30017 60050 90048 7000001 4158f5da88000000 999 1 3 1 4160 7"
+              " 11 12 5 3 2 1 8320 9 1 6 2 4 1"
+              " retry%20budget%20\"exhausted\"%09at%203\\4 123450000 41 2"
+              " epoch%2041,%200%20parked%0a%20%20proc%200:%20t=1%20busy=2%0a"
+              " 14 13 27");
+
+    std::ostringstream cell;
+    writeResultCellJson(cell, r, "");
+    EXPECT_EQ(cell.str(), R"GOLD(      "fingerprint": "31f3a46c753151e2",
+      "cycles": 123456789,
+      "epochs": 42,
+      "parallel_epochs": 17,
+      "tasks": 2048,
+      "reads": 100003,
+      "writes": 40009,
+      "read_hits": 90001,
+      "read_misses": 10002,
+      "read_miss_rate": 0.1000169994900153,
+      "avg_miss_latency": 37.625,
+      "miss_cold": 1201,
+      "miss_replacement": 1302,
+      "miss_true_share": 1403,
+      "miss_false_share": 1504,
+      "miss_conservative": 1605,
+      "miss_tag_reset": 1706,
+      "miss_uncached": 1807,
+      "time_reads": 5001,
+      "time_read_hits": 4002,
+      "bypass_reads": 303,
+      "read_packets": 20011,
+      "write_packets": 20012,
+      "coherence_packets": 20013,
+      "writeback_packets": 20014,
+      "read_words": 30015,
+      "write_words": 30016,
+      "writeback_words": 30017,
+      "traffic_packets": 60050,
+      "traffic_words": 90048,
+      "busy_max": 7000001,
+      "busy_avg": 6543210.125,
+      "serial_cycles": 999,
+      "oracle_violations": 1,
+      "doall_violations": 3,
+      "shadow_violations": 2,
+      "faults_injected": 14,
+      "faults_recovered": 13,
+      "fault_retries": 27,
+      "abort": {
+        "kind": "protocol",
+        "reason": "retry budget \"exhausted\"\tat 3\\4",
+        "cycle": 123450000,
+        "epoch": 41,
+        "proc": 2
+      })GOLD");
 }
 
 // --- protocol ----------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/strutil.hh"
+#include "obs/provenance.hh"
+#include "verify/diagnostic.hh"
 
 using namespace hscd;
 
@@ -140,4 +142,13 @@ TEST(ParseBool, RejectsJunk)
 {
     EXPECT_THROW(parseBool("maybe"), std::invalid_argument);
     EXPECT_THROW(parseBool(""), std::invalid_argument);
+}
+
+TEST(JsonEscape, OneSpellingForEveryCaller)
+{
+    // '\r' takes the short escape, like '\n' and '\t'.
+    EXPECT_EQ(jsonEscape("a\rb"), "a\\rb");
+    EXPECT_EQ(jsonEscape("\"\\\n\t\r\x1f"), "\\\"\\\\\\n\\t\\r\\u001f");
+    EXPECT_EQ(obs::jsonEscape("x\ry"), "x\\ry");
+    EXPECT_EQ(verify::jsonEscape("x\ry"), "x\\ry");
 }
