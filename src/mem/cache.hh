@@ -58,12 +58,14 @@ class CacheArray
      * which matters because a Machine is built per simulated run.
      */
     CacheArray(const MachineConfig &cfg, Addr data_bytes = 0)
-        : _lineBytes(cfg.lineBytes), _assoc(cfg.assoc),
-          _sets(reachableSets(cfg, data_bytes)),
+        : _lineBytes(cfg.lineBytes), _lineShift(floorLog2(cfg.lineBytes)),
+          _assoc(cfg.assoc), _sets(reachableSets(cfg, data_bytes)),
           _lines(_sets * _assoc),
           _wordStore(_lines.size() * cfg.wordsPerLine()),
           _stampStore(_lines.size() * cfg.wordsPerLine())
     {
+        hscd_assert(isPowerOf2(_lineBytes) && _lineBytes >= 4,
+                    "line size must be a power of two >= 4");
         hscd_assert(isPowerOf2(_sets), "set count must be a power of two");
         const unsigned wpl = cfg.wordsPerLine();
         for (std::size_t i = 0; i < _lines.size(); ++i) {
@@ -80,10 +82,19 @@ class CacheArray
     CacheArray &operator=(CacheArray &&) = default;
 
     Addr lineAddr(Addr a) const { return a & ~Addr(_lineBytes - 1); }
-    unsigned wordIndex(Addr a) const { return (a % _lineBytes) / 4; }
+    unsigned
+    wordIndex(Addr a) const
+    {
+        return static_cast<unsigned>((a & (_lineBytes - 1)) >> 2);
+    }
     unsigned wordsPerLine() const
     {
         return static_cast<unsigned>(_lineBytes / 4);
+    }
+    /** Set index of the line holding @p addr. */
+    std::size_t setOf(Addr addr) const
+    {
+        return (addr >> _lineShift) & (_sets - 1);
     }
 
     /** Find a valid line holding @p addr; updates LRU on hit. */
@@ -186,12 +197,10 @@ class CacheArray
         return reachable < sets ? reachable : sets;
     }
 
-    std::size_t setOf(Addr base) const
-    {
-        return (base / _lineBytes) & (_sets - 1);
-    }
-
+    // Line sizes are powers of two (MachineConfig::validate), so the
+    // per-access index arithmetic is shifts and masks.
     unsigned _lineBytes;
+    unsigned _lineShift;
     unsigned _assoc;
     std::size_t _sets;
     std::vector<Line> _lines;

@@ -44,36 +44,6 @@ SchemeStats::SchemeStats(stats::StatGroup *parent)
 {
 }
 
-void
-SchemeStats::classify(MissClass c)
-{
-    switch (c) {
-      case MissClass::None:
-        break;
-      case MissClass::Cold:
-        ++missCold;
-        break;
-      case MissClass::Replacement:
-        ++missReplacement;
-        break;
-      case MissClass::TrueShare:
-        ++missTrueShare;
-        break;
-      case MissClass::FalseShare:
-        ++missFalseShare;
-        break;
-      case MissClass::Conservative:
-        ++missConservative;
-        break;
-      case MissClass::TagReset:
-        ++missTagReset;
-        break;
-      case MissClass::Uncached:
-        ++missUncached;
-        break;
-    }
-}
-
 CoherenceScheme::CoherenceScheme(const MachineConfig &cfg,
                                  MainMemory &memory, net::Network &network,
                                  stats::StatGroup *parent)
@@ -87,37 +57,6 @@ CoherenceScheme::epochBoundary(EpochId new_epoch)
 {
     _epoch = new_epoch;
     return 0;
-}
-
-Cycles
-CoherenceScheme::lineFetchLatency() const
-{
-    return _cfg.baseMissCycles +
-           Cycles(_cfg.wordsPerLine() - 1) * _cfg.wordTransferCycles +
-           _net.contentionDelay(2);
-}
-
-Cycles
-CoherenceScheme::wordFetchLatency() const
-{
-    return _cfg.baseMissCycles + _net.contentionDelay(2);
-}
-
-void
-CoherenceScheme::noteWrite(ProcId p, Cycles now, Cycles latency)
-{
-    Cycles done = now + latency;
-    if (done > _writeDone[p])
-        _writeDone[p] = done;
-}
-
-Cycles
-CoherenceScheme::finishWrite(ProcId p, Cycles now, Cycles latency)
-{
-    if (_cfg.sequentialConsistency)
-        return latency; // the processor waits for the write itself
-    noteWrite(p, now, latency);
-    return 1;
 }
 
 std::string
@@ -134,10 +73,8 @@ CoherenceScheme::postMortem() const
 }
 
 Cycles
-CoherenceScheme::reliableSend(ProcId p, Cycles now, const char *what)
+CoherenceScheme::sendWithFaults(ProcId p, Cycles now, const char *what)
 {
-    if (!_fault)
-        return 0;
     net::MsgFate fate = _net.deliver();
     Cycles extra = 0;
     unsigned attempt = 0;

@@ -86,7 +86,35 @@ struct SchemeStats
 #undef HSCD_SCHEME_SCALAR
 #undef HSCD_SCHEME_STAT
 
-    void classify(MissClass c);
+    void
+    classify(MissClass c)
+    {
+        switch (c) {
+          case MissClass::None:
+            break;
+          case MissClass::Cold:
+            ++missCold;
+            break;
+          case MissClass::Replacement:
+            ++missReplacement;
+            break;
+          case MissClass::TrueShare:
+            ++missTrueShare;
+            break;
+          case MissClass::FalseShare:
+            ++missFalseShare;
+            break;
+          case MissClass::Conservative:
+            ++missConservative;
+            break;
+          case MissClass::TagReset:
+            ++missTagReset;
+            break;
+          case MissClass::Uncached:
+            ++missUncached;
+            break;
+        }
+    }
 };
 
 class CoherenceScheme
@@ -145,17 +173,43 @@ class CoherenceScheme
     double readMissRate() const;
 
   protected:
+    // The helpers below run on every simulated reference; they are
+    // defined here so each scheme's access() inlines them.
+
     /** Unloaded + contended latency of a line fetch from memory. */
-    Cycles lineFetchLatency() const;
+    Cycles
+    lineFetchLatency() const
+    {
+        return _cfg.baseMissCycles +
+               Cycles(_cfg.wordsPerLine() - 1) * _cfg.wordTransferCycles +
+               _net.contentionDelay(2);
+    }
     /** Latency of a single-word remote access. */
-    Cycles wordFetchLatency() const;
+    Cycles
+    wordFetchLatency() const
+    {
+        return _cfg.baseMissCycles + _net.contentionDelay(2);
+    }
     /** Record a completed write for the drain deadline. */
-    void noteWrite(ProcId p, Cycles now, Cycles latency);
+    void
+    noteWrite(ProcId p, Cycles now, Cycles latency)
+    {
+        Cycles done = now + latency;
+        if (done > _writeDone[p])
+            _writeDone[p] = done;
+    }
     /**
      * Retire a write of cost @p latency under the configured consistency
      * model; returns the processor-visible stall (1 when buffered).
      */
-    Cycles finishWrite(ProcId p, Cycles now, Cycles latency);
+    Cycles
+    finishWrite(ProcId p, Cycles now, Cycles latency)
+    {
+        if (_cfg.sequentialConsistency)
+            return latency; // the processor waits for the write itself
+        noteWrite(p, now, latency);
+        return 1;
+    }
 
     /**
      * Push one protocol message through the network with reliable
@@ -165,7 +219,14 @@ class CoherenceScheme
      * throws a Protocol RunAbort carrying a post-mortem. Returns the
      * extra latency the sender observed (0 on a perfect network).
      */
-    Cycles reliableSend(ProcId p, Cycles now, const char *what);
+    Cycles
+    reliableSend(ProcId p, Cycles now, const char *what)
+    {
+        return _fault ? sendWithFaults(p, now, what) : 0;
+    }
+
+    /** reliableSend() with an injector attached. */
+    Cycles sendWithFaults(ProcId p, Cycles now, const char *what);
 
     const MachineConfig &_cfg;
     MainMemory &_mem;

@@ -12,7 +12,8 @@ DirectoryScheme::DirectoryScheme(const MachineConfig &cfg,
                                  stats::StatGroup *parent)
     : CoherenceScheme(cfg, memory, network, parent),
       _dir(memory.words() * 4 / cfg.lineBytes + 1),
-      _history(cfg.procs, Addr(memory.words()) * 4, cfg.lineBytes)
+      _history(cfg.procs, Addr(memory.words()) * 4, cfg.lineBytes),
+      _lineShift(floorLog2(cfg.lineBytes))
 {
     hscd_assert(cfg.procs <= 64,
                 "full-map presence bits limited to 64 processors here");

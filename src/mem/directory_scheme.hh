@@ -61,10 +61,7 @@ class DirectoryScheme final : public CoherenceScheme
     using Cache = CacheArray<NoMeta, MsiLine>;
 
     DirEntry &entry(Addr addr);
-    std::size_t lineIndex(Addr addr) const
-    {
-        return addr / _cfg.lineBytes;
-    }
+    std::size_t lineIndex(Addr addr) const { return addr >> _lineShift; }
 
     /** Write @p proc's cached line back to memory. */
     void writeBack(ProcId proc, Cache::Line &line);
@@ -83,6 +80,7 @@ class DirectoryScheme final : public CoherenceScheme
     std::vector<Cache> _caches;
     std::vector<DirEntry> _dir;
     LineHistory _history;
+    unsigned _lineShift; ///< log2(line size): lineIndex is a shift
 };
 
 } // namespace mem

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "common/bitutil.hh"
 #include "common/types.hh"
 #include "mem/coherence.hh"
 
@@ -29,7 +30,7 @@ class LineHistory
 {
   public:
     LineHistory(unsigned procs, Addr data_bytes, unsigned line_bytes)
-        : _lineBytes(line_bytes),
+        : _lineShift(floorLog2(line_bytes)),
           _state(procs,
                  std::vector<LineEvent>(data_bytes / line_bytes + 1,
                                         LineEvent::NeverCached))
@@ -71,9 +72,10 @@ class LineHistory
     }
 
   private:
-    std::size_t index(Addr addr) const { return addr / _lineBytes; }
+    /** addr / line_bytes; line sizes are powers of two. */
+    std::size_t index(Addr addr) const { return addr >> _lineShift; }
 
-    unsigned _lineBytes;
+    unsigned _lineShift;
     std::vector<std::vector<LineEvent>> _state;
 };
 

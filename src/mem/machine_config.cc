@@ -171,6 +171,12 @@ MachineConfig::validate() const
         fatal("cache size must be a power of two >= line size");
     if (assoc == 0 || lines() % assoc != 0)
         fatal("associativity %d does not divide %d lines", assoc, lines());
+    if (scheme == SchemeKind::HW && procs > 64)
+        fatal("scheme=hw keeps 64 presence bits per line; procs must be "
+              "<= 64, got %d", procs);
+    if (writeBufferAsCache && writeBufferCacheWords == 0)
+        fatal("a write buffer organized as a cache needs at least one "
+              "word");
     if (timetagBits < 2 || timetagBits > 32)
         fatal("timetag_bits must be in [2, 32], got %d", timetagBits);
     if (migrationRate < 0.0 || migrationRate > 1.0)

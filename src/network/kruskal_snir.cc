@@ -35,16 +35,7 @@ Network::Network(stats::StatGroup *parent, unsigned procs, unsigned radix,
         unsigned hops = (3 * k + 3) / 4;
         _stages = hops ? hops : 1;
     }
-}
-
-void
-Network::addTraffic(Counter packets, Counter words)
-{
-    _packets += packets;
-    _words += words;
-    // Channel occupancy is per flit: a line transfer loads the network in
-    // proportion to its words; header-only packets count as one flit.
-    _windowFlits += words > 0 ? words : packets;
+    cacheDelays();
 }
 
 void
@@ -58,6 +49,7 @@ Network::endWindow(Cycles now)
             rho = _maxLoad;
         _load = rho;
         _loadAvg.sample(rho);
+        cacheDelays();
     }
     _windowStart = now;
     _windowFlits = 0;
@@ -79,10 +71,17 @@ Network::traversalWait() const
 }
 
 Cycles
-Network::contentionDelay(unsigned traversals) const
+Network::delayFor(unsigned traversals) const
 {
     double d = traversalWait() * traversals;
     return static_cast<Cycles>(std::llround(d));
+}
+
+void
+Network::cacheDelays()
+{
+    for (unsigned k = 0; k < _delayByTraversals.size(); ++k)
+        _delayByTraversals[k] = delayFor(k);
 }
 
 MsgFate

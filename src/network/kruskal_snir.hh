@@ -18,6 +18,8 @@
 #ifndef HSCD_NETWORK_KRUSKAL_SNIR_HH
 #define HSCD_NETWORK_KRUSKAL_SNIR_HH
 
+#include <array>
+
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "fault/injector.hh"
@@ -46,7 +48,16 @@ class Network
     Topology topology() const { return _topology; }
 
     /** Record @p packets network packets carrying @p words words. */
-    void addTraffic(Counter packets, Counter words);
+    void
+    addTraffic(Counter packets, Counter words)
+    {
+        _packets += packets;
+        _words += words;
+        // Channel occupancy is per flit: a line transfer loads the
+        // network in proportion to its words; header-only packets count
+        // as one flit.
+        _windowFlits += words > 0 ? words : packets;
+    }
 
     /** Close the current measurement window ending at @p now. */
     void endWindow(Cycles now);
@@ -57,8 +68,19 @@ class Network
     /** Mean queueing delay for one network traversal (cycles). */
     double traversalWait() const;
 
-    /** Contention cycles added to an access with @p traversals hops. */
-    Cycles contentionDelay(unsigned traversals) const;
+    /**
+     * Contention cycles added to an access with @p traversals hops:
+     * llround(traversalWait() * traversals). The load changes only at
+     * window boundaries, so the small traversal counts the schemes use
+     * are looked up in a table refreshed there.
+     */
+    Cycles
+    contentionDelay(unsigned traversals) const
+    {
+        return traversals < _delayByTraversals.size()
+                   ? _delayByTraversals[traversals]
+                   : delayFor(traversals);
+    }
 
     /** Thread the machine's fault injector through the boundary;
      *  nullptr (the default) keeps delivery perfect and free. */
@@ -77,12 +99,18 @@ class Network
     Counter totalWords() const { return _words.value(); }
 
   private:
+    Cycles delayFor(unsigned traversals) const;
+    /** Refill _delayByTraversals for the current load. */
+    void cacheDelays();
+
     unsigned _procs;
     unsigned _radix;
     Topology _topology;
     unsigned _stages;
     double _maxLoad;
     double _load = 0.0;
+    /** contentionDelay(k) at the current load, for k < 4. */
+    std::array<Cycles, 4> _delayByTraversals{};
     fault::FaultInjector *_fault = nullptr;
 
     Cycles _windowStart = 0;

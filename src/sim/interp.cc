@@ -54,19 +54,21 @@ TaskStream::evalClamped(const IntExpr &e) const
 }
 
 Addr
-TaskStream::refAddr(const ArrayRefStmt &ref) const
+TaskStream::refAddr(const ArrayRefStmt &ref)
 {
     const hir::ArrayDecl &decl = _prog.array(ref.array);
-    std::vector<std::int64_t> idx(ref.subs.size());
+    // Reused across references: once it has grown to the deepest
+    // array's rank, evaluating a subscript list allocates nothing.
+    _subscripts.resize(ref.subs.size());
     for (std::size_t d = 0; d < ref.subs.size(); ++d) {
         const IntExpr &e = ref.subs[d];
         std::int64_t dim = decl.dims[d];
         std::int64_t v = e.eval(_env, e.hasUnknown() ? dim : 0);
         if (e.hasUnknown())
             v = ((v % dim) + dim) % dim;
-        idx[d] = v;
+        _subscripts[d] = v;
     }
-    return _prog.elementAddr(ref.array, idx);
+    return _prog.elementAddr(ref.array, _subscripts);
 }
 
 void

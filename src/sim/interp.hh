@@ -120,12 +120,13 @@ class TaskStream
     void popFrame();
     bool evalBranch(const hir::IfUnknownStmt &br);
     std::int64_t evalClamped(const hir::IntExpr &e) const;
-    Addr refAddr(const hir::ArrayRefStmt &ref) const;
+    Addr refAddr(const hir::ArrayRefStmt &ref);
 
     const hir::Program &_prog;
     RunCtx &_ctx;
     hir::Env _env;
     std::vector<Frame> _frames;
+    std::vector<std::int64_t> _subscripts; ///< refAddr's scratch buffer
     bool _taskMode = false;
 
     // Task mode:

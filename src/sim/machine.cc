@@ -5,7 +5,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <queue>
 #include <set>
 #include <type_traits>
 #include <utility>
@@ -22,6 +21,7 @@
 #include "obs/profile.hh"
 #include "obs/timeline.hh"
 #include "sim/interp.hh"
+#include "sim/ready_heap.hh"
 #include "sim/stream.hh"
 #include "sim/trace.hh"
 
@@ -153,6 +153,20 @@ class Executor
             _shadowWriterProc.assign(m._memory.words(), 0);
             _shadowWriterEpoch.assign(m._memory.words(), 0);
         }
+        _facts.resize(_prog.refCount());
+        for (hir::RefId id = 0; id < _prog.refCount(); ++id) {
+            const hir::ArrayRefStmt &stmt = *_prog.refInfo(id).stmt;
+            const compiler::Mark &mark = _marking.mark(id);
+            RefFacts &f = _facts[id];
+            f.array = stmt.array;
+            f.write = stmt.isWrite;
+            f.markCritical = mark.reason == compiler::MarkReason::Critical;
+            if (!stmt.isWrite) {
+                f.mark = mark.kind;
+                f.distance = mark.distance;
+            }
+        }
+        _ready.reserve(_cfg.procs);
     }
 
     RunResult
@@ -205,130 +219,57 @@ class Executor
 
   private:
     /**
-     * One operation as the engine consumes it: a TaskOp with the
-     * compiler's per-reference facts (mark, distance, criticality)
-     * already attached. The interpreted path fills those from the mark
-     * table per reference; the fast path recorded them in the stream.
+     * What the engine needs to know about a reference that does not vary
+     * between its dynamic instances. Built once per run from the program
+     * and the current marking; both operation sources carry only the
+     * reference id and the address, so marks are always read at run time.
      */
-    struct ExecOp
+    struct RefFacts
     {
-        TaskOp::Kind kind = TaskOp::Kind::End;
-        Addr addr = 0;
-        bool write = false;
-        bool markCritical = false;
-        MarkKind mark = MarkKind::Normal;
-        std::uint32_t distance = 0;
-        hir::RefId ref = hir::invalidRef;
         hir::ArrayId array = hir::invalidArray;
-        std::int64_t aux = 0;  ///< Compute cycles or sync flag
+        std::uint32_t distance = 0;      ///< reads: Time-Read operand
+        MarkKind mark = MarkKind::Normal; ///< reads only; writes Normal
+        bool write = false;
+        /** The compiler marked this reference Critical. */
+        bool markCritical = false;
     };
 
-    /** Replays one processor's recorded epoch stream as ExecOps. */
+    /** Replays one processor's recorded epoch stream. */
     class StreamCursor
     {
       public:
-        explicit StreamCursor(const std::vector<StreamOp> *ops)
-            : _ops(ops)
+        explicit StreamCursor(const std::vector<StreamOp> &ops)
+            : _cur(ops.data()), _end(ops.data() + ops.size())
         {}
 
-        /** Next record, or nullptr at end; tracks IterStart markers. */
-        const StreamOp *
+        /** Next op (End when exhausted); tracks IterStart markers. */
+        StreamOp
         next()
         {
-            while (_idx < _ops->size()) {
-                const StreamOp &r = (*_ops)[_idx++];
-                if (r.kind == StreamOp::Kind::IterStart) {
-                    _iter = r.aux;
-                    continue;
-                }
-                return &r;
+            while (_cur != _end) {
+                // Sixteen processors' streams are read in turn; fetch
+                // this one's a few lines ahead (an address, never read,
+                // so running past the end is harmless).
+                __builtin_prefetch(reinterpret_cast<const void *>(
+                    reinterpret_cast<std::uintptr_t>(_cur) + kPrefetchBytes));
+                const StreamOp &r = *_cur++;
+                if (r.kind != StreamOp::Kind::IterStart)
+                    return r;
+                _iter = r.aux;
             }
-            return nullptr;
+            return StreamOp{};
         }
 
-        /** Iteration of the record last returned (-1 before the first). */
+        /** Iteration of the op last returned (-1 before the first). */
         std::int64_t iter() const { return _iter; }
 
       private:
-        const std::vector<StreamOp> *_ops;
-        std::size_t _idx = 0;
+        static constexpr std::uintptr_t kPrefetchBytes = 256;
+
+        const StreamOp *_cur;
+        const StreamOp *_end;
         std::int64_t _iter = -1;
     };
-
-    ExecOp
-    toExec(const TaskOp &op) const
-    {
-        ExecOp e;
-        e.kind = op.kind;
-        switch (op.kind) {
-          case TaskOp::Kind::Ref: {
-            e.addr = op.addr;
-            e.write = op.write;
-            e.ref = op.ref;
-            e.array = op.array;
-            const compiler::Mark &mark = _marking.mark(op.ref);
-            e.markCritical =
-                mark.reason == compiler::MarkReason::Critical;
-            if (!op.write) {
-                e.mark = mark.kind;
-                e.distance = mark.distance;
-            }
-            break;
-          }
-          case TaskOp::Kind::Compute:
-            e.aux = static_cast<std::int64_t>(op.cycles);
-            break;
-          case TaskOp::Kind::Post:
-          case TaskOp::Kind::Wait:
-            e.aux = op.flag;
-            break;
-          default:
-            break;
-        }
-        return e;
-    }
-
-    ExecOp
-    toExec(const StreamOp &rec) const
-    {
-        ExecOp e;
-        switch (rec.kind) {
-          case StreamOp::Kind::Ref:
-            e.kind = TaskOp::Kind::Ref;
-            e.addr = rec.addr;
-            e.write = rec.write;
-            e.ref = rec.ref;
-            e.array = rec.array;
-            e.markCritical = rec.markCritical;
-            e.mark = rec.mark;
-            e.distance = rec.distance;
-            break;
-          case StreamOp::Kind::Compute:
-            e.kind = TaskOp::Kind::Compute;
-            e.aux = rec.aux;
-            break;
-          case StreamOp::Kind::LockAcquire:
-            e.kind = TaskOp::Kind::LockAcquire;
-            break;
-          case StreamOp::Kind::LockRelease:
-            e.kind = TaskOp::Kind::LockRelease;
-            break;
-          case StreamOp::Kind::Post:
-            e.kind = TaskOp::Kind::Post;
-            e.aux = rec.aux;
-            break;
-          case StreamOp::Kind::Wait:
-            e.kind = TaskOp::Kind::Wait;
-            e.aux = rec.aux;
-            break;
-          case StreamOp::Kind::CallBoundary:
-            e.kind = TaskOp::Kind::CallBoundary;
-            break;
-          default:
-            panic("stream record has no executor mapping");
-        }
-        return e;
-    }
 
     template <class Scheme>
     RunResult
@@ -349,7 +290,7 @@ class Executor
                 break;
             switch (op.kind) {
               case TaskOp::Kind::Ref:
-                issueRef(scheme, _serialProc, toExec(op), -1);
+                issueRef(scheme, _serialProc, streamOpOf(op), -1);
                 break;
               case TaskOp::Kind::Barrier:
                 boundary();
@@ -361,7 +302,7 @@ class Executor
                 migrateSerialTask();
                 break;
               default:
-                serialOp(op.kind, toExec(op).aux);
+                serialOp(streamOpOf(op));
                 break;
             }
         }
@@ -376,7 +317,7 @@ class Executor
         for (const StreamOp &rec : sp.master) {
             switch (rec.kind) {
               case StreamOp::Kind::Ref:
-                issueRef(scheme, _serialProc, toExec(rec), -1);
+                issueRef(scheme, _serialProc, rec, -1);
                 break;
               case StreamOp::Kind::Barrier:
                 boundary();
@@ -390,7 +331,7 @@ class Executor
                 migrateSerialTask();
                 break;
               default:
-                serialOp(toExec(rec).kind, rec.aux);
+                serialOp(rec);
                 break;
             }
         }
@@ -400,33 +341,33 @@ class Executor
 
     /** Serial-mode ops other than Ref/Barrier/BeginDoall. */
     void
-    serialOp(TaskOp::Kind kind, std::int64_t aux)
+    serialOp(const StreamOp &op)
     {
-        switch (kind) {
-          case TaskOp::Kind::Compute:
-            _procTime[_serialProc] += static_cast<Cycles>(aux);
+        switch (op.kind) {
+          case StreamOp::Kind::Compute:
+            _procTime[_serialProc] += static_cast<Cycles>(op.aux);
             break;
-          case TaskOp::Kind::LockAcquire:
+          case StreamOp::Kind::LockAcquire:
             _procTime[_serialProc] += _cfg.lockCycles;
             _inCritical[_serialProc] = 1;
             break;
-          case TaskOp::Kind::LockRelease:
+          case StreamOp::Kind::LockRelease:
             _inCritical[_serialProc] = 0;
             break;
-          case TaskOp::Kind::Post:
+          case StreamOp::Kind::Post:
             // Release semantics: pending writes drain first.
             _procTime[_serialProc] =
                 std::max(_procTime[_serialProc],
                          _scheme.writeDrainTime(_serialProc));
-            _serialPosted.insert(aux);
+            _serialPosted.insert(op.aux);
             break;
-          case TaskOp::Kind::Wait:
-            if (!_serialPosted.count(aux))
+          case StreamOp::Kind::Wait:
+            if (!_serialPosted.count(op.aux))
                 fatal("serial wait(%d) with no prior post: deadlock",
-                      aux);
+                      op.aux);
             _procTime[_serialProc] += _cfg.lockCycles;
             break;
-          case TaskOp::Kind::CallBoundary:
+          case StreamOp::Kind::CallBoundary:
             if (_cfg.flushAtCalls) {
                 _scheme.flushCache(_serialProc);
                 _procTime[_serialProc] += _cfg.callFlushCycles;
@@ -533,21 +474,32 @@ class Executor
         return s;
     }
 
+    /** Lock and post/wait state of the parallel epoch being merged. */
+    struct EpochSync
+    {
+        ProcId lockOwner = invalidProc;
+        unsigned lockDepth = 0;
+        std::deque<ProcId> lockWaiters;
+        std::map<std::int64_t, Cycles> posted; ///< flag -> post time
+        std::map<std::int64_t, std::vector<ProcId>> waiters;
+        std::size_t parked = 0;
+    };
+
     /**
      * Machine state at the point of death, for AbortInfo::snapshot:
      * per-processor clocks, epoch counter, sync/lock occupancy, protocol
      * state (scheme post-mortem), and network load.
      */
     std::string
-    deathSnapshot(std::size_t parked, ProcId lock_owner,
-                  std::size_t lock_waiters) const
+    deathSnapshot(const EpochSync &sync) const
     {
+        const ProcId lock_owner = sync.lockOwner;
         std::string s = csprintf(
             "epoch %d, %d parked, lock owner %s (%d waiting)\n", _epoch,
-            parked,
+            sync.parked,
             lock_owner == invalidProc ? std::string("none")
                                       : csprintf("%d", lock_owner),
-            lock_waiters);
+            sync.lockWaiters.size());
         for (ProcId p = 0; p < _cfg.procs; ++p) {
             s += csprintf("  proc %d: t=%d busy=%d drain=%d%s\n", p,
                           _procTime[p], _busy[p],
@@ -561,8 +513,7 @@ class Executor
     }
 
     [[noreturn]] void
-    watchdogAbort(ProcId p, std::uint64_t stalled, std::size_t parked,
-                  ProcId lock_owner, std::size_t lock_waiters)
+    watchdogAbort(ProcId p, std::uint64_t stalled, const EpochSync &sync)
     {
         fault::AbortInfo info;
         info.kind = fault::AbortKind::Watchdog;
@@ -571,7 +522,7 @@ class Executor
         info.cycle = _procTime[p];
         info.epoch = _epoch;
         info.proc = p;
-        info.snapshot = deathSnapshot(parked, lock_owner, lock_waiters);
+        info.snapshot = deathSnapshot(sync);
         throw fault::RunAbort(std::move(info));
     }
 
@@ -643,32 +594,36 @@ class Executor
 
     template <class Scheme>
     void
-    issueRef(Scheme &scheme, ProcId proc, const ExecOp &op,
+    issueRef(Scheme &scheme, ProcId proc, const StreamOp &op,
              std::int64_t task)
     {
-        bool critical = op.markCritical || _inCritical[proc] != 0;
-        checkLegality(op.addr, task, op.write, critical);
+        hscd_dassert(op.ref < _facts.size(), "reference %d has no facts",
+                     op.ref);
+        const RefFacts &f = _facts[op.ref];
+        const Addr addr = static_cast<Addr>(op.aux);
+        bool critical = f.markCritical || _inCritical[proc] != 0;
+        checkLegality(addr, task, f.write, critical);
 
         MemOp mop;
         mop.proc = proc;
-        mop.addr = op.addr;
-        mop.write = op.write;
-        mop.arrayId = op.array;
+        mop.addr = addr;
+        mop.write = f.write;
+        mop.arrayId = f.array;
         // Lock- or sync-ordered epochs allow another task to write the
         // same word later in the epoch; TPI must not vouch for such
         // writes beyond EC - 1.
         mop.critical = _inCritical[proc] != 0 || _syncEpoch;
         mop.now = _procTime[proc];
-        if (op.write) {
+        if (f.write) {
             mop.stamp = ++_stampCounter;
-            _lastStamp[op.addr / 4] = mop.stamp;
+            _lastStamp[addr / 4] = mop.stamp;
             if (_cfg.shadowEpochCheck) {
-                _shadowWriterProc[op.addr / 4] = proc;
-                _shadowWriterEpoch[op.addr / 4] = _epoch;
+                _shadowWriterProc[addr / 4] = proc;
+                _shadowWriterEpoch[addr / 4] = _epoch;
             }
         } else {
-            mop.mark = op.mark;
-            mop.distance = op.distance;
+            mop.mark = f.mark;
+            mop.distance = f.distance;
         }
 
         if (_m._trace)
@@ -687,13 +642,13 @@ class Executor
         if (_mx && _mx->dueCycle(_procTime[proc]))
             _mx->record(sampleNow(_procTime[proc]));
 
-        if (!op.write) {
-            ValueStamp expected = _lastStamp[op.addr / 4];
+        if (!f.write) {
+            ValueStamp expected = _lastStamp[addr / 4];
             if (res.observed != expected) {
                 ++_res.oracleViolations;
                 if (_res.firstViolations.size() < 8) {
                     _res.firstViolations.push_back(OracleViolation{
-                        op.addr, op.ref, res.observed, expected, _epoch,
+                        addr, op.ref, res.observed, expected, _epoch,
                         proc});
                 }
             }
@@ -707,9 +662,9 @@ class Executor
                 ++_res.shadowViolations;
                 if (_res.firstShadowViolations.size() < 8) {
                     _res.firstShadowViolations.push_back(ShadowViolation{
-                        op.addr, op.ref, proc, _epoch,
-                        _shadowWriterProc[op.addr / 4],
-                        _shadowWriterEpoch[op.addr / 4]});
+                        addr, op.ref, proc, _epoch,
+                        _shadowWriterProc[addr / 4],
+                        _shadowWriterEpoch[addr / 4]});
                 }
             }
         }
@@ -774,7 +729,7 @@ class Executor
 
         mergeEpoch(
             scheme,
-            [&](ProcId p) { return toExec(streams[p]->next()); },
+            [&](ProcId p) { return streamOpOf(streams[p]->next()); },
             [&](ProcId p) { return streams[p]->currentIteration(); },
             [&](ProcId p) {
                 if (_cfg.sched == SchedPolicy::Dynamic &&
@@ -804,16 +759,103 @@ class Executor
         std::vector<StreamCursor> cursors;
         cursors.reserve(P);
         for (unsigned p = 0; p < P; ++p)
-            cursors.emplace_back(&ep.perProc[p]);
+            cursors.emplace_back(ep.perProc[p]);
 
         mergeEpoch(
-            scheme,
-            [&](ProcId p) {
-                const StreamOp *r = cursors[p].next();
-                return r ? toExec(*r) : ExecOp{};
-            },
+            scheme, [&](ProcId p) { return cursors[p].next(); },
             [&](ProcId p) { return cursors[p].iter(); },
             [](ProcId) { return false; });
+    }
+
+    /**
+     * One lock, post/wait, call-boundary or end op of processor @p p,
+     * already popped from the ready heap; re-queues p and any processor
+     * the op wakes.
+     */
+    template <class EndFn>
+    void
+    rareOp(const StreamOp &op, ProcId p, EpochSync &sync, EndFn &onEnd)
+    {
+        switch (op.kind) {
+          case StreamOp::Kind::LockAcquire:
+            if (sync.lockOwner == p) {
+                // Re-entrant acquisition of the single global lock.
+                ++sync.lockDepth;
+                _ready.push(_procTime[p], p);
+            } else if (sync.lockOwner == invalidProc) {
+                sync.lockOwner = p;
+                sync.lockDepth = 1;
+                _inCritical[p] = 1;
+                _procTime[p] += _cfg.lockCycles;
+                _ready.push(_procTime[p], p);
+            } else {
+                sync.lockWaiters.push_back(p); // parked
+            }
+            break;
+          case StreamOp::Kind::LockRelease: {
+            hscd_assert(sync.lockOwner == p, "release by non-owner");
+            if (--sync.lockDepth > 0) {
+                _ready.push(_procTime[p], p);
+                break;
+            }
+            _inCritical[p] = 0;
+            sync.lockOwner = invalidProc;
+            if (!sync.lockWaiters.empty()) {
+                ProcId q = sync.lockWaiters.front();
+                sync.lockWaiters.pop_front();
+                _procTime[q] =
+                    std::max(_procTime[q], _procTime[p]) + _cfg.lockCycles;
+                sync.lockOwner = q;
+                sync.lockDepth = 1;
+                _inCritical[q] = 1;
+                _ready.push(_procTime[q], q);
+            }
+            _ready.push(_procTime[p], p);
+            break;
+          }
+          case StreamOp::Kind::Post: {
+            // Release: drain the poster's write buffer first.
+            _procTime[p] = std::max(_procTime[p], _scheme.writeDrainTime(p));
+            sync.posted.emplace(op.aux, _procTime[p]);
+            auto wit = sync.waiters.find(op.aux);
+            if (wit != sync.waiters.end()) {
+                for (ProcId q : wit->second) {
+                    _procTime[q] = std::max(_procTime[q], _procTime[p]) +
+                                   _cfg.lockCycles;
+                    _ready.push(_procTime[q], q);
+                    --sync.parked;
+                }
+                sync.waiters.erase(wit);
+            }
+            _ready.push(_procTime[p], p);
+            break;
+          }
+          case StreamOp::Kind::Wait: {
+            auto pit = sync.posted.find(op.aux);
+            if (pit != sync.posted.end()) {
+                _procTime[p] =
+                    std::max(_procTime[p], pit->second) + _cfg.lockCycles;
+                _ready.push(_procTime[p], p);
+            } else {
+                sync.waiters[op.aux].push_back(p);
+                ++sync.parked;
+            }
+            break;
+          }
+          case StreamOp::Kind::CallBoundary:
+            if (_cfg.flushAtCalls) {
+                _scheme.flushCache(p);
+                _procTime[p] += _cfg.callFlushCycles;
+            }
+            _ready.push(_procTime[p], p);
+            break;
+          case StreamOp::Kind::End:
+            if (onEnd(p))
+                _ready.push(_procTime[p], p);
+            break;
+          default:
+            panic("unexpected op in a task stream");
+        }
     }
 
     /**
@@ -831,17 +873,11 @@ class Executor
         const unsigned P = _cfg.procs;
         const Cycles epoch_start = _procTime[0]; // all equal post-barrier
 
-        using Entry = std::pair<Cycles, ProcId>;
-        std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
+        _ready.clear();
         for (unsigned p = 0; p < P; ++p)
-            pq.emplace(_procTime[p], p);
+            _ready.push(_procTime[p], p);
 
-        ProcId lock_owner = invalidProc;
-        unsigned lock_depth = 0;
-        std::deque<ProcId> lock_waiters;
-        std::map<std::int64_t, Cycles> posted;        // flag -> post time
-        std::map<std::int64_t, std::vector<ProcId>> sync_waiters;
-        std::size_t parked = 0;
+        EpochSync sync;
 
         // Watchdog: if this many consecutive operations complete without
         // any processor's clock moving, the epoch is livelocked (e.g. a
@@ -850,110 +886,29 @@ class Executor
         const std::uint64_t watchdog = _cfg.watchdogStallOps;
         std::uint64_t stalled_ops = 0;
 
-        while (!pq.empty()) {
-            auto [t, p] = pq.top();
-            pq.pop();
+        while (!_ready.empty()) {
+            const ProcId p = _ready.top().proc;
             const Cycles t_before = _procTime[p];
-            ExecOp op = nextOp(p);
-            switch (op.kind) {
-              case TaskOp::Kind::Ref:
+            const StreamOp op = nextOp(p);
+            if (op.kind == StreamOp::Kind::Ref) {
+                // Only p re-queues: one sift-down instead of pop + push.
                 issueRef(scheme, p, op, iterOf(p));
-                pq.emplace(_procTime[p], p);
-                break;
-              case TaskOp::Kind::Compute:
+                _ready.replaceTop(_procTime[p]);
+            } else if (op.kind == StreamOp::Kind::Compute) {
                 _procTime[p] += static_cast<Cycles>(op.aux);
-                pq.emplace(_procTime[p], p);
-                break;
-              case TaskOp::Kind::LockAcquire:
-                if (lock_owner == p) {
-                    // Re-entrant acquisition of the single global lock.
-                    ++lock_depth;
-                    pq.emplace(_procTime[p], p);
-                } else if (lock_owner == invalidProc) {
-                    lock_owner = p;
-                    lock_depth = 1;
-                    _inCritical[p] = 1;
-                    _procTime[p] += _cfg.lockCycles;
-                    pq.emplace(_procTime[p], p);
-                } else {
-                    lock_waiters.push_back(p); // parked
-                }
-                break;
-              case TaskOp::Kind::LockRelease: {
-                hscd_assert(lock_owner == p, "release by non-owner");
-                if (--lock_depth > 0) {
-                    pq.emplace(_procTime[p], p);
-                    break;
-                }
-                _inCritical[p] = 0;
-                lock_owner = invalidProc;
-                if (!lock_waiters.empty()) {
-                    ProcId q = lock_waiters.front();
-                    lock_waiters.pop_front();
-                    _procTime[q] =
-                        std::max(_procTime[q], _procTime[p]) +
-                        _cfg.lockCycles;
-                    lock_owner = q;
-                    lock_depth = 1;
-                    _inCritical[q] = 1;
-                    pq.emplace(_procTime[q], q);
-                }
-                pq.emplace(_procTime[p], p);
-                break;
-              }
-              case TaskOp::Kind::Post: {
-                // Release: drain the poster's write buffer first.
-                _procTime[p] =
-                    std::max(_procTime[p], _scheme.writeDrainTime(p));
-                posted.emplace(op.aux, _procTime[p]);
-                auto wit = sync_waiters.find(op.aux);
-                if (wit != sync_waiters.end()) {
-                    for (ProcId q : wit->second) {
-                        _procTime[q] =
-                            std::max(_procTime[q], _procTime[p]) +
-                            _cfg.lockCycles;
-                        pq.emplace(_procTime[q], q);
-                        --parked;
-                    }
-                    sync_waiters.erase(wit);
-                }
-                pq.emplace(_procTime[p], p);
-                break;
-              }
-              case TaskOp::Kind::Wait: {
-                auto pit = posted.find(op.aux);
-                if (pit != posted.end()) {
-                    _procTime[p] =
-                        std::max(_procTime[p], pit->second) +
-                        _cfg.lockCycles;
-                    pq.emplace(_procTime[p], p);
-                } else {
-                    sync_waiters[op.aux].push_back(p);
-                    ++parked;
-                }
-                break;
-              }
-              case TaskOp::Kind::CallBoundary:
-                if (_cfg.flushAtCalls) {
-                    _scheme.flushCache(p);
-                    _procTime[p] += _cfg.callFlushCycles;
-                }
-                pq.emplace(_procTime[p], p);
-                break;
-              case TaskOp::Kind::End:
-                if (onEnd(p))
-                    pq.emplace(_procTime[p], p);
-                break;
-              default:
-                panic("unexpected op in a task stream");
+                _ready.replaceTop(_procTime[p]);
+            } else {
+                // The rare ops may wake other processors, so p leaves
+                // the heap before anyone is pushed.
+                _ready.pop();
+                rareOp(op, p, sync, onEnd);
             }
             if (_procTime[p] != t_before)
                 stalled_ops = 0;
             else if (watchdog && ++stalled_ops >= watchdog)
-                watchdogAbort(p, stalled_ops, parked, lock_owner,
-                              lock_waiters.size());
+                watchdogAbort(p, stalled_ops, sync);
         }
-        if (parked != 0) {
+        if (sync.parked != 0) {
             if (_m._faultInjector) {
                 // Under fault injection a never-posted flag is one of
                 // the failures the campaign wants recorded, not a user
@@ -962,20 +917,20 @@ class Executor
                 info.kind = fault::AbortKind::Deadlock;
                 info.reason = csprintf(
                     "%d processors waiting on never-posted flags at the "
-                    "end of a parallel epoch", parked);
+                    "end of a parallel epoch", sync.parked);
                 info.epoch = _epoch;
-                info.proc = sync_waiters.empty()
+                info.proc = sync.waiters.empty()
                                 ? 0
-                                : sync_waiters.begin()->second.front();
+                                : sync.waiters.begin()->second.front();
                 info.cycle = _procTime[info.proc];
-                info.snapshot = deathSnapshot(parked, lock_owner,
-                                              lock_waiters.size());
+                info.snapshot = deathSnapshot(sync);
                 throw fault::RunAbort(std::move(info));
             }
             fatal("deadlock: %d processors waiting on never-posted "
-                  "flags at the end of a parallel epoch", parked);
+                  "flags at the end of a parallel epoch", sync.parked);
         }
-        hscd_assert(lock_owner == invalidProc && lock_waiters.empty(),
+        hscd_assert(sync.lockOwner == invalidProc &&
+                        sync.lockWaiters.empty(),
                     "deadlocked critical section at epoch end");
         _syncEpoch = false;
 
@@ -1020,6 +975,10 @@ class Executor
     std::vector<EpochId> _shadowWriterEpoch;
     ValueStamp _stampCounter = 0;
     std::vector<Cycles> _procTime;
+    /** Processors ready to issue in a parallel epoch, earliest first. */
+    ReadyHeap _ready;
+    /** Static per-reference facts, indexed by RefId (see RefFacts). */
+    std::vector<RefFacts> _facts;
     std::vector<Cycles> _busy;
     Cycles _parallelWall = 0;
     /**
@@ -1040,14 +999,27 @@ class Executor
     RunResult _res;
 };
 
+namespace {
+
+/** @p cfg, once validate() accepted it (throws FatalError otherwise). */
+MachineConfig
+validated(MachineConfig cfg)
+{
+    cfg.validate();
+    return cfg;
+}
+
+} // namespace
+
+// The config is validated before any member is built from it: the
+// network, caches and line histories divide and shift by its fields.
 Machine::Machine(const compiler::CompiledProgram &cp, MachineConfig cfg)
-    : _cp(cp), _cfg(std::move(cfg)), _root("machine"),
+    : _cp(cp), _cfg(validated(std::move(cfg))), _root("machine"),
       _memory(cp.program.dataBytes()),
       _network(&_root, _cfg.procs, _cfg.networkRadix, _cfg.maxNetworkLoad,
                _cfg.topology),
       _scheme(mem::makeScheme(_cfg, _memory, _network, &_root))
 {
-    _cfg.validate();
     if (_cfg.fault.enabled()) {
         _faultInjector = std::make_unique<fault::FaultInjector>(_cfg.fault);
         _network.setFaultInjector(_faultInjector.get());

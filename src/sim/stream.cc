@@ -20,8 +20,8 @@ namespace {
  * Per-stream and per-program op budgets. A recording larger than the
  * hard cap is not built at all (the run falls back to the interpreter);
  * a program's cache evicts least-recently-used shapes once the cached
- * total passes the budget. At 32 bytes per op the budget bounds a
- * program's resident streams to ~256 MB.
+ * total passes the budget. At 16 bytes per op the budget bounds a
+ * program's resident streams to ~128 MB.
  */
 constexpr std::size_t kMaxStreamOps = std::size_t(1) << 24;
 constexpr std::size_t kCacheBudgetOps = std::size_t(1) << 23;
@@ -135,7 +135,7 @@ class StreamBuilder
   public:
     StreamBuilder(const compiler::CompiledProgram &cp,
                   const MachineConfig &cfg)
-        : _prog(cp.program), _marking(cp.marking), _cfg(cfg)
+        : _prog(cp.program), _cfg(cfg)
     {}
 
     std::shared_ptr<const StreamProgram>
@@ -156,7 +156,7 @@ class StreamBuilder
                 if (!recordEpoch(*sp, op, master.env(), ctx))
                     return nullptr; // op cap exceeded
             } else {
-                sp->master.push_back(convert(op));
+                sp->master.push_back(streamOpOf(op));
             }
             if (++_ops > kMaxStreamOps)
                 return nullptr;
@@ -165,56 +165,6 @@ class StreamBuilder
     }
 
   private:
-    StreamOp
-    convert(const TaskOp &op) const
-    {
-        StreamOp rec;
-        switch (op.kind) {
-          case TaskOp::Kind::Ref: {
-            rec.kind = StreamOp::Kind::Ref;
-            rec.addr = op.addr;
-            rec.ref = op.ref;
-            rec.array = op.array;
-            rec.write = op.write;
-            const compiler::Mark &mark = _marking.mark(op.ref);
-            rec.markCritical =
-                mark.reason == compiler::MarkReason::Critical;
-            if (!op.write) {
-                rec.mark = mark.kind;
-                rec.distance = mark.distance;
-            }
-            break;
-          }
-          case TaskOp::Kind::Compute:
-            rec.kind = StreamOp::Kind::Compute;
-            rec.aux = static_cast<std::int64_t>(op.cycles);
-            break;
-          case TaskOp::Kind::LockAcquire:
-            rec.kind = StreamOp::Kind::LockAcquire;
-            break;
-          case TaskOp::Kind::LockRelease:
-            rec.kind = StreamOp::Kind::LockRelease;
-            break;
-          case TaskOp::Kind::Post:
-            rec.kind = StreamOp::Kind::Post;
-            rec.aux = op.flag;
-            break;
-          case TaskOp::Kind::Wait:
-            rec.kind = StreamOp::Kind::Wait;
-            rec.aux = op.flag;
-            break;
-          case TaskOp::Kind::CallBoundary:
-            rec.kind = StreamOp::Kind::CallBoundary;
-            break;
-          case TaskOp::Kind::Barrier:
-            rec.kind = StreamOp::Kind::Barrier;
-            break;
-          default:
-            panic("unexpected op while recording a stream");
-        }
-        return rec;
-    }
-
     /**
      * Record one parallel epoch. Iteration placement mirrors the
      * executor exactly (same chunking arithmetic); each processor's
@@ -276,7 +226,7 @@ class StreamBuilder
                     out.push_back(is);
                     ++_ops;
                 }
-                out.push_back(convert(op));
+                out.push_back(streamOpOf(op));
                 if (++_ops > kMaxStreamOps)
                     return false;
             }
@@ -286,7 +236,6 @@ class StreamBuilder
     }
 
     const hir::Program &_prog;
-    const compiler::Marking &_marking;
     const MachineConfig &_cfg;
     std::size_t _ops = 0;
 };
@@ -335,6 +284,49 @@ touchLru(CacheSlot &slot, const CacheSlot::Key &key)
 }
 
 } // namespace
+
+StreamOp
+streamOpOf(const TaskOp &op)
+{
+    StreamOp rec;
+    switch (op.kind) {
+      case TaskOp::Kind::Ref:
+        rec.kind = StreamOp::Kind::Ref;
+        rec.aux = static_cast<std::int64_t>(op.addr);
+        rec.ref = op.ref;
+        break;
+      case TaskOp::Kind::Compute:
+        rec.kind = StreamOp::Kind::Compute;
+        rec.aux = static_cast<std::int64_t>(op.cycles);
+        break;
+      case TaskOp::Kind::LockAcquire:
+        rec.kind = StreamOp::Kind::LockAcquire;
+        break;
+      case TaskOp::Kind::LockRelease:
+        rec.kind = StreamOp::Kind::LockRelease;
+        break;
+      case TaskOp::Kind::Post:
+        rec.kind = StreamOp::Kind::Post;
+        rec.aux = op.flag;
+        break;
+      case TaskOp::Kind::Wait:
+        rec.kind = StreamOp::Kind::Wait;
+        rec.aux = op.flag;
+        break;
+      case TaskOp::Kind::CallBoundary:
+        rec.kind = StreamOp::Kind::CallBoundary;
+        break;
+      case TaskOp::Kind::Barrier:
+        rec.kind = StreamOp::Kind::Barrier;
+        break;
+      case TaskOp::Kind::End:
+        rec.kind = StreamOp::Kind::End;
+        break;
+      case TaskOp::Kind::BeginDoall:
+        panic("a DOALL has no single-record stream form");
+    }
+    return rec;
+}
 
 std::size_t
 StreamProgram::opCount() const

@@ -9,12 +9,13 @@
  * of operations each processor performs is deterministic, so it can be
  * recorded once - by the same TaskStream interpreter that the legacy
  * path uses - into a flat, cache-friendly stream and replayed on every
- * subsequent run. A StreamOp is the trace machinery's Access record
- * (sim/trace.hh) stripped of its run-time fields (stamp, clock,
- * criticality) and extended with the static compiler facts the executor
- * would otherwise look up per reference (mark kind, Time-Read distance,
- * critical-section marking); the executor patches the dynamic fields in
- * at issue time, exactly as the interpreted path computes them.
+ * subsequent run. A StreamOp keeps only what varies per dynamic
+ * reference: the word address and the reference id. Everything static
+ * per reference id (read or write, array, mark kind, Time-Read
+ * distance, critical-section marking) is looked up by the executor in
+ * one per-run table built from the program and its current marking, so
+ * a stream never bakes in marks and stays valid when a mark is
+ * overridden after it was recorded.
  *
  * The contract is strict equivalence: a fast-path run produces a
  * byte-identical RunResult to the interpreted run (enforced by
@@ -39,11 +40,12 @@
 
 #include "compiler/analysis.hh"
 #include "mem/machine_config.hh"
+#include "sim/interp.hh"
 
 namespace hscd {
 namespace sim {
 
-/** One recorded operation of an epoch stream (32 bytes, flat). */
+/** One recorded operation of an epoch stream (16 bytes, flat). */
 struct StreamOp
 {
     enum class Kind : std::uint8_t
@@ -58,19 +60,23 @@ struct StreamOp
         Barrier,      ///< master only: explicit epoch boundary
         BeginDoall,   ///< master only: run parallel epoch aux
         IterStart,    ///< task streams only: iteration aux begins
+        End,          ///< a task's ops are exhausted (never recorded)
     };
 
-    Addr addr = 0;                ///< Ref: word address
-    std::int64_t aux = 0;         ///< cycles / flag / epoch index / iter
-    hir::RefId ref = hir::invalidRef;
-    std::uint32_t array = static_cast<std::uint32_t>(-1);
-    std::uint32_t distance = 0;   ///< Ref (read): Time-Read operand
-    compiler::MarkKind mark = compiler::MarkKind::Normal;
-    Kind kind = Kind::Ref;
-    bool write = false;
-    /** Ref: the compiler marked this reference Critical. */
-    bool markCritical = false;
+    /** Ref: word address; else cycles / flag / epoch index / iter. */
+    std::int64_t aux = 0;
+    hir::RefId ref = hir::invalidRef; ///< Ref: static facts by id
+    Kind kind = Kind::End;
 };
+static_assert(sizeof(StreamOp) == 16, "StreamOp is a 16-byte record");
+
+/**
+ * The stream form of one interpreter operation. Both the recorder and
+ * the executor's interpreted path convert through here, so the executor
+ * consumes one operation type whichever source feeds it. BeginDoall
+ * has no single-record form; the caller handles it.
+ */
+StreamOp streamOpOf(const TaskOp &op);
 
 /** One parallel epoch, pre-scheduled onto processors. */
 struct EpochStream

@@ -158,9 +158,6 @@ tightenMarking(compiler::CompiledProgram &cp, const PrecisionReport &rep)
         cp.marking.overrideMark(t.ref, m);
     }
     cp.marking.recomputeStats(cp.program);
-    // The epoch-stream cache bakes marks into its flat streams; a stale
-    // cache would make post-tighten simulations replay the old marking.
-    cp.simCache.reset();
 }
 
 } // namespace verify

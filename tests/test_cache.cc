@@ -147,3 +147,31 @@ TEST(CacheArray, PerWordMetadataSized)
     EXPECT_EQ(l.words[7].v, 11);
     EXPECT_EQ(l.stamps[7], 42u);
 }
+
+/**
+ * wordIndex and setOf use a shift and masks precomputed from the line
+ * size; they must agree with the division forms for every power-of-two
+ * line size and several set counts.
+ */
+TEST(CacheArray, ShiftIndexingMatchesDivision)
+{
+    for (unsigned line = 4; line <= 256; line *= 2) {
+        for (unsigned sets : {1u, 2u, 16u, 1024u}) {
+            MachineConfig cfg;
+            cfg.lineBytes = line;
+            cfg.assoc = 2;
+            cfg.cacheBytes = std::uint64_t(line) * sets * cfg.assoc;
+            CacheArray<> c(cfg);
+            for (Addr a = 0; a < Addr(line) * sets * 3; a += 4) {
+                ASSERT_EQ(c.wordIndex(a), (a % line) / 4)
+                    << "line " << line << " addr " << a;
+                ASSERT_EQ(c.setOf(a), (a / line) % sets)
+                    << "line " << line << " sets " << sets << " addr " << a;
+            }
+            // Far addresses wrap onto the same sets.
+            const Addr far = (Addr(1) << 40) + 12;
+            EXPECT_EQ(c.wordIndex(far), (far % line) / 4);
+            EXPECT_EQ(c.setOf(far), (far / line) % sets);
+        }
+    }
+}

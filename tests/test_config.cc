@@ -1,9 +1,10 @@
-/** @file Unit tests for the Params key/value store. */
+/** @file Unit tests for the Params key/value store and MachineConfig. */
 
 #include <gtest/gtest.h>
 
 #include "common/config.hh"
 #include "common/log.hh"
+#include "mem/machine_config.hh"
 
 using namespace hscd;
 
@@ -114,4 +115,28 @@ TEST(Params, DescribeMentionsValueAndDesc)
     const std::string d = p.describe("procs");
     EXPECT_NE(d.find("procs=16"), std::string::npos);
     EXPECT_NE(d.find("number of processors"), std::string::npos);
+}
+
+/** Full-map presence bits are 64 wide: HW beyond 64 procs is refused. */
+TEST(MachineConfigValidate, HwOver64ProcsIsFatal)
+{
+    MachineConfig c;
+    c.scheme = SchemeKind::HW;
+    c.procs = 64;
+    EXPECT_NO_THROW(c.validate());
+    c.procs = 128;
+    EXPECT_THROW(c.validate(), FatalError);
+    c.scheme = SchemeKind::TPI;
+    EXPECT_NO_THROW(c.validate());
+}
+
+/** A write buffer organized as a cache needs at least one slot. */
+TEST(MachineConfigValidate, ZeroWordWriteBufferCacheIsFatal)
+{
+    MachineConfig c;
+    c.writeBufferAsCache = true;
+    c.writeBufferCacheWords = 0;
+    EXPECT_THROW(c.validate(), FatalError);
+    c.writeBufferAsCache = false;
+    EXPECT_NO_THROW(c.validate());
 }

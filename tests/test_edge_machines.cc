@@ -138,7 +138,9 @@ TEST(EdgeMachines, DirectoryRejectsOver64Procs)
     MachineConfig cfg;
     cfg.scheme = SchemeKind::HW;
     cfg.procs = 65;
-    EXPECT_THROW(Machine(cp, cfg), PanicError)
+    // A user-facing config error, rejected by MachineConfig::validate()
+    // before the directory is built.
+    EXPECT_THROW(Machine(cp, cfg), FatalError)
         << "full-map presence bits are 64-wide here";
 }
 

@@ -393,3 +393,20 @@ TEST(Machine, UnknownSubscriptsStayCoherent)
         EXPECT_EQ(r.oracleViolations, 0u) << schemeName(k);
     }
 }
+
+/**
+ * The config is validated before any part is built from it: a zero line
+ * size used to reach the line-history and cache constructors first and
+ * die of a division by zero instead of throwing.
+ */
+TEST(Machine, InvalidConfigThrowsBeforeBuildingParts)
+{
+    compiler::CompiledProgram cp = jacobiLike(16, 1);
+    for (SchemeKind k : {SchemeKind::Base, SchemeKind::SC, SchemeKind::TPI,
+                         SchemeKind::HW, SchemeKind::VC})
+    {
+        MachineConfig cfg = cfgFor(k);
+        cfg.lineBytes = 0;
+        EXPECT_THROW(Machine(cp, cfg), FatalError) << schemeName(k);
+    }
+}

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "network/kruskal_snir.hh"
 
 using namespace hscd;
@@ -105,4 +107,44 @@ TEST(Network, ZeroLengthWindowKeepsLoad)
     double before = n.load();
     n.endWindow(1000); // no time elapsed
     EXPECT_DOUBLE_EQ(n.load(), before);
+}
+
+/**
+ * contentionDelay(k) is served from a table refreshed at every window
+ * boundary; it must equal the formula llround(traversalWait() * k) at
+ * every load, the clamp included, on both topologies.
+ */
+TEST(Network, ContentionDelayMatchesFormulaAtEveryLoad)
+{
+    for (Topology topo : {Topology::MIN, Topology::Torus3D}) {
+        stats::StatGroup root("root");
+        Network n(&root, 64, 2, 0.95, topo);
+        Cycles now = 0;
+        // Flits per 1000-cycle window: idle, light, heavy, clamped.
+        for (Counter flits : {0ull, 640ull, 6400ull, 40000ull, 57000ull,
+                              1000000ull, 3ull})
+        {
+            n.addTraffic(1, flits);
+            now += 1000;
+            n.endWindow(now);
+            for (unsigned k = 0; k <= 5; ++k)
+                EXPECT_EQ(n.contentionDelay(k),
+                          Cycles(std::llround(n.traversalWait() * k)))
+                    << topologyName(topo) << " load " << n.load()
+                    << " k " << k;
+        }
+        EXPECT_DOUBLE_EQ(n.load(), 3.0 / (1000.0 * 64));
+    }
+}
+
+TEST(Network, ContentionDelayAtTheLoadClamp)
+{
+    stats::StatGroup root("root");
+    Network n(&root, 16, 2, 0.5);
+    n.addTraffic(1000000, 0);
+    n.endWindow(10);
+    EXPECT_DOUBLE_EQ(n.load(), 0.5);
+    for (unsigned k = 0; k <= 5; ++k)
+        EXPECT_EQ(n.contentionDelay(k),
+                  Cycles(std::llround(n.traversalWait() * k)));
 }
