@@ -14,6 +14,7 @@
 #include "compiler/analysis.hh"
 #include "sim/machine.hh"
 #include "sim/trace.hh"
+#include "verify/diagnostic.hh"
 #include "workloads/workloads.hh"
 
 using namespace hscd;
@@ -74,10 +75,16 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> args(argv + 1, argv + argc);
-    if (args.size() >= 3 && args[0] == "capture")
-        return doCapture(args[1], args[2]);
-    if (args.size() >= 2 && args[0] == "replay")
-        return doReplay(args[1], {args.begin() + 2, args.end()});
+    try {
+        if (args.size() >= 3 && args[0] == "capture")
+            return doCapture(args[1], args[2]);
+        if (args.size() >= 2 && args[0] == "replay")
+            return doReplay(args[1], {args.begin() + 2, args.end()});
+    } catch (const FatalError &e) {
+        // Bad input (an unreadable or malformed trace, a bad key=value).
+        std::cerr << "trace_tool: " << e.what() << "\n";
+        return verify::ExitUsage;
+    }
     std::cerr << "usage:\n  trace_tool capture <benchmark> <file>\n"
                  "  trace_tool replay <file> [key=value...]\n";
     return 64;

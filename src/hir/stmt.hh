@@ -49,7 +49,13 @@ enum class TakePolicy
 {
     Always,      ///< then-branch every time
     Never,       ///< else-branch every time
-    Alternate,   ///< then on even trip counts, else on odd
+    /**
+     * Then on even trip counts, else on odd. Inside a DOALL body the
+     * count restarts with every iteration, so outcomes never depend on
+     * how iterations are placed on processors; serial code counts
+     * run-wide.
+     */
+    Alternate,
     Hash,        ///< deterministic pseudo-random on the live bindings
 };
 

@@ -34,14 +34,6 @@ TaskStream::TaskStream(const Program &prog, RunCtx &ctx,
 }
 
 void
-TaskStream::addIterations(std::int64_t lo, std::int64_t hi,
-                          std::int64_t step)
-{
-    for (std::int64_t i = lo; i <= hi; i += step)
-        _pending.push_back(i);
-}
-
-void
 TaskStream::addIteration(std::int64_t iter)
 {
     _pending.push_back(iter);
@@ -119,8 +111,15 @@ TaskStream::evalBranch(const IfUnknownStmt &br)
         return true;
       case TakePolicy::Never:
         return false;
-      case TakePolicy::Alternate:
-        return (_ctx.ifCounters[br.id]++ % 2) == 0;
+      case TakePolicy::Alternate: {
+        if (!_taskMode)
+            return (_ctx.ifCounters[br.id]++ % 2) == 0;
+        // _nextIter counts the iterations started, so it names this one.
+        IterCount &c = _iterAlternates[br.id];
+        if (c.iteration != _nextIter)
+            c = IterCount{_nextIter, 0};
+        return (c.trips++ % 2) == 0;
+      }
       case TakePolicy::Hash:
         return ((_env.mixHash(_ctx.hashSeed + br.id) >> 7) & 1) != 0;
     }
@@ -138,9 +137,6 @@ TaskStream::next()
                 return op;
             }
             // Task mode: advance to the next queued iteration.
-            if (_varBound) {
-                // restore nothing: the variable is rebound per iteration
-            }
             if (_nextIter >= _pending.size()) {
                 TaskOp op;
                 op.kind = TaskOp::Kind::End;
@@ -148,7 +144,6 @@ TaskStream::next()
             }
             _currentIter = _pending[_nextIter++];
             _env.bind(_doall->var, _currentIter);
-            _varBound = true;
             push(_doall->body);
             continue;
         }

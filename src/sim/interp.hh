@@ -11,6 +11,13 @@
  *  - task mode (one DOALL's iterations on one processor): nested DOALLs
  *    are demoted to serial loops, and the stream runs a list of
  *    iterations that can be extended dynamically (self-scheduling).
+ *
+ * An Alternate-policy branch counts its trips per DOALL iteration in
+ * task mode and run-wide (RunCtx) in serial code. Each iteration's
+ * operations therefore depend only on the program, the master's
+ * bindings and the iteration number - never on which processor runs
+ * it or what ran there before - which is what lets sim/stream record
+ * every iteration once and place it on any processor at run time.
  */
 
 #ifndef HSCD_SIM_INTERP_HH
@@ -25,7 +32,7 @@
 namespace hscd {
 namespace sim {
 
-/** Shared per-run interpreter state (branch alternation counters). */
+/** Shared per-run interpreter state (serial alternation counters). */
 struct RunCtx
 {
     std::map<std::uint32_t, std::uint64_t> ifCounters;
@@ -74,13 +81,15 @@ class TaskStream
 
     /**
      * Task-mode stream over one DOALL's body; iterations are appended
-     * with addIterations(). @p outer_env carries the master's bindings.
+     * with addIteration(). @p outer_env carries the master's bindings.
      */
     TaskStream(const hir::Program &prog, RunCtx &ctx,
                const hir::LoopStmt &doall, hir::Env outer_env);
 
-    /** Queue more iterations (initial chunk or dynamic self-schedule). */
-    void addIterations(std::int64_t lo, std::int64_t hi, std::int64_t step);
+    /**
+     * Queue one more iteration (initial share or dynamic self-schedule);
+     * may follow an End, after which next() resumes with it.
+     */
     void addIteration(std::int64_t iter);
 
     /** Produce the next operation. */
@@ -91,12 +100,6 @@ class TaskStream
 
     /** Iteration currently executing (task mode; -1 before the first). */
     std::int64_t currentIteration() const { return _currentIter; }
-
-    /** True when a task-mode stream is between iterations. */
-    bool betweenIterations() const
-    {
-        return _taskMode && _frames.empty();
-    }
 
   private:
     struct Frame
@@ -134,7 +137,19 @@ class TaskStream
     std::vector<std::int64_t> _pending;
     std::size_t _nextIter = 0;
     std::int64_t _currentIter = -1;
-    bool _varBound = false;
+
+    /**
+     * Task mode's per-iteration Alternate counters. An entry stamped
+     * with an earlier iteration counts from zero: the reset happens on
+     * the branch's first trip in a new iteration, so starting an
+     * iteration costs nothing.
+     */
+    struct IterCount
+    {
+        std::size_t iteration = 0; ///< _nextIter when last counted
+        std::uint64_t trips = 0;
+    };
+    std::map<std::uint32_t, IterCount> _iterAlternates;
 };
 
 } // namespace sim

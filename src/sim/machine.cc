@@ -128,10 +128,12 @@ RunResult::summary() const
  *
  * Two sources can feed the engine. The interpreted path walks HIR
  * statements through TaskStream per reference; the epoch-stream fast
- * path (sim/stream.hh) replays a pre-recorded flat op stream instead.
- * Both funnel every operation through the same issueRef/merge/boundary
- * machinery, templated on the concrete coherence scheme so the
- * per-reference access call is direct rather than virtual; results are
+ * path (sim/stream.hh) replays the program's recorded iterations
+ * instead. mergeEpoch places DOALL iterations on processors with one
+ * rule for both (initialShare and refill), and every operation goes
+ * through the same issueRef/merge/boundary machinery, templated on the
+ * concrete coherence scheme so the per-reference access call is direct
+ * rather than virtual; results are
  * byte-identical by construction (and enforced by the equivalence
  * tests).
  */
@@ -234,30 +236,46 @@ class Executor
         bool markCritical = false;
     };
 
-    /** Replays one processor's recorded epoch stream. */
+    /**
+     * Iterations of one epoch that a processor runs next: indices
+     * k = begin, begin + stride, ... below end, where index k is the
+     * DOALL value lo + k * step.
+     */
+    struct IterShare
+    {
+        std::size_t begin = 0;
+        std::size_t end = 0;
+        std::size_t stride = 1;
+    };
+
+    /** Replays one processor's share of a recorded epoch. */
     class StreamCursor
     {
       public:
-        explicit StreamCursor(const std::vector<StreamOp> &ops)
-            : _cur(ops.data()), _end(ops.data() + ops.size())
-        {}
+        explicit StreamCursor(const EpochStream &ep) : _ep(ep) {}
 
-        /** Next op (End when exhausted); tracks IterStart markers. */
+        /** Run @p share next (before the first op or after an End). */
+        void assign(IterShare share) { _share = share; }
+
+        /** Next op (End when the share is exhausted). */
         StreamOp
         next()
         {
-            while (_cur != _end) {
-                // Sixteen processors' streams are read in turn; fetch
-                // this one's a few lines ahead (an address, never read,
-                // so running past the end is harmless).
-                __builtin_prefetch(reinterpret_cast<const void *>(
-                    reinterpret_cast<std::uintptr_t>(_cur) + kPrefetchBytes));
-                const StreamOp &r = *_cur++;
-                if (r.kind != StreamOp::Kind::IterStart)
-                    return r;
-                _iter = r.aux;
+            while (_cur == _end) {
+                if (_share.begin >= _share.end)
+                    return StreamOp{};
+                const std::size_t k = _share.begin;
+                _share.begin += _share.stride;
+                _cur = _ep.ops.data() + _ep.iterBegin[k];
+                _end = _ep.ops.data() + _ep.iterBegin[k + 1];
+                _iter = _ep.lo + static_cast<std::int64_t>(k) * _ep.step;
             }
-            return StreamOp{};
+            // Sixteen processors' streams are read in turn; fetch this
+            // one's a few lines ahead (an address, never read, so running
+            // past the end is harmless).
+            __builtin_prefetch(reinterpret_cast<const void *>(
+                reinterpret_cast<std::uintptr_t>(_cur) + kPrefetchBytes));
+            return *_cur++;
         }
 
         /** Iteration of the op last returned (-1 before the first). */
@@ -266,8 +284,10 @@ class Executor
       private:
         static constexpr std::uintptr_t kPrefetchBytes = 256;
 
-        const StreamOp *_cur;
-        const StreamOp *_end;
+        const EpochStream &_ep;
+        IterShare _share{};
+        const StreamOp *_cur = nullptr;
+        const StreamOp *_end = nullptr;
         std::int64_t _iter = -1;
     };
 
@@ -474,9 +494,15 @@ class Executor
         return s;
     }
 
-    /** Lock and post/wait state of the parallel epoch being merged. */
+    /**
+     * Iteration placement, lock and post/wait state of the parallel
+     * epoch being merged.
+     */
     struct EpochSync
     {
+        std::size_t iterations = 0; ///< the DOALL's trip count
+        std::size_t unplaced = 0;   ///< first iteration no share holds
+
         ProcId lockOwner = invalidProc;
         unsigned lockDepth = 0;
         std::deque<ProcId> lockWaiters;
@@ -682,66 +708,75 @@ class Executor
         return has;
     }
 
+    /**
+     * The placement rule both operation sources use: processor @p p's
+     * first share of an @p n-iteration epoch is its Block chunk, its
+     * Cyclic stride, or its first Dynamic chunk.
+     */
+    IterShare
+    initialShare(std::size_t n, ProcId p) const
+    {
+        const std::size_t P = _cfg.procs;
+        switch (_cfg.sched) {
+          case SchedPolicy::Block: {
+            const std::size_t chunk = (n + P - 1) / P;
+            const std::size_t b = std::min(n, p * chunk);
+            return {b, std::min(n, b + chunk), 1};
+          }
+          case SchedPolicy::Cyclic:
+            return {p, n, P};
+          case SchedPolicy::Dynamic: {
+            const std::size_t b =
+                std::min(n, std::size_t(p) * _cfg.dynamicChunk);
+            return {b, std::min(n, b + _cfg.dynamicChunk), 1};
+          }
+        }
+        panic("unknown schedule policy");
+    }
+
+    /**
+     * Dynamic self-scheduling: the next unplaced chunk, for a processor
+     * whose share ran out. False once every iteration is placed, which
+     * the static schedules are from the start.
+     */
+    bool
+    refill(EpochSync &sync, IterShare &share) const
+    {
+        if (sync.unplaced >= sync.iterations)
+            return false;
+        share = {sync.unplaced,
+                 std::min(sync.iterations,
+                          sync.unplaced + _cfg.dynamicChunk),
+                 1};
+        sync.unplaced = share.end;
+        return true;
+    }
+
     template <class Scheme>
     void
     runParallelInterp(Scheme &scheme, const TaskOp &doall,
                       const hir::Env &outer, RunCtx &ctx)
     {
-        ++_res.parallelEpochs;
-        _syncEpoch = doallHasSync(doall.doall);
-        const unsigned P = _cfg.procs;
-
         std::vector<std::unique_ptr<TaskStream>> streams;
-        streams.reserve(P);
-        for (unsigned p = 0; p < P; ++p)
+        streams.reserve(_cfg.procs);
+        for (ProcId p = 0; p < _cfg.procs; ++p)
             streams.push_back(std::make_unique<TaskStream>(
                 _prog, ctx, *doall.doall, outer));
 
-        // Iteration list.
-        std::vector<std::int64_t> iters;
-        for (std::int64_t i = doall.lo; i <= doall.hi; i += doall.step)
-            iters.push_back(i);
-        _res.tasks += iters.size();
-
-        std::size_t next_dyn = 0;
-        switch (_cfg.sched) {
-          case SchedPolicy::Block: {
-            std::size_t chunk = (iters.size() + P - 1) / P;
-            for (unsigned p = 0; p < P; ++p) {
-                std::size_t b = p * chunk;
-                std::size_t e = std::min(iters.size(), b + chunk);
-                for (std::size_t i = b; i < e; ++i)
-                    streams[p]->addIteration(iters[i]);
-            }
-            break;
-          }
-          case SchedPolicy::Cyclic:
-            for (std::size_t i = 0; i < iters.size(); ++i)
-                streams[i % P]->addIteration(iters[i]);
-            break;
-          case SchedPolicy::Dynamic:
-            for (unsigned p = 0; p < P && next_dyn < iters.size(); ++p)
-                for (unsigned c = 0;
-                     c < _cfg.dynamicChunk && next_dyn < iters.size(); ++c)
-                    streams[p]->addIteration(iters[next_dyn++]);
-            break;
-        }
-
+        const std::size_t n =
+            doall.lo > doall.hi
+                ? 0
+                : static_cast<std::size_t>((doall.hi - doall.lo) /
+                                           doall.step) + 1;
         mergeEpoch(
-            scheme,
+            scheme, n, doallHasSync(doall.doall),
             [&](ProcId p) { return streamOpOf(streams[p]->next()); },
             [&](ProcId p) { return streams[p]->currentIteration(); },
-            [&](ProcId p) {
-                if (_cfg.sched == SchedPolicy::Dynamic &&
-                    next_dyn < iters.size())
-                {
-                    for (unsigned c = 0;
-                         c < _cfg.dynamicChunk && next_dyn < iters.size();
-                         ++c)
-                        streams[p]->addIteration(iters[next_dyn++]);
-                    return true;
-                }
-                return false;
+            [&](ProcId p, IterShare share) {
+                for (std::size_t k = share.begin; k < share.end;
+                     k += share.stride)
+                    streams[p]->addIteration(
+                        doall.lo + static_cast<std::int64_t>(k) * doall.step);
             });
     }
 
@@ -749,22 +784,12 @@ class Executor
     void
     runParallelStream(Scheme &scheme, const EpochStream &ep)
     {
-        ++_res.parallelEpochs;
-        _syncEpoch = ep.hasSync;
-        _res.tasks += ep.taskCount;
-        const unsigned P = _cfg.procs;
-        hscd_dassert(ep.perProc.size() == P,
-                     "stream recorded for a different processor count");
-
-        std::vector<StreamCursor> cursors;
-        cursors.reserve(P);
-        for (unsigned p = 0; p < P; ++p)
-            cursors.emplace_back(ep.perProc[p]);
-
+        std::vector<StreamCursor> cursors(_cfg.procs, StreamCursor(ep));
         mergeEpoch(
-            scheme, [&](ProcId p) { return cursors[p].next(); },
+            scheme, ep.iterations(), ep.hasSync,
+            [&](ProcId p) { return cursors[p].next(); },
             [&](ProcId p) { return cursors[p].iter(); },
-            [](ProcId) { return false; });
+            [&](ProcId p, IterShare share) { cursors[p].assign(share); });
     }
 
     /**
@@ -772,9 +797,9 @@ class Executor
      * already popped from the ready heap; re-queues p and any processor
      * the op wakes.
      */
-    template <class EndFn>
+    template <class AssignFn>
     void
-    rareOp(const StreamOp &op, ProcId p, EpochSync &sync, EndFn &onEnd)
+    rareOp(const StreamOp &op, ProcId p, EpochSync &sync, AssignFn &assign)
     {
         switch (op.kind) {
           case StreamOp::Kind::LockAcquire:
@@ -849,35 +874,49 @@ class Executor
             }
             _ready.push(_procTime[p], p);
             break;
-          case StreamOp::Kind::End:
-            if (onEnd(p))
+          case StreamOp::Kind::End: {
+            IterShare share;
+            if (refill(sync, share)) {
+                assign(p, share);
                 _ready.push(_procTime[p], p);
+            }
             break;
+          }
           default:
             panic("unexpected op in a task stream");
         }
     }
 
     /**
-     * Global-time interleaving of one parallel epoch. @p nextOp yields
-     * the next operation of processor p's task stream, @p iterOf its
-     * current iteration (the legality checker's task id), and @p onEnd
-     * runs when a stream is exhausted, returning true to re-queue the
-     * processor (dynamic self-scheduling refill).
+     * Global-time interleaving of one parallel epoch of @p n DOALL
+     * iterations. @p assign hands processor p a share of the iterations
+     * (initialShare for everyone first, then refill whenever a stream is
+     * exhausted), @p nextOp yields the next operation of p's task
+     * stream, and @p iterOf its current iteration (the legality
+     * checker's task id).
      */
-    template <class Scheme, class NextFn, class IterFn, class EndFn>
+    template <class Scheme, class NextFn, class IterFn, class AssignFn>
     void
-    mergeEpoch(Scheme &scheme, NextFn &&nextOp, IterFn &&iterOf,
-               EndFn &&onEnd)
+    mergeEpoch(Scheme &scheme, std::size_t n, bool hasSync, NextFn &&nextOp,
+               IterFn &&iterOf, AssignFn &&assign)
     {
+        ++_res.parallelEpochs;
+        _res.tasks += n;
+        _syncEpoch = hasSync;
+
         const unsigned P = _cfg.procs;
         const Cycles epoch_start = _procTime[0]; // all equal post-barrier
 
-        _ready.clear();
-        for (unsigned p = 0; p < P; ++p)
-            _ready.push(_procTime[p], p);
-
         EpochSync sync;
+        sync.iterations = n;
+        sync.unplaced = _cfg.sched == SchedPolicy::Dynamic
+                            ? std::min(n, std::size_t(P) * _cfg.dynamicChunk)
+                            : n;
+        _ready.clear();
+        for (ProcId p = 0; p < P; ++p) {
+            assign(p, initialShare(n, p));
+            _ready.push(_procTime[p], p);
+        }
 
         // Watchdog: if this many consecutive operations complete without
         // any processor's clock moving, the epoch is livelocked (e.g. a
@@ -901,7 +940,7 @@ class Executor
                 // The rare ops may wake other processors, so p leaves
                 // the heap before anyone is pushed.
                 _ready.pop();
-                rareOp(op, p, sync, onEnd);
+                rareOp(op, p, sync, assign);
             }
             if (_procTime[p] != t_before)
                 stalled_ops = 0;

@@ -1,34 +1,36 @@
 /**
  * @file
- * Epoch-stream fast path: the program's reference sequences, compiled
- * once into flat per-processor streams.
+ * Epoch-stream fast path: a program's reference sequences, recorded
+ * once into flat per-iteration streams.
  *
  * The execution-driven engine normally re-walks HIR statements for every
  * simulated reference (frame stack, environment lookups, subscript
- * expression trees). For a fixed (program, procs, schedule) the sequence
- * of operations each processor performs is deterministic, so it can be
- * recorded once - by the same TaskStream interpreter that the legacy
- * path uses - into a flat, cache-friendly stream and replayed on every
- * subsequent run. A StreamOp keeps only what varies per dynamic
- * reference: the word address and the reference id. Everything static
- * per reference id (read or write, array, mark kind, Time-Read
- * distance, critical-section marking) is looked up by the executor in
- * one per-run table built from the program and its current marking, so
- * a stream never bakes in marks and stays valid when a mark is
- * overridden after it was recorded.
+ * expression trees). Each DOALL iteration's operations depend only on
+ * the program, the master's bindings and the iteration number (an
+ * Alternate branch counts its trips per iteration inside a DOALL, see
+ * sim/interp.hh), so the same TaskStream interpreter the legacy path
+ * uses records every iteration once, and the executor places the
+ * recorded iterations on processors at run time with the same share
+ * rule the interpreted path uses. One recording therefore serves every
+ * processor count and every static schedule. A StreamOp keeps only what
+ * varies per dynamic reference: the word address and the reference id.
+ * Everything static per reference id (read or write, array, mark kind,
+ * Time-Read distance, critical-section marking) is looked up by the
+ * executor in one per-run table built from the program and its current
+ * marking, so a stream never bakes in marks and stays valid when a mark
+ * is overridden after it was recorded.
  *
  * The contract is strict equivalence: a fast-path run produces a
  * byte-identical RunResult to the interpreted run (enforced by
- * tests/test_fastpath_equiv.cc). Two program/config shapes make the
- * recorded stream timing-dependent and are therefore ineligible -
- * dynamic self-scheduling (iteration placement depends on completion
- * order) and Alternate-policy unknown branches inside DOALL bodies
- * (the shared alternation counter makes branch outcomes depend on the
- * cross-processor interleaving). Those fall back to the interpreter.
+ * tests/test_fastpath_equiv.cc). Dynamic self-scheduling still runs on
+ * the interpreter. Its placement could replay the same recording, but
+ * caching the recording would grow the resident set of Dynamic-only
+ * campaigns, and recording without caching costs more per reference
+ * than interpreting does.
  *
- * Streams are cached on the CompiledProgram itself (keyed by the config
- * fields that shape the stream), so sweeps that re-simulate one workload
- * under many machine configurations pay for interpretation once.
+ * The recording is cached on the CompiledProgram itself, so sweeps that
+ * re-simulate one workload under many machine configurations pay for
+ * interpretation once.
  */
 
 #ifndef HSCD_SIM_STREAM_HH
@@ -59,11 +61,10 @@ struct StreamOp
         CallBoundary, ///< procedure entry/return
         Barrier,      ///< master only: explicit epoch boundary
         BeginDoall,   ///< master only: run parallel epoch aux
-        IterStart,    ///< task streams only: iteration aux begins
         End,          ///< a task's ops are exhausted (never recorded)
     };
 
-    /** Ref: word address; else cycles / flag / epoch index / iter. */
+    /** Ref: word address; else cycles / flag / epoch index. */
     std::int64_t aux = 0;
     hir::RefId ref = hir::invalidRef; ///< Ref: static facts by id
     Kind kind = Kind::End;
@@ -78,15 +79,22 @@ static_assert(sizeof(StreamOp) == 16, "StreamOp is a 16-byte record");
  */
 StreamOp streamOpOf(const TaskOp &op);
 
-/** One parallel epoch, pre-scheduled onto processors. */
+/**
+ * One parallel epoch, recorded iteration by iteration: iteration k (the
+ * DOALL index lo + k * step) is ops[iterBegin[k], iterBegin[k + 1]).
+ */
 struct EpochStream
 {
-    bool hasSync = false;             ///< body contains post/wait
-    Counter taskCount = 0;            ///< DOALL iterations
-    std::vector<std::vector<StreamOp>> perProc;
+    bool hasSync = false; ///< body contains post/wait
+    std::int64_t lo = 0;
+    std::int64_t step = 1;
+    std::vector<std::uint32_t> iterBegin; ///< iterations() + 1 offsets
+    std::vector<StreamOp> ops;
+
+    std::size_t iterations() const { return iterBegin.size() - 1; }
 };
 
-/** A whole program, flattened for one (procs, schedule) shape. */
+/** A whole program, flattened once for every machine shape. */
 struct StreamProgram
 {
     /** Serial master ops; BeginDoall records index into epochs. */
@@ -98,32 +106,13 @@ struct StreamProgram
 };
 
 /**
- * Can (program, cfg) take the fast path at all? False for dynamic
- * self-scheduling and for Alternate-policy branches reachable inside a
- * parallel loop body (see file comment). Independent of cfg.fastPath -
- * callers gate on the flag separately.
- */
-bool streamEligible(const compiler::CompiledProgram &cp,
-                    const MachineConfig &cfg);
-
-/**
- * The stream for (cp, cfg), built on first use and cached on @p cp
- * (thread-safe, insert-once; bounded by an LRU byte budget per
- * program). Returns nullptr when the combination is ineligible or the
- * recording would exceed the hard size cap - callers must then use the
- * interpreted path.
+ * The program's recording, made on first use and cached on @p cp
+ * (thread-safe, insert-once). Returns nullptr for dynamic
+ * self-scheduling and when the recording would exceed the hard size
+ * cap - callers must then use the interpreted path.
  */
 std::shared_ptr<const StreamProgram>
 epochStream(const compiler::CompiledProgram &cp, const MachineConfig &cfg);
-
-/**
- * Record a stream without consulting the cache (test hook; also the
- * cache's builder). Returns nullptr exactly when streamEligible is
- * false or the op cap is exceeded.
- */
-std::shared_ptr<const StreamProgram>
-buildStreamProgram(const compiler::CompiledProgram &cp,
-                   const MachineConfig &cfg);
 
 /** Does a DOALL body (transitively) contain post/wait? */
 bool doallBodyHasSync(const hir::Program &prog, const hir::LoopStmt &loop);
@@ -134,9 +123,8 @@ bool doallBodyHasSync(const hir::Program &prog, const hir::LoopStmt &loop);
  */
 struct StreamCacheStats
 {
-    std::uint64_t builds = 0;    ///< streams recorded fresh
-    std::uint64_t hits = 0;      ///< served from a slot cache
-    std::uint64_t evictions = 0; ///< shapes dropped past the op budget
+    std::uint64_t builds = 0; ///< programs recorded fresh
+    std::uint64_t hits = 0;   ///< served from a slot cache
 };
 
 StreamCacheStats streamCacheStats();

@@ -10,6 +10,7 @@
 
 #include "common/log.hh"
 #include "fault/abort.hh"
+#include "hir/program.hh"
 #include "mem/memory.hh"
 #include "network/kruskal_snir.hh"
 
@@ -101,6 +102,8 @@ readTrace(std::istream &is)
         hs >> tag >> magic >> version >> out.procs >> out.dataBytes;
         if (tag != "H" || magic != "hscd-trace" || version != 1)
             fatal("trace: bad header '%s'", line);
+        if (out.procs == 0)
+            fatal("trace line 1: header declares 0 processors");
     }
     std::size_t lineno = 1;
     while (std::getline(is, line)) {
@@ -128,6 +131,21 @@ readTrace(std::istream &is)
         }
         if (!ls)
             fatal("trace line %d: malformed record", lineno);
+        // Replay indexes per-processor clocks and per-word state by
+        // these fields, so each must fit the header's machine.
+        if (r.type == TraceRecord::Type::Access) {
+            const mem::MemOp &op = r.op;
+            if (op.proc >= out.procs)
+                fatal("trace line %d: processor %d outside the header's "
+                      "%d processors", lineno, op.proc, out.procs);
+            if (op.addr % hir::wordBytes != 0)
+                fatal("trace line %d: address %d is not word-aligned",
+                      lineno, op.addr);
+            if (op.addr >= out.dataBytes ||
+                out.dataBytes - op.addr < hir::wordBytes)
+                fatal("trace line %d: address %d past the header's %d "
+                      "data bytes", lineno, op.addr, out.dataBytes);
+        }
         out.records.push_back(r);
     }
     return out;

@@ -74,7 +74,12 @@ class TraceBuffer : public TraceSink
 void writeTrace(std::ostream &os, const std::vector<TraceRecord> &records,
                 unsigned procs, Addr data_bytes);
 
-/** Parse a trace; fatal() on malformed input. */
+/**
+ * Parse a trace; fatal() on malformed input, naming the line. An access
+ * must name a processor below the header's count and a word-aligned
+ * address inside its data size, so every parsed trace can replay on the
+ * machine its header describes.
+ */
 struct ParsedTrace
 {
     std::vector<TraceRecord> records;

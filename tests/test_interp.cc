@@ -280,6 +280,46 @@ TEST(Interp, IfAlternatePolicy)
     EXPECT_EQ(ops[3].cycles, 2u);
 }
 
+/**
+ * Inside a DOALL an Alternate branch counts per iteration: every
+ * iteration starts at the then-arm, whichever stream runs it and
+ * whatever ran on that stream before. Serial code keeps one run-wide
+ * count.
+ */
+TEST(Interp, AlternateRestartsEachIteration)
+{
+    ProgramBuilder b;
+    b.proc("MAIN", [&] {
+        b.doall("i", 0, 3, [&] {
+            b.doserial("k", 0, 2, [&] {
+                b.ifUnknown(hir::TakePolicy::Alternate,
+                            [&] { b.compute(1); },
+                            [&] { b.compute(2); });
+            });
+        });
+    });
+    Program p = b.build();
+    RunCtx ctx;
+    TaskStream master(p, ctx, p.main().body);
+    TaskOp d = master.next();
+    ASSERT_EQ(d.kind, TaskOp::Kind::BeginDoall);
+
+    auto cycles = [](const std::vector<TaskOp> &ops) {
+        std::vector<Cycles> out;
+        for (const TaskOp &op : ops)
+            out.push_back(op.cycles);
+        return out;
+    };
+    TaskStream first(p, ctx, *d.doall, master.env());
+    first.addIteration(0);
+    first.addIteration(1);
+    EXPECT_EQ(cycles(drain(first)),
+              (std::vector<Cycles>{1, 2, 1, 1, 2, 1}));
+    TaskStream second(p, ctx, *d.doall, master.env());
+    second.addIteration(2);
+    EXPECT_EQ(cycles(drain(second)), (std::vector<Cycles>{1, 2, 1}));
+}
+
 TEST(Interp, IfAlwaysAndNever)
 {
     ProgramBuilder b;

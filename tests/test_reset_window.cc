@@ -92,7 +92,7 @@ TEST(ResetWindow, InterpreterAndFastPathEmitIdenticalTimelines)
 {
     const compiler::CompiledProgram cp = resetWindowProgram(6);
     const MachineConfig cfg = narrowTagConfig();
-    ASSERT_TRUE(sim::streamEligible(cp, cfg))
+    ASSERT_NE(sim::epochStream(cp, cfg), nullptr)
         << "the hand-written program must actually take the fast path";
 
     const ObservedRun interp = runObserved(cp, cfg, /*fast_path=*/false);

@@ -258,6 +258,34 @@ TEST(Trace, MalformedInputsRejected)
         std::istringstream in("H hscd-trace 1 4 1024\nA 0 16 R z 0 0 0\n");
         EXPECT_THROW(readTrace(in), FatalError);
     }
+    // Records replay would index out of range or alias: an address past
+    // the data size, a processor past the header's count, no processors
+    // at all, and an address inside a word.
+    {
+        std::istringstream in(
+            "H hscd-trace 1 4 1024\nA 0 1024 0 R n 0 0 0\n");
+        EXPECT_THROW(readTrace(in), FatalError);
+    }
+    {
+        std::istringstream in(
+            "H hscd-trace 1 4 1024\nA 4 16 0 R n 0 0 0\n");
+        EXPECT_THROW(readTrace(in), FatalError);
+    }
+    {
+        std::istringstream in("H hscd-trace 1 0 1024\n");
+        EXPECT_THROW(readTrace(in), FatalError);
+    }
+    {
+        std::istringstream in(
+            "H hscd-trace 1 4 1024\nA 0 18 0 R n 0 0 0\n");
+        EXPECT_THROW(readTrace(in), FatalError);
+    }
+    // The same fields at their limits parse.
+    {
+        std::istringstream in(
+            "H hscd-trace 1 4 1024\nA 3 1020 0 W n 0 1 0\n");
+        EXPECT_EQ(readTrace(in).records.size(), 1u);
+    }
 }
 
 TEST(Trace, EmptyBodyIsFine)

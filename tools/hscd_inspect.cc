@@ -317,7 +317,13 @@ loadTrace(const std::string &path)
                      path.c_str());
         std::exit(verify::ExitInternal);
     }
-    sim::ParsedTrace t = sim::readTrace(is);
+    sim::ParsedTrace t;
+    try {
+        t = sim::readTrace(is);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "hscd_inspect: %s\n", e.what());
+        std::exit(verify::ExitUsage);
+    }
 
     Source src;
     src.exact = false;

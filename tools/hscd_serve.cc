@@ -258,9 +258,9 @@ cacheStatsFragment()
     return csprintf(
         "\"caches\": {\"compile\": {\"hits\": %d, \"builds\": %d, "
         "\"evictions\": %d, \"resident\": %d, \"budget\": %d}, "
-        "\"stream\": {\"hits\": %d, \"builds\": %d, \"evictions\": %d}}",
+        "\"stream\": {\"hits\": %d, \"builds\": %d}}",
         int(cc.hits), int(cc.builds), int(cc.evictions), int(cc.resident),
-        int(cc.budget), int(sc.hits), int(sc.builds), int(sc.evictions));
+        int(cc.budget), int(sc.hits), int(sc.builds));
 }
 
 serve::Server *g_server = nullptr;
