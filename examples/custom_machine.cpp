@@ -84,8 +84,15 @@ main(int argc, char **argv)
         t.row().cell("uncached").cell(r.missUncached);
         t.print(std::cout);
 
-        std::cout << "\nfull statistics tree:\n";
-        m.statsRoot().dump(std::cout);
+        std::cout << "\nevery counter:\n";
+        sim::forEachScalar(r, [](const char *key, auto v) {
+            std::cout << "  " << key << " = " << v << "\n";
+        });
+        const mem::SchemeStats &st = m.scheme().stats();
+#define PRINT_SCHEME_STAT(type, member, key, desc)                           \
+        std::cout << "  " << key << " = " << st.member << "\n";
+        HSCD_SCHEME_ONLY_STATS(PRINT_SCHEME_STAT)
+#undef PRINT_SCHEME_STAT
         return r.oracleViolations == 0 ? 0 : 1;
     }
 }

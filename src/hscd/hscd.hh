@@ -20,7 +20,6 @@
 
 #include "common/config.hh"
 #include "common/log.hh"
-#include "common/stats.hh"
 #include "common/table.hh"
 #include "compiler/analysis.hh"
 #include "hir/builder.hh"

@@ -224,7 +224,7 @@ crossCheck(const McConfig &cfg, const std::vector<Action> &path)
     MachineConfig mcfg = machineConfigFor(cfg);
 
     ComparingSink sink(run);
-    sim::ReplayResult res =
+    sim::RunResult res =
         sim::replayTrace(run.records, mcfg, Addr(cfg.words) * 4, &sink,
                          &run.script);
 

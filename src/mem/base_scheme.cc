@@ -4,8 +4,8 @@ namespace hscd {
 namespace mem {
 
 BaseScheme::BaseScheme(const MachineConfig &cfg, MainMemory &memory,
-                       net::Network &network, stats::StatGroup *parent)
-    : CoherenceScheme(cfg, memory, network, parent)
+                       net::Network &network)
+    : CoherenceScheme(cfg, memory, network)
 {
     _wbuf.reserve(cfg.procs);
     for (unsigned p = 0; p < cfg.procs; ++p)
@@ -45,7 +45,7 @@ BaseScheme::access(const MemOp &op)
     res.stall = wordFetchLatency() +
                 reliableSend(op.proc, op.now, "word fetch");
     res.observed = _mem.read(op.addr);
-    _stats.missLatency.sample(double(res.stall));
+    _stats.noteMissLatency(res.stall);
     return res;
 }
 

@@ -20,7 +20,7 @@ class BaseScheme final : public CoherenceScheme
 {
   public:
     BaseScheme(const MachineConfig &cfg, MainMemory &memory,
-               net::Network &network, stats::StatGroup *parent);
+               net::Network &network);
 
     AccessResult access(const MemOp &op) override;
     Cycles epochBoundary(EpochId new_epoch) override;

@@ -34,21 +34,9 @@ missClassName(MissClass c)
     return "?";
 }
 
-SchemeStats::SchemeStats(stats::StatGroup *parent)
-    : group("scheme", parent)
-#define HSCD_SCHEME_STAT_INIT(type, member, name, desc)                     \
-      , member(&group, name, desc)
-      HSCD_RESULT_FIELDS(HSCD_COUNTER_SKIP, HSCD_SCHEME_STAT_INIT)
-      HSCD_SCHEME_ONLY_STATS(HSCD_SCHEME_STAT_INIT)
-#undef HSCD_SCHEME_STAT_INIT
-{
-}
-
 CoherenceScheme::CoherenceScheme(const MachineConfig &cfg,
-                                 MainMemory &memory, net::Network &network,
-                                 stats::StatGroup *parent)
-    : _cfg(cfg), _mem(memory), _net(network), _stats(parent),
-      _writeDone(cfg.procs, 0)
+                                 MainMemory &memory, net::Network &network)
+    : _cfg(cfg), _mem(memory), _net(network), _writeDone(cfg.procs, 0)
 {
 }
 
@@ -110,35 +98,21 @@ CoherenceScheme::sendWithFaults(ProcId p, Cycles now, const char *what)
     return extra + fate.extraDelay;
 }
 
-Counter
-CoherenceScheme::totalMisses() const
-{
-    return _stats.readMisses.value() + _stats.writeMisses.value();
-}
-
-double
-CoherenceScheme::readMissRate() const
-{
-    Counter r = _stats.reads.value();
-    return r ? double(_stats.readMisses.value()) / double(r) : 0.0;
-}
-
 std::unique_ptr<CoherenceScheme>
 makeScheme(const MachineConfig &cfg, MainMemory &memory,
-           net::Network &network, stats::StatGroup *parent)
+           net::Network &network)
 {
     switch (cfg.scheme) {
       case SchemeKind::Base:
-        return std::make_unique<BaseScheme>(cfg, memory, network, parent);
+        return std::make_unique<BaseScheme>(cfg, memory, network);
       case SchemeKind::SC:
-        return std::make_unique<ScScheme>(cfg, memory, network, parent);
+        return std::make_unique<ScScheme>(cfg, memory, network);
       case SchemeKind::TPI:
-        return std::make_unique<TpiScheme>(cfg, memory, network, parent);
+        return std::make_unique<TpiScheme>(cfg, memory, network);
       case SchemeKind::HW:
-        return std::make_unique<DirectoryScheme>(cfg, memory, network,
-                                                 parent);
+        return std::make_unique<DirectoryScheme>(cfg, memory, network);
       case SchemeKind::VC:
-        return std::make_unique<VcScheme>(cfg, memory, network, parent);
+        return std::make_unique<VcScheme>(cfg, memory, network);
     }
     panic("unreachable scheme kind");
 }

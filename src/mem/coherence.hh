@@ -14,7 +14,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/stats.hh"
 #include "compiler/marking.hh"
 #include "fault/abort.hh"
 #include "fault/injector.hh"
@@ -76,15 +75,18 @@ struct AccessResult
  */
 struct SchemeStats
 {
-    explicit SchemeStats(stats::StatGroup *parent);
+#define HSCD_SCHEME_COUNTER(type, member, ...) type member = 0;
+    HSCD_RESULT_FIELDS(HSCD_COUNTER_SKIP, HSCD_SCHEME_COUNTER)
+    HSCD_SCHEME_ONLY_STATS(HSCD_SCHEME_COUNTER)
+#undef HSCD_SCHEME_COUNTER
 
-    stats::StatGroup group;
-#define HSCD_SCHEME_SCALAR(type, member, ...) stats::Scalar member;
-#define HSCD_SCHEME_STAT(kind, member, ...) stats::kind member;
-    HSCD_RESULT_FIELDS(HSCD_COUNTER_SKIP, HSCD_SCHEME_SCALAR)
-    HSCD_SCHEME_ONLY_STATS(HSCD_SCHEME_STAT)
-#undef HSCD_SCHEME_SCALAR
-#undef HSCD_SCHEME_STAT
+    /** Sample one read miss's latency. */
+    void
+    noteMissLatency(Cycles latency)
+    {
+        missLatencySum += double(latency);
+        ++missLatencyCount;
+    }
 
     void
     classify(MissClass c)
@@ -121,7 +123,7 @@ class CoherenceScheme
 {
   public:
     CoherenceScheme(const MachineConfig &cfg, MainMemory &memory,
-                    net::Network &network, stats::StatGroup *parent);
+                    net::Network &network);
     virtual ~CoherenceScheme() = default;
 
     CoherenceScheme(const CoherenceScheme &) = delete;
@@ -166,11 +168,6 @@ class CoherenceScheme
      * reports only the write pipeline.
      */
     virtual std::string postMortem() const;
-
-    /** Total misses across classes. */
-    Counter totalMisses() const;
-    /** Read miss rate (readMisses / reads). */
-    double readMissRate() const;
 
   protected:
     // The helpers below run on every simulated reference; they are
@@ -240,7 +237,7 @@ class CoherenceScheme
 /** Factory: instantiate the scheme selected by @p cfg. */
 std::unique_ptr<CoherenceScheme>
 makeScheme(const MachineConfig &cfg, MainMemory &memory,
-           net::Network &network, stats::StatGroup *parent);
+           net::Network &network);
 
 } // namespace mem
 } // namespace hscd

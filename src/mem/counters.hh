@@ -5,10 +5,10 @@
  *
  * The paper's figures (miss rate, miss kinds, traffic, execution time)
  * are read off these counters. Both lists are X-macros, the idiom of
- * obs/metrics.hh. RunResult's members, SchemeStats' members and their
- * stat registration, RunResult::fingerprint(), the journal codec
+ * obs/metrics.hh. RunResult's members, SchemeStats' members,
+ * RunResult::fingerprint(), the journal codec
  * (serve::encodeResult / decodeResult), the per-cell JSON
- * (serve::writeResultCellJson) and the executor's copies out of the
+ * (serve::writeResultCellJson) and sim::harvest's copy out of the
  * scheme all expand from them, so adding a counter is one line here.
  *
  * Order is part of the contract: fingerprints, journal records and the
@@ -25,8 +25,7 @@
  * callbacks take (type, member, key, desc); key is the cell-JSON key.
  *
  *   RUN     the executor or the network computes the value;
- *   SCHEME  a Counter copied from the SchemeStats stats::Scalar of the
- *           same member name, registered under stat name key.
+ *   SCHEME  copied from the SchemeStats counter of the same member name.
  */
 #define HSCD_RESULT_FIELDS(RUN, SCHEME)                                      \
     RUN(Cycles, cycles, "cycles", "parallel execution time")                 \
@@ -87,16 +86,19 @@
         "data races that make the program an illegal DOALL program")
 
 /**
- * SchemeStats entries that are not RunResult fields:
- * X(kind, member, name, desc) declares stats::kind member, registered
- * under stat name @p name.
+ * SchemeStats counters that are not RunResult fields, with the same
+ * callback shape X(type, member, key, desc). avg_miss_latency is
+ * missLatencySum / missLatencyCount.
  */
 #define HSCD_SCHEME_ONLY_STATS(X)                                            \
-    X(Scalar, writeMisses, "write_misses", "write-allocate line fetches")    \
-    X(Scalar, invalidationsSent, "invalidations",                            \
+    X(Counter, writeMisses, "write_misses", "write-allocate line fetches")   \
+    X(Counter, invalidationsSent, "invalidations",                           \
       "directory invalidation messages")                                     \
-    X(Scalar, tagResets, "tag_resets", "two-phase reset events")             \
-    X(Average, missLatency, "miss_latency", "average read miss latency")
+    X(Counter, tagResets, "tag_resets", "two-phase reset events")            \
+    X(double, missLatencySum, "miss_latency_sum",                            \
+      "summed read miss latency in cycles")                                  \
+    X(Counter, missLatencyCount, "miss_latency_count",                       \
+      "read misses with a latency sample")
 
 /** Callback that drops an entry from an expansion. */
 #define HSCD_COUNTER_SKIP(...)

@@ -8,9 +8,8 @@ namespace hscd {
 namespace mem {
 
 DirectoryScheme::DirectoryScheme(const MachineConfig &cfg,
-                                 MainMemory &memory, net::Network &network,
-                                 stats::StatGroup *parent)
-    : CoherenceScheme(cfg, memory, network, parent),
+                                 MainMemory &memory, net::Network &network)
+    : CoherenceScheme(cfg, memory, network),
       _dir(memory.words() * 4 / cfg.lineBytes + 1),
       _history(cfg.procs, Addr(memory.words()) * 4, cfg.lineBytes),
       _lineShift(floorLog2(cfg.lineBytes))
@@ -212,7 +211,7 @@ DirectoryScheme::access(const MemOp &op)
         res.cls = cls;
         res.stall = latency;
         res.observed = line.stamps[widx];
-        _stats.missLatency.sample(double(latency));
+        _stats.noteMissLatency(latency);
         return res;
     }
 

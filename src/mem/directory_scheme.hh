@@ -48,7 +48,7 @@ class DirectoryScheme final : public CoherenceScheme
 {
   public:
     DirectoryScheme(const MachineConfig &cfg, MainMemory &memory,
-                    net::Network &network, stats::StatGroup *parent);
+                    net::Network &network);
 
     AccessResult access(const MemOp &op) override;
 

@@ -6,8 +6,8 @@ namespace mem {
 using compiler::MarkKind;
 
 ScScheme::ScScheme(const MachineConfig &cfg, MainMemory &memory,
-                   net::Network &network, stats::StatGroup *parent)
-    : CoherenceScheme(cfg, memory, network, parent),
+                   net::Network &network)
+    : CoherenceScheme(cfg, memory, network),
       _history(cfg.procs, Addr(memory.words()) * 4, cfg.lineBytes)
 {
     _caches.reserve(cfg.procs);
@@ -91,7 +91,7 @@ ScScheme::access(const MemOp &op)
         res.stall = lineFetchLatency() +
                     reliableSend(op.proc, op.now, "marked refetch");
         res.observed = fresh.stamps[widx];
-        _stats.missLatency.sample(double(res.stall));
+        _stats.noteMissLatency(res.stall);
         return res;
     }
 
@@ -122,7 +122,7 @@ ScScheme::access(const MemOp &op)
     res.stall = lineFetchLatency() +
                 reliableSend(op.proc, op.now, "line fetch");
     res.observed = line.stamps[widx];
-    _stats.missLatency.sample(double(res.stall));
+    _stats.noteMissLatency(res.stall);
     return res;
 }
 

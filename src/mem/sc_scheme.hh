@@ -27,7 +27,7 @@ class ScScheme final : public CoherenceScheme
 {
   public:
     ScScheme(const MachineConfig &cfg, MainMemory &memory,
-             net::Network &network, stats::StatGroup *parent);
+             net::Network &network);
 
     AccessResult access(const MemOp &op) override;
     Cycles epochBoundary(EpochId new_epoch) override;

@@ -8,8 +8,8 @@ namespace mem {
 using compiler::MarkKind;
 
 TpiScheme::TpiScheme(const MachineConfig &cfg, MainMemory &memory,
-                     net::Network &network, stats::StatGroup *parent)
-    : CoherenceScheme(cfg, memory, network, parent),
+                     net::Network &network)
+    : CoherenceScheme(cfg, memory, network),
       _history(cfg.procs, Addr(memory.words()) * 4, cfg.lineBytes),
       _phase(EpochId{1} << (cfg.timetagBits - 1))
 {
@@ -95,7 +95,7 @@ TpiScheme::miss(const MemOp &op, MissClass cls, unsigned widx)
     res.stall = lineFetchLatency() +
                 reliableSend(op.proc, op.now, "line fetch");
     res.observed = line.stamps[widx];
-    _stats.missLatency.sample(double(res.stall));
+    _stats.noteMissLatency(res.stall);
     return res;
 }
 
@@ -220,7 +220,7 @@ TpiScheme::access(const MemOp &op)
         // may be rewritten by another lock owner later this epoch.
         if (line)
             line->stamps[widx] = res.observed;
-        _stats.missLatency.sample(double(res.stall));
+        _stats.noteMissLatency(res.stall);
         return res;
       }
     }

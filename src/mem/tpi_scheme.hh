@@ -46,7 +46,7 @@ class TpiScheme final : public CoherenceScheme
 {
   public:
     TpiScheme(const MachineConfig &cfg, MainMemory &memory,
-              net::Network &network, stats::StatGroup *parent);
+              net::Network &network);
 
     AccessResult access(const MemOp &op) override;
     Cycles epochBoundary(EpochId new_epoch) override;

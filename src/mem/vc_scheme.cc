@@ -8,8 +8,8 @@ namespace mem {
 using compiler::MarkKind;
 
 VcScheme::VcScheme(const MachineConfig &cfg, MainMemory &memory,
-                   net::Network &network, stats::StatGroup *parent)
-    : CoherenceScheme(cfg, memory, network, parent),
+                   net::Network &network)
+    : CoherenceScheme(cfg, memory, network),
       _history(cfg.procs, Addr(memory.words()) * 4, cfg.lineBytes)
 {
     _caches.reserve(cfg.procs);
@@ -78,7 +78,7 @@ VcScheme::miss(const MemOp &op, MissClass cls, unsigned widx)
     res.stall = lineFetchLatency() +
                 reliableSend(op.proc, op.now, "line fetch");
     res.observed = line.stamps[widx];
-    _stats.missLatency.sample(double(res.stall));
+    _stats.noteMissLatency(res.stall);
     return res;
 }
 
@@ -143,7 +143,7 @@ VcScheme::access(const MemOp &op)
         res.observed = _mem.read(op.addr);
         if (line)
             line->stamps[widx] = res.observed;
-        _stats.missLatency.sample(double(res.stall));
+        _stats.noteMissLatency(res.stall);
         return res;
     }
 

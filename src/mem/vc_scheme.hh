@@ -54,7 +54,7 @@ class VcScheme final : public CoherenceScheme
 {
   public:
     VcScheme(const MachineConfig &cfg, MainMemory &memory,
-             net::Network &network, stats::StatGroup *parent);
+             net::Network &network);
 
     AccessResult access(const MemOp &op) override;
     Cycles epochBoundary(EpochId new_epoch) override;

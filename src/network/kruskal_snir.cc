@@ -8,14 +8,10 @@
 namespace hscd {
 namespace net {
 
-Network::Network(stats::StatGroup *parent, unsigned procs, unsigned radix,
-                 double max_load, Topology topology)
+Network::Network(unsigned procs, unsigned radix, double max_load,
+                 Topology topology)
     : _procs(procs), _radix(radix < 2 ? 2 : radix), _topology(topology),
-      _maxLoad(max_load),
-      _group("network", parent),
-      _packets(&_group, "packets", "total network packets"),
-      _words(&_group, "words", "total data words moved"),
-      _loadAvg(&_group, "load", "offered load per window")
+      _maxLoad(max_load)
 {
     if (_topology == Topology::MIN) {
         unsigned n = 0;
@@ -48,7 +44,6 @@ Network::endWindow(Cycles now)
         if (rho > _maxLoad)
             rho = _maxLoad;
         _load = rho;
-        _loadAvg.sample(rho);
         cacheDelays();
     }
     _windowStart = now;

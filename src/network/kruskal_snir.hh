@@ -20,7 +20,6 @@
 
 #include <array>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "fault/injector.hh"
 #include "mem/machine_config.hh"
@@ -40,8 +39,8 @@ struct MsgFate
 class Network
 {
   public:
-    Network(stats::StatGroup *parent, unsigned procs, unsigned radix,
-            double max_load, Topology topology = Topology::MIN);
+    Network(unsigned procs, unsigned radix, double max_load,
+            Topology topology = Topology::MIN);
 
     /** Switch stages (MIN) or average routing hops (torus). */
     unsigned stages() const { return _stages; }
@@ -95,8 +94,8 @@ class Network
      */
     MsgFate deliver();
 
-    Counter totalPackets() const { return _packets.value(); }
-    Counter totalWords() const { return _words.value(); }
+    Counter totalPackets() const { return _packets; }
+    Counter totalWords() const { return _words; }
 
   private:
     Cycles delayFor(unsigned traversals) const;
@@ -116,10 +115,8 @@ class Network
     Cycles _windowStart = 0;
     Counter _windowFlits = 0;
 
-    stats::StatGroup _group;
-    stats::Scalar _packets;
-    stats::Scalar _words;
-    stats::Average _loadAvg;
+    Counter _packets = 0;
+    Counter _words = 0;
 };
 
 } // namespace net

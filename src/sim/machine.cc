@@ -96,14 +96,35 @@ void
 copySchemeCounters(Row &row, const Stats &st)
 {
 #define HSCD_COPY_COUNTER(type, member, ...)                                 \
-    if constexpr (requires { row.member = st.member.value(); })              \
-        row.member = st.member.value();
+    if constexpr (requires { row.member = st.member; })                      \
+        row.member = st.member;
     HSCD_RESULT_FIELDS(HSCD_COUNTER_SKIP, HSCD_COPY_COUNTER)
     HSCD_SCHEME_ONLY_STATS(HSCD_COPY_COUNTER)
 #undef HSCD_COPY_COUNTER
 }
 
 } // namespace
+
+void
+harvest(RunResult &r, const mem::CoherenceScheme &scheme,
+        const net::Network &network, const fault::FaultInjector *inj)
+{
+    const mem::SchemeStats &st = scheme.stats();
+    copySchemeCounters(r, st);
+    r.readMissRate = r.reads ? double(r.readMisses) / double(r.reads) : 0.0;
+    r.avgMissLatency =
+        st.missLatencyCount
+            ? st.missLatencySum / double(st.missLatencyCount)
+            : 0.0;
+    r.trafficPackets = network.totalPackets();
+    r.trafficWords = network.totalWords();
+    if (inj) {
+        const fault::FaultStats &fs = inj->stats();
+        r.faultsInjected = fs.totalInjected();
+        r.faultsRecovered = fs.recovered;
+        r.faultRetries = fs.retries;
+    }
+}
 
 std::string
 RunResult::summary() const
@@ -448,7 +469,7 @@ class Executor
                 _tl->resetWindow(_epoch, t - reset, reset);
                 _tl->instant(obs::Timeline::InstantKind::TagReset,
                              obs::Timeline::memTrack(_cfg.procs), _epoch,
-                             t - reset, _scheme.stats().tagResets.value());
+                             t - reset, _scheme.stats().tagResets);
             }
             if (_m._faultInjector) {
                 const Counter n = _m._faultInjector->stats().totalInjected();
@@ -570,11 +591,7 @@ class Executor
                           _procTime[_serialProc]);
         }
 
-        copySchemeCounters(_res, _scheme.stats());
-        _res.readMissRate = _scheme.readMissRate();
-        _res.avgMissLatency = _scheme.stats().missLatency.mean();
-        _res.trafficPackets = _m._network.totalPackets();
-        _res.trafficWords = _m._network.totalWords();
+        harvest(_res, _scheme, _m._network, _m._faultInjector.get());
 
         Cycles busy_sum = 0;
         for (ProcId p = 0; p < _cfg.procs; ++p) {
@@ -584,13 +601,6 @@ class Executor
         _res.busyAvg = double(busy_sum) / double(_cfg.procs);
         _res.serialCycles =
             _res.cycles > _parallelWall ? _res.cycles - _parallelWall : 0;
-
-        if (const fault::FaultInjector *inj = _m._faultInjector.get()) {
-            const fault::FaultStats &fs = inj->stats();
-            _res.faultsInjected = fs.totalInjected();
-            _res.faultsRecovered = fs.recovered;
-            _res.faultRetries = fs.retries;
-        }
     }
 
     /** DOALL legality: cross-task same-word conflicts are data races. */
@@ -1053,11 +1063,11 @@ validated(MachineConfig cfg)
 // The config is validated before any member is built from it: the
 // network, caches and line histories divide and shift by its fields.
 Machine::Machine(const compiler::CompiledProgram &cp, MachineConfig cfg)
-    : _cp(cp), _cfg(validated(std::move(cfg))), _root("machine"),
+    : _cp(cp), _cfg(validated(std::move(cfg))),
       _memory(cp.program.dataBytes()),
-      _network(&_root, _cfg.procs, _cfg.networkRadix, _cfg.maxNetworkLoad,
+      _network(_cfg.procs, _cfg.networkRadix, _cfg.maxNetworkLoad,
                _cfg.topology),
-      _scheme(mem::makeScheme(_cfg, _memory, _network, &_root))
+      _scheme(mem::makeScheme(_cfg, _memory, _network))
 {
     if (_cfg.fault.enabled()) {
         _faultInjector = std::make_unique<fault::FaultInjector>(_cfg.fault);

@@ -60,7 +60,6 @@ class Machine
     const MachineConfig &config() const { return _cfg; }
     const mem::CoherenceScheme &scheme() const { return *_scheme; }
     const net::Network &network() const { return _network; }
-    stats::StatGroup &statsRoot() { return _root; }
     /** Non-null iff the config's fault plan is enabled. */
     const fault::FaultInjector *faultInjector() const
     {
@@ -72,7 +71,6 @@ class Machine
 
     const compiler::CompiledProgram &_cp;
     MachineConfig _cfg;
-    stats::StatGroup _root;
     mem::MainMemory _memory;
     net::Network _network;
     std::unique_ptr<mem::CoherenceScheme> _scheme;
@@ -87,7 +85,7 @@ class Machine
 /**
  * Convenience: compile nothing, just run @p cp under @p cfg.
  *
- * Thread-safety: a Machine owns all of its mutable state (stats tree,
+ * Thread-safety: a Machine owns all of its mutable state (counters,
  * memory image, network model, migration RNG), so concurrent simulate()
  * calls on distinct Machines are independent - even over one shared,
  * immutable CompiledProgram. The sweep engine relies on this.

@@ -111,6 +111,15 @@ struct RunResult
 };
 
 /**
+ * Fill @p r from the end state of one run: the schema's SCHEME counters,
+ * the read miss rate, the mean miss latency, network traffic and, when
+ * @p inj is non-null, the fault counters. The executor and trace replay
+ * both end with it; every other field stays the caller's.
+ */
+void harvest(RunResult &r, const mem::CoherenceScheme &scheme,
+             const net::Network &network, const fault::FaultInjector *inj);
+
+/**
  * Call fn(key, field) on each schema scalar of @p r, in schema order.
  * @p r is a RunResult, const to read the fields or not to write them.
  */

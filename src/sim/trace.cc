@@ -102,9 +102,15 @@ readTrace(std::istream &is)
         hs >> tag >> magic >> version >> out.procs >> out.dataBytes;
         if (tag != "H" || magic != "hscd-trace" || version != 1)
             fatal("trace: bad header '%s'", line);
-        if (out.procs == 0)
-            fatal("trace line 1: header declares 0 processors");
+        if (out.procs == 0 || out.procs > kMaxProcs)
+            fatal("trace line 1: header declares %d processors (1 to %d)",
+                  out.procs, kMaxProcs);
+        if (out.dataBytes > kMaxAddr)
+            fatal("trace line 1: header declares %d data bytes (max %d)",
+                  out.dataBytes, kMaxAddr);
     }
+    const Addr words = out.dataBytes / hir::wordBytes;
+    EpochId epoch = 0;
     std::size_t lineno = 1;
     while (std::getline(is, line)) {
         ++lineno;
@@ -131,9 +137,16 @@ readTrace(std::istream &is)
         }
         if (!ls)
             fatal("trace line %d: malformed record", lineno);
-        // Replay indexes per-processor clocks and per-word state by
-        // these fields, so each must fit the header's machine.
-        if (r.type == TraceRecord::Type::Access) {
+        // Replay indexes per-processor clocks, per-word state and VC's
+        // per-array table by these fields, so each must fit the
+        // header's machine. TPI's two-phase reset fires at multiples of
+        // its phase, so no boundary may skip an epoch.
+        if (r.type == TraceRecord::Type::Boundary) {
+            if (r.epoch != epoch + 1)
+                fatal("trace line %d: boundary to epoch %d after epoch %d "
+                      "(epochs count up by one)", lineno, r.epoch, epoch);
+            epoch = r.epoch;
+        } else {
             const mem::MemOp &op = r.op;
             if (op.proc >= out.procs)
                 fatal("trace line %d: processor %d outside the header's "
@@ -145,22 +158,24 @@ readTrace(std::istream &is)
                 out.dataBytes - op.addr < hir::wordBytes)
                 fatal("trace line %d: address %d past the header's %d "
                       "data bytes", lineno, op.addr, out.dataBytes);
+            if (op.arrayId >= words)
+                fatal("trace line %d: array id %d at or above the "
+                      "header's %d words", lineno, op.arrayId, words);
         }
         out.records.push_back(r);
     }
     return out;
 }
 
-ReplayResult
+RunResult
 replayTrace(const std::vector<TraceRecord> &records,
             const MachineConfig &cfg, Addr data_bytes, TraceSink *sink,
             const std::vector<fault::ScriptedFault> *script)
 {
-    stats::StatGroup root("replay");
     mem::MainMemory memory(data_bytes);
-    net::Network network(&root, cfg.procs, cfg.networkRadix,
-                         cfg.maxNetworkLoad, cfg.topology);
-    auto scheme = mem::makeScheme(cfg, memory, network, &root);
+    net::Network network(cfg.procs, cfg.networkRadix, cfg.maxNetworkLoad,
+                         cfg.topology);
+    auto scheme = mem::makeScheme(cfg, memory, network);
 
     std::unique_ptr<fault::FaultInjector> injector;
     if (cfg.fault.enabled() || (script && !script->empty())) {
@@ -171,7 +186,7 @@ replayTrace(const std::vector<TraceRecord> &records,
         scheme->setFaultInjector(injector.get());
     }
 
-    ReplayResult out;
+    RunResult out;
     std::vector<Cycles> clock(cfg.procs, 0);
     EpochId epoch = 0;
     try {
@@ -189,6 +204,7 @@ replayTrace(const std::vector<TraceRecord> &records,
                 epoch = r.epoch;
                 std::fill(clock.begin(), clock.end(), t);
                 network.endWindow(t);
+                ++out.epochs;
                 continue;
             }
             mem::MemOp op = r.op;
@@ -207,14 +223,7 @@ replayTrace(const std::vector<TraceRecord> &records,
         out.abort = abort.info;
     }
 
-    const mem::SchemeStats &st = scheme->stats();
-    out.reads = st.reads.value();
-    out.writes = st.writes.value();
-    out.readMisses = st.readMisses.value();
-    out.readMissRate = scheme->readMissRate();
-    out.missConservative = st.missConservative.value();
-    out.missFalseShare = st.missFalseShare.value();
-    out.trafficWords = network.totalWords();
+    harvest(out, *scheme, network, injector.get());
     for (Cycles c : clock)
         out.cycles = std::max(out.cycles, c);
     return out;

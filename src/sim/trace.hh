@@ -9,7 +9,7 @@
  * The text format is stable and diff-friendly:
  *
  *     H hscd-trace 1 <procs> <dataBytes>
- *     A <proc> <addr> <R|W> <mark> <dist> <stamp> <crit>
+ *     A <proc> <addr> <arrayId> <R|W> <mark> <dist> <stamp> <crit>
  *     B <epoch>
  */
 
@@ -24,6 +24,15 @@
 
 namespace hscd {
 namespace sim {
+
+/**
+ * Limits shared by both trace parsers (readTrace and the external
+ * frontend in workloads/trace.hh): a trace asking for more is almost
+ * certainly corrupt, and refusing beats allocating gigabytes.
+ */
+constexpr unsigned kMaxProcs = 1024;
+constexpr Addr kMaxAddr = Addr{1} << 26;       // 64 MiB footprint
+constexpr EpochId kMaxEpoch = EpochId{1} << 20;
 
 struct TraceRecord
 {
@@ -75,9 +84,12 @@ void writeTrace(std::ostream &os, const std::vector<TraceRecord> &records,
                 unsigned procs, Addr data_bytes);
 
 /**
- * Parse a trace; fatal() on malformed input, naming the line. An access
- * must name a processor below the header's count and a word-aligned
- * address inside its data size, so every parsed trace can replay on the
+ * Parse a trace; fatal() on malformed input, naming the line. The
+ * header's processor count and data size must stay within kMaxProcs and
+ * kMaxAddr. An access must name a processor below the header's count, a
+ * word-aligned address inside its data size and an array id below its
+ * word count; each boundary must name the epoch after the previous one
+ * (the first is epoch 1). So every parsed trace can replay on the
  * machine its header describes.
  */
 struct ParsedTrace
@@ -88,26 +100,17 @@ struct ParsedTrace
 };
 ParsedTrace readTrace(std::istream &is);
 
-/** Outcome of a trace replay. */
-struct ReplayResult
-{
-    Counter reads = 0;
-    Counter writes = 0;
-    Counter readMisses = 0;
-    double readMissRate = 0;
-    Counter missConservative = 0;
-    Counter missFalseShare = 0;
-    Counter trafficWords = 0;
-    Cycles cycles = 0;
-    /** Structured abort that ended the replay early (kind None if not). */
-    fault::AbortInfo abort;
-
-    bool aborted() const { return abort.aborted(); }
-};
-
 /**
  * Drive @p cfg's scheme with a recorded trace. Per-processor clocks
  * advance by each access's stall; boundaries synchronize all clocks.
+ * The result's cycles are the latest clock and its epochs the
+ * boundaries replayed; sim::harvest fills the scheme, traffic and fault
+ * counters, as it does for an executed run.
+ *
+ * The caller validates @p cfg (MachineConfig::validate) once it has
+ * fitted the processor count to the trace. The model checker is the one
+ * caller that does not: it replays TPI with 1-bit timetags, below the
+ * range a Machine accepts.
  *
  * When @p sink is non-null it receives every record as it replays plus
  * the scheme's verdict for each access via TraceSink::onOutcome — the
@@ -119,13 +122,14 @@ struct ReplayResult
  * normally rate 0) is attached to the scheme, so a replay reproduces a
  * fault scenario at precise injection opportunities. A structured abort
  * (retry exhaustion) ends the replay early and is reported in
- * ReplayResult::abort rather than thrown.
+ * RunResult::abort, with the counters up to that point, rather than
+ * thrown.
  */
-ReplayResult replayTrace(const std::vector<TraceRecord> &records,
-                         const MachineConfig &cfg, Addr data_bytes,
-                         TraceSink *sink = nullptr,
-                         const std::vector<fault::ScriptedFault> *script =
-                             nullptr);
+RunResult replayTrace(const std::vector<TraceRecord> &records,
+                      const MachineConfig &cfg, Addr data_bytes,
+                      TraceSink *sink = nullptr,
+                      const std::vector<fault::ScriptedFault> *script =
+                          nullptr);
 
 } // namespace sim
 } // namespace hscd

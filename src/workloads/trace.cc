@@ -15,11 +15,9 @@ namespace workloads {
 
 namespace {
 
-// Strictness bounds: a trace asking for more than these is almost
-// certainly corrupt, and refusing beats allocating gigabytes.
-constexpr unsigned kMaxProcs = 1024;
-constexpr Addr kMaxAddr = Addr{1} << 26;       // 64 MiB footprint
-constexpr EpochId kMaxEpoch = EpochId{1} << 20;
+using sim::kMaxAddr;
+using sim::kMaxEpoch;
+using sim::kMaxProcs;
 
 /** Strict non-negative decimal; false on junk/overflow. */
 bool
@@ -244,21 +242,10 @@ runTrace(const TraceWorkload &t, const MachineConfig &cfg_in,
     MachineConfig cfg = cfg_in;
     if (cfg.procs < t.procs)
         cfg.procs = t.procs;
-    sim::ReplayResult rr =
-        sim::replayTrace(t.records, cfg, t.dataBytes, sink);
-
-    sim::RunResult out;
-    out.cycles = rr.cycles;
+    cfg.validate();
+    sim::RunResult out = sim::replayTrace(t.records, cfg, t.dataBytes, sink);
+    // A trace cell counts its epochs, not the boundaries between them.
     out.epochs = t.epochs;
-    out.reads = rr.reads;
-    out.writes = rr.writes;
-    out.readMisses = rr.readMisses;
-    out.readHits = rr.reads - rr.readMisses;
-    out.readMissRate = rr.readMissRate;
-    out.missConservative = rr.missConservative;
-    out.missFalseShare = rr.missFalseShare;
-    out.trafficWords = rr.trafficWords;
-    out.abort = rr.abort;
     return out;
 }
 

@@ -72,7 +72,8 @@ TraceWorkload loadTraceSpec(const std::string &spec);
 /**
  * Replay @p t under @p cfg's scheme and return sweep-compatible
  * counters. The machine is widened to the trace's processor count if
- * needed; byte-identical output for the same (trace, cfg) at any
+ * needed, then validated (fatal() if, say, HW cannot hold that many
+ * processors); byte-identical output for the same (trace, cfg) at any
  * thread count. @p sink (optional) receives every record plus the
  * scheme's verdict, for hscd_inspect-style attribution.
  */

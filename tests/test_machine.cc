@@ -327,16 +327,22 @@ TEST(Machine, RunIsSingleShot)
     EXPECT_THROW(m.run(), PanicError);
 }
 
-TEST(Machine, StatsDumpContainsSchemeCounters)
+TEST(Machine, ResultHarvestsSchemeAndNetworkCounters)
 {
     compiler::CompiledProgram cp = jacobiLike(32, 2);
     Machine m(cp, cfgFor(SchemeKind::TPI));
-    m.run();
-    std::ostringstream os;
-    m.statsRoot().dump(os);
-    const std::string s = os.str();
-    EXPECT_NE(s.find("machine.scheme.reads"), std::string::npos);
-    EXPECT_NE(s.find("machine.network.packets"), std::string::npos);
+    const RunResult r = m.run();
+    const mem::SchemeStats &st = m.scheme().stats();
+    EXPECT_GT(st.reads, 0u);
+#define HSCD_EXPECT_HARVESTED(type, member, ...)                             \
+    EXPECT_EQ(r.member, st.member) << #member;
+    HSCD_RESULT_FIELDS(HSCD_COUNTER_SKIP, HSCD_EXPECT_HARVESTED)
+#undef HSCD_EXPECT_HARVESTED
+    ASSERT_GT(st.missLatencyCount, 0u);
+    EXPECT_EQ(r.avgMissLatency,
+              st.missLatencySum / double(st.missLatencyCount));
+    EXPECT_EQ(r.trafficPackets, m.network().totalPackets());
+    EXPECT_EQ(r.trafficWords, m.network().totalWords());
 }
 
 TEST(Machine, TinyTimetagsCauseTagResetMisses)

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/log.hh"
-#include "common/stats.hh"
 #include "compiler/analysis.hh"
 #include "hir/builder.hh"
 #include "hir/printer.hh"
@@ -55,31 +54,6 @@ TEST(Csprintf, ScientificAndOctal)
     EXPECT_EQ(csprintf("%+d", 5), "+5");
 }
 
-TEST(StatsRender, ScalarAndHistogramStrings)
-{
-    stats::StatGroup g("g");
-    stats::Scalar s(&g, "s", "");
-    s += 12;
-    EXPECT_EQ(s.render(), "12");
-    stats::Histogram h(&g, "h", "", 10.0, 2);
-    h.sample(1);
-    h.sample(11);
-    const std::string r = h.render();
-    EXPECT_NE(r.find("n=2"), std::string::npos);
-    EXPECT_NE(r.find("ovf=1"), std::string::npos);
-    stats::Average a(&g, "a", "");
-    a.sample(2.0);
-    EXPECT_NE(a.render().find("(n=1)"), std::string::npos);
-    stats::Formula f(&g, "f", "", [] { return 0.5; });
-    EXPECT_EQ(f.render(), "0.500000");
-}
-
-TEST(StatsGuard, BadHistogramShapePanics)
-{
-    stats::StatGroup g("g");
-    EXPECT_THROW(stats::Histogram(&g, "h", "", 0.0, 4), PanicError);
-}
-
 TEST(Printer, IndentWidthOption)
 {
     ProgramBuilder b;
@@ -98,18 +72,17 @@ TEST(Printer, IndentWidthOption)
 
 TEST(Network, FlitBasedLoadCountsWords)
 {
-    stats::StatGroup root("r");
-    net::Network n(&root, 4, 2, 0.95);
+    net::Network n(4, 2, 0.95);
     n.addTraffic(1, 16); // one line transfer: 16 flits of occupancy
     n.endWindow(32);
     EXPECT_NEAR(n.load(), 16.0 / (32.0 * 4.0), 1e-9);
     // Header-only packets (invalidations) count one flit each.
-    net::Network m(&root, 4, 2, 0.95);
+    net::Network m(4, 2, 0.95);
     m.addTraffic(3, 0);
     m.endWindow(32);
     EXPECT_NEAR(m.load(), 3.0 / 128.0, 1e-9);
     // Overload clamps at the configured maximum.
-    net::Network o(&root, 4, 2, 0.95);
+    net::Network o(4, 2, 0.95);
     o.addTraffic(1, 1000);
     o.endWindow(4);
     EXPECT_NEAR(o.load(), 0.95, 1e-9);
@@ -117,9 +90,8 @@ TEST(Network, FlitBasedLoadCountsWords)
 
 TEST(Network, Radix4HasFewerStages)
 {
-    stats::StatGroup root("r");
-    net::Network n2(&root, 16, 2, 0.95);
-    net::Network n4(&root, 16, 4, 0.95);
+    net::Network n2(16, 2, 0.95);
+    net::Network n4(16, 4, 0.95);
     EXPECT_EQ(n2.stages(), 4u);
     EXPECT_EQ(n4.stages(), 2u);
 }

@@ -87,12 +87,11 @@ TEST(Consistency, WeakModelWaitsAtBarriers)
 
 TEST(Topology, TorusHopCount)
 {
-    stats::StatGroup root("r");
     // 64 procs: k = 4, hops = ceil(3*4/4) = 3.
-    net::Network t64(&root, 64, 2, 0.95, Topology::Torus3D);
+    net::Network t64(64, 2, 0.95, Topology::Torus3D);
     EXPECT_EQ(t64.stages(), 3u);
     // 512 procs: k = 8, hops = 6.
-    net::Network t512(&root, 512, 2, 0.95, Topology::Torus3D);
+    net::Network t512(512, 2, 0.95, Topology::Torus3D);
     EXPECT_EQ(t512.stages(), 6u);
     EXPECT_EQ(t64.topology(), Topology::Torus3D);
 }
@@ -119,8 +118,7 @@ TEST(Topology, BothTopologiesCoherent)
 
 TEST(Topology, ContentionStillMonotone)
 {
-    stats::StatGroup root("r");
-    net::Network n(&root, 64, 2, 0.95, Topology::Torus3D);
+    net::Network n(64, 2, 0.95, Topology::Torus3D);
     n.addTraffic(64 * 100, 0);
     n.endWindow(1000); // rho = 0.1
     double low = n.traversalWait();

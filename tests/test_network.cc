@@ -11,20 +11,15 @@ using namespace hscd::net;
 
 TEST(Network, StageCount)
 {
-    stats::StatGroup root("root");
-    EXPECT_EQ(Network(&root, 16, 2, 0.95).stages(), 4u);
-    stats::StatGroup r2("r2");
-    EXPECT_EQ(Network(&r2, 64, 4, 0.95).stages(), 3u);
-    stats::StatGroup r3("r3");
-    EXPECT_EQ(Network(&r3, 1, 2, 0.95).stages(), 1u);
-    stats::StatGroup r4("r4");
-    EXPECT_EQ(Network(&r4, 17, 2, 0.95).stages(), 5u);
+    EXPECT_EQ(Network(16, 2, 0.95).stages(), 4u);
+    EXPECT_EQ(Network(64, 4, 0.95).stages(), 3u);
+    EXPECT_EQ(Network(1, 2, 0.95).stages(), 1u);
+    EXPECT_EQ(Network(17, 2, 0.95).stages(), 5u);
 }
 
 TEST(Network, NoTrafficNoDelay)
 {
-    stats::StatGroup root("root");
-    Network n(&root, 16, 2, 0.95);
+    Network n(16, 2, 0.95);
     n.endWindow(1000);
     EXPECT_DOUBLE_EQ(n.load(), 0.0);
     EXPECT_EQ(n.contentionDelay(2), 0u);
@@ -32,8 +27,7 @@ TEST(Network, NoTrafficNoDelay)
 
 TEST(Network, LoadComputation)
 {
-    stats::StatGroup root("root");
-    Network n(&root, 16, 2, 0.95);
+    Network n(16, 2, 0.95);
     n.addTraffic(1600, 1600);
     n.endWindow(1000); // 1600 packets / (1000 cycles * 16 ports) = 0.1
     EXPECT_NEAR(n.load(), 0.1, 1e-9);
@@ -43,8 +37,7 @@ TEST(Network, DelayMonotoneInLoad)
 {
     double prev = -1;
     for (double target : {0.1, 0.3, 0.5, 0.7, 0.9}) {
-        stats::StatGroup root("root");
-        Network n(&root, 16, 2, 0.95);
+        Network n(16, 2, 0.95);
         n.addTraffic(static_cast<Counter>(target * 16 * 1000), 0);
         n.endWindow(1000);
         double w = n.traversalWait();
@@ -55,8 +48,7 @@ TEST(Network, DelayMonotoneInLoad)
 
 TEST(Network, KruskalSnirFormula)
 {
-    stats::StatGroup root("root");
-    Network n(&root, 16, 2, 0.95);
+    Network n(16, 2, 0.95);
     n.addTraffic(8000, 0); // rho = 0.5
     n.endWindow(1000);
     // w = rho(1-1/k)/(2(1-rho)) per stage = 0.5*0.5/(2*0.5) = 0.25;
@@ -67,8 +59,7 @@ TEST(Network, KruskalSnirFormula)
 
 TEST(Network, LoadClamped)
 {
-    stats::StatGroup root("root");
-    Network n(&root, 16, 2, 0.95);
+    Network n(16, 2, 0.95);
     n.addTraffic(1000000, 0);
     n.endWindow(10);
     EXPECT_LE(n.load(), 0.95);
@@ -78,8 +69,7 @@ TEST(Network, LoadClamped)
 
 TEST(Network, WindowsAreIndependent)
 {
-    stats::StatGroup root("root");
-    Network n(&root, 16, 2, 0.95);
+    Network n(16, 2, 0.95);
     n.addTraffic(1600, 0);
     n.endWindow(1000);
     EXPECT_NEAR(n.load(), 0.1, 1e-9);
@@ -90,8 +80,7 @@ TEST(Network, WindowsAreIndependent)
 
 TEST(Network, TotalsAccumulate)
 {
-    stats::StatGroup root("root");
-    Network n(&root, 16, 2, 0.95);
+    Network n(16, 2, 0.95);
     n.addTraffic(10, 40);
     n.addTraffic(5, 20);
     EXPECT_EQ(n.totalPackets(), 15u);
@@ -100,8 +89,7 @@ TEST(Network, TotalsAccumulate)
 
 TEST(Network, ZeroLengthWindowKeepsLoad)
 {
-    stats::StatGroup root("root");
-    Network n(&root, 16, 2, 0.95);
+    Network n(16, 2, 0.95);
     n.addTraffic(1600, 0);
     n.endWindow(1000);
     double before = n.load();
@@ -117,8 +105,7 @@ TEST(Network, ZeroLengthWindowKeepsLoad)
 TEST(Network, ContentionDelayMatchesFormulaAtEveryLoad)
 {
     for (Topology topo : {Topology::MIN, Topology::Torus3D}) {
-        stats::StatGroup root("root");
-        Network n(&root, 64, 2, 0.95, topo);
+        Network n(64, 2, 0.95, topo);
         Cycles now = 0;
         // Flits per 1000-cycle window: idle, light, heavy, clamped.
         for (Counter flits : {0ull, 640ull, 6400ull, 40000ull, 57000ull,
@@ -139,8 +126,7 @@ TEST(Network, ContentionDelayMatchesFormulaAtEveryLoad)
 
 TEST(Network, ContentionDelayAtTheLoadClamp)
 {
-    stats::StatGroup root("root");
-    Network n(&root, 16, 2, 0.5);
+    Network n(16, 2, 0.5);
     n.addTraffic(1000000, 0);
     n.endWindow(10);
     EXPECT_DOUBLE_EQ(n.load(), 0.5);

@@ -3,8 +3,8 @@
  * Observability layer contract tests: the metrics spec grammar and ring
  * buffer, JSON schema round-trips for both artifact kinds, the
  * fastpath-vs-interpreter event-identity guarantee, the zero-overhead
- * guard (attaching observers must not perturb the simulation), the
- * histogram percentile estimator, and the provenance primitives.
+ * guard (attaching observers must not perturb the simulation), and the
+ * provenance primitives.
  */
 
 #include <sstream>
@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "common/log.hh"
-#include "common/stats.hh"
 #include "compiler/analysis.hh"
 #include "obs/metrics.hh"
 #include "obs/profile.hh"
@@ -237,52 +236,6 @@ TEST(PhaseProfile, RendersAndComparesAsDesigned)
     // deliberately invisible to equality (see the header comment).
     obs::PhaseProfile q;
     EXPECT_TRUE(p == q);
-}
-
-TEST(HistogramPercentile, EstimatesFromBins)
-{
-    stats::StatGroup root("root");
-    stats::Histogram h(&root, "lat", "", /*max=*/100.0, /*buckets=*/10);
-    EXPECT_EQ(h.percentile(0.5), 0.0); // empty
-    // 100 samples spread uniformly: one per unit in [0, 100).
-    for (int i = 0; i < 100; ++i)
-        h.sample(double(i));
-    // Bin mass reports at the bin's upper edge (conservative).
-    EXPECT_DOUBLE_EQ(h.percentile(0.05), 10.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.50), 50.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.95), 100.0);
-    EXPECT_DOUBLE_EQ(h.percentile(1.00), 100.0);
-
-    const std::string r = h.render();
-    EXPECT_NE(r.find("p50="), std::string::npos);
-    EXPECT_NE(r.find("p95="), std::string::npos);
-    EXPECT_NE(r.find("p99="), std::string::npos);
-
-    // Overflow mass reports as max.
-    stats::Histogram ovf(&root, "ovf", "", 10.0, 2);
-    ovf.sample(50.0);
-    EXPECT_DOUBLE_EQ(ovf.percentile(0.99), 10.0);
-}
-
-TEST(StatGroupDump, ListsStatsInNameOrder)
-{
-    stats::StatGroup root("root");
-    stats::Scalar zeta(&root, "zeta", "");
-    stats::Scalar alpha(&root, "alpha", "");
-    stats::StatGroup bchild("bravo", &root);
-    stats::StatGroup achild("apple", &root);
-    stats::Scalar ainner(&achild, "inner", "");
-    stats::Scalar binner(&bchild, "inner", "");
-    std::ostringstream os;
-    root.dump(os, "");
-    const std::string d = os.str();
-    // Stats sort by name regardless of registration order, and child
-    // groups sort among themselves - the listing is independent of
-    // construction order (the --jobs determinism requirement).
-    ASSERT_NE(d.find("root.zeta"), std::string::npos);
-    ASSERT_NE(d.find("root.bravo.inner"), std::string::npos);
-    EXPECT_LT(d.find("root.alpha"), d.find("root.zeta"));
-    EXPECT_LT(d.find("root.apple.inner"), d.find("root.bravo.inner"));
 }
 
 TEST(Provenance, JsonCarriesEveryField)

@@ -17,9 +17,9 @@ namespace {
 struct Rig
 {
     explicit Rig(MachineConfig c = {})
-        : cfg(std::move(c)), root("m"), memory(1 << 20),
-          network(&root, cfg.procs, cfg.networkRadix, cfg.maxNetworkLoad),
-          scheme(makeScheme(cfg, memory, network, &root))
+        : cfg(std::move(c)), memory(1 << 20),
+          network(cfg.procs, cfg.networkRadix, cfg.maxNetworkLoad),
+          scheme(makeScheme(cfg, memory, network))
     {
     }
 
@@ -52,7 +52,6 @@ struct Rig
     Cycles boundary() { return scheme->epochBoundary(++epoch); }
 
     MachineConfig cfg;
-    stats::StatGroup root;
     MainMemory memory;
     net::Network network;
     std::unique_ptr<CoherenceScheme> scheme;
@@ -195,7 +194,7 @@ TEST(Directory2, WriteMissToSharedLineInvalidatesAll)
     rig.read(2, 0x100);
     rig.read(3, 0x100);
     rig.write(0, 0x100); // write miss, 3 sharers to invalidate
-    EXPECT_EQ(rig.scheme->stats().invalidationsSent.value(), 3u);
+    EXPECT_EQ(rig.scheme->stats().invalidationsSent, 3u);
     auto *d = dynamic_cast<DirectoryScheme *>(rig.scheme.get());
     EXPECT_EQ(d->dirEntry(0x100).state, DirEntry::State::Modified);
     EXPECT_EQ(d->dirEntry(0x100).owner, 0u);
@@ -232,10 +231,10 @@ TEST(Base2, MigrationDrainClearsCoalescingState)
     Rig rig(c);
     rig.write(0, 0x100);
     rig.write(0, 0x100);
-    EXPECT_EQ(rig.scheme->stats().writePackets.value(), 1u);
+    EXPECT_EQ(rig.scheme->stats().writePackets, 1u);
     rig.scheme->migrationDrain(0);
     rig.write(0, 0x100);
-    EXPECT_EQ(rig.scheme->stats().writePackets.value(), 2u)
+    EXPECT_EQ(rig.scheme->stats().writePackets, 2u)
         << "after the drain the write must go out again";
 }
 

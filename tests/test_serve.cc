@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -304,16 +305,28 @@ TEST(CounterSchema, EveryFieldRoundTripsFingerprintsAndEmitsOnce)
     }
 }
 
-TEST(CounterSchema, SchemeCountersRegisterUnderTheirKeys)
+TEST(CounterSchema, EveryCounterKeyIsListedOnce)
 {
-    stats::StatGroup root("root");
-    mem::SchemeStats st(&root);
-#define HSCD_TEST_STAT(type, member, key, text)                              \
-    ASSERT_EQ(st.group.find(key), &st.member) << key;                        \
-    EXPECT_EQ(st.member.desc(), text);
-    HSCD_RESULT_FIELDS(HSCD_COUNTER_SKIP, HSCD_TEST_STAT)
-    HSCD_SCHEME_ONLY_STATS(HSCD_TEST_STAT)
-#undef HSCD_TEST_STAT
+    // custom_machine lists the RunResult scalars, then the scheme-only
+    // stats; no key may appear twice in that listing.
+    std::vector<std::string> keys;
+    sim::RunResult r;
+    sim::forEachScalar(r, [&](const char *key, auto) { keys.push_back(key); });
+#define HSCD_TEST_KEY(type, member, key, desc) keys.push_back(key);
+    HSCD_SCHEME_ONLY_STATS(HSCD_TEST_KEY)
+#undef HSCD_TEST_KEY
+    std::set<std::string> seen;
+    for (const std::string &k : keys)
+        EXPECT_TRUE(seen.insert(k).second) << k << " listed twice";
+
+    // SchemeStats holds each counter as the schema's type, from zero.
+    const mem::SchemeStats st;
+#define HSCD_TEST_MEMBER(type, member, ...)                                  \
+    static_assert(std::is_same_v<decltype(mem::SchemeStats::member), type>); \
+    EXPECT_EQ(st.member, 0) << #member;
+    HSCD_RESULT_FIELDS(HSCD_COUNTER_SKIP, HSCD_TEST_MEMBER)
+    HSCD_SCHEME_ONLY_STATS(HSCD_TEST_MEMBER)
+#undef HSCD_TEST_MEMBER
 }
 
 namespace {

@@ -31,14 +31,14 @@ namespace {
 struct Rig
 {
     explicit Rig(unsigned bits, bool promote)
-        : root("m"), memory(1 << 20)
+        : memory(1 << 20)
     {
         cfg.scheme = SchemeKind::TPI;
         cfg.timetagBits = bits;
         cfg.tpiPromoteOnHit = promote;
         network = std::make_unique<net::Network>(
-            &root, cfg.procs, cfg.networkRadix, cfg.maxNetworkLoad);
-        scheme = makeScheme(cfg, memory, *network, &root);
+            cfg.procs, cfg.networkRadix, cfg.maxNetworkLoad);
+        scheme = makeScheme(cfg, memory, *network);
     }
 
     AccessResult
@@ -74,7 +74,6 @@ struct Rig
     }
 
     MachineConfig cfg;
-    stats::StatGroup root;
     MainMemory memory;
     std::unique_ptr<net::Network> network;
     std::unique_ptr<CoherenceScheme> scheme;
@@ -133,7 +132,7 @@ TEST_P(TpiWraparound, ResetKillsCopyBeforeTagAliasing)
     EXPECT_FALSE(r.hit) << "bits=" << bits();
     EXPECT_EQ(r.cls, MissClass::TagReset) << "bits=" << bits();
     EXPECT_EQ(r.observed, 2u) << "the refill must fetch the new value";
-    EXPECT_GE(rig.scheme->stats().tagResets.value(), 1u);
+    EXPECT_GE(rig.scheme->stats().tagResets, 1u);
 }
 
 TEST_P(TpiWraparound, CopySurvivesUntilTheFatalSweep)

@@ -91,14 +91,13 @@ TEST(Trace, ReplayReproducesMissCounts)
          {SchemeKind::SC, SchemeKind::TPI, SchemeKind::HW})
     {
         Captured c = capture(k);
-        ReplayResult r = replayTrace(c.records, c.cfg, c.dataBytes);
-        EXPECT_EQ(r.reads, c.run.reads) << schemeName(k);
-        EXPECT_EQ(r.writes, c.run.writes) << schemeName(k);
-        EXPECT_EQ(r.readMisses, c.run.readMisses) << schemeName(k);
-        EXPECT_EQ(r.missConservative, c.run.missConservative)
-            << schemeName(k);
-        EXPECT_EQ(r.missFalseShare, c.run.missFalseShare)
-            << schemeName(k);
+        RunResult r = replayTrace(c.records, c.cfg, c.dataBytes);
+#define HSCD_EXPECT_SCHEME_FIELD(type, member, ...)                          \
+        EXPECT_EQ(r.member, c.run.member) << schemeName(k) << " " #member;
+        HSCD_RESULT_FIELDS(HSCD_COUNTER_SKIP, HSCD_EXPECT_SCHEME_FIELD)
+#undef HSCD_EXPECT_SCHEME_FIELD
+        EXPECT_EQ(r.readMissRate, c.run.readMissRate) << schemeName(k);
+        EXPECT_EQ(r.epochs, c.run.epochs) << schemeName(k);
     }
 }
 
@@ -109,19 +108,19 @@ TEST(Trace, CrossSchemeReplay)
     Captured c = capture(SchemeKind::TPI);
     MachineConfig hw = c.cfg;
     hw.scheme = SchemeKind::HW;
-    ReplayResult rh = replayTrace(c.records, hw, c.dataBytes);
+    RunResult rh = replayTrace(c.records, hw, c.dataBytes);
     EXPECT_EQ(rh.reads, c.run.reads);
     EXPECT_GT(rh.readMisses, 0u);
 
     MachineConfig sc = c.cfg;
     sc.scheme = SchemeKind::SC;
-    ReplayResult rs = replayTrace(c.records, sc, c.dataBytes);
+    RunResult rs = replayTrace(c.records, sc, c.dataBytes);
     EXPECT_GE(rs.readMisses, c.run.readMisses)
         << "SC cannot beat TPI on the same marked trace";
 
     MachineConfig vc = c.cfg;
     vc.scheme = SchemeKind::VC;
-    ReplayResult rv = replayTrace(c.records, vc, c.dataBytes);
+    RunResult rv = replayTrace(c.records, vc, c.dataBytes);
     EXPECT_EQ(rv.reads, c.run.reads)
         << "traces carry the array ids the VC scheme needs";
 }
@@ -174,8 +173,8 @@ TEST(Trace, RoundTripPropertyOverGenPrograms)
 
         // Replaying the parsed trace equals replaying the capture, and
         // both reproduce the execution-driven run's miss counts.
-        ReplayResult ro = replayTrace(captured, cfg, parsed.dataBytes);
-        ReplayResult rp = replayTrace(parsed.records, cfg, parsed.dataBytes);
+        RunResult ro = replayTrace(captured, cfg, parsed.dataBytes);
+        RunResult rp = replayTrace(parsed.records, cfg, parsed.dataBytes);
         EXPECT_EQ(ro.reads, rp.reads) << "gen:" << seed;
         EXPECT_EQ(ro.writes, rp.writes) << "gen:" << seed;
         EXPECT_EQ(ro.readMisses, rp.readMisses) << "gen:" << seed;
@@ -280,11 +279,48 @@ TEST(Trace, MalformedInputsRejected)
             "H hscd-trace 1 4 1024\nA 0 18 0 R n 0 0 0\n");
         EXPECT_THROW(readTrace(in), FatalError);
     }
+    // Fields replay would size tables by: an array id past the word
+    // count (VC's version table), a data size past kMaxAddr, a processor
+    // count past kMaxProcs.
+    {
+        std::istringstream in(
+            "H hscd-trace 1 4 1024\nA 0 0 4294967295 R n 0 0 0\n");
+        EXPECT_THROW(readTrace(in), FatalError);
+    }
+    {
+        std::istringstream in(
+            "H hscd-trace 1 4 1024\nA 0 0 256 R n 0 0 0\n");
+        EXPECT_THROW(readTrace(in), FatalError);
+    }
+    {
+        std::istringstream in("H hscd-trace 1 4 1125899906842624\n");
+        EXPECT_THROW(readTrace(in), FatalError);
+    }
+    {
+        std::istringstream in("H hscd-trace 1 1025 1024\n");
+        EXPECT_THROW(readTrace(in), FatalError);
+    }
+    // Boundaries count up by one from epoch 1: a skip would jump past
+    // TPI's two-phase reset.
+    {
+        std::istringstream in("H hscd-trace 1 4 1024\nB 2\n");
+        EXPECT_THROW(readTrace(in), FatalError);
+    }
+    {
+        std::istringstream in("H hscd-trace 1 4 1024\nB 1\nB 1\n");
+        EXPECT_THROW(readTrace(in), FatalError);
+    }
     // The same fields at their limits parse.
     {
         std::istringstream in(
-            "H hscd-trace 1 4 1024\nA 3 1020 0 W n 0 1 0\n");
-        EXPECT_EQ(readTrace(in).records.size(), 1u);
+            "H hscd-trace 1 4 1024\nA 3 1020 255 W n 0 1 0\nB 1\nB 2\n");
+        EXPECT_EQ(readTrace(in).records.size(), 3u);
+    }
+    {
+        std::istringstream in("H hscd-trace 1 1024 67108864\n");
+        ParsedTrace p = readTrace(in);
+        EXPECT_EQ(p.procs, kMaxProcs);
+        EXPECT_EQ(p.dataBytes, kMaxAddr);
     }
 }
 
@@ -295,7 +331,7 @@ TEST(Trace, EmptyBodyIsFine)
     EXPECT_TRUE(p.records.empty());
     MachineConfig cfg;
     cfg.procs = 4;
-    ReplayResult r = replayTrace(p.records, cfg, p.dataBytes);
+    RunResult r = replayTrace(p.records, cfg, p.dataBytes);
     EXPECT_EQ(r.reads, 0u);
     EXPECT_EQ(r.cycles, 0u);
 }

@@ -280,6 +280,29 @@ TEST(TraceReplay, IdenticalAcrossJobsAndRepeats)
     }
 }
 
+TEST(TraceReplay, FaultPlanCountersReported)
+{
+    // A trace cell reports the faults its plan injected, like any cell.
+    TraceWorkload t = loadTraceSpec("trace:" + samplePath());
+    MachineConfig cfg;
+    cfg.scheme = SchemeKind::HW;
+    cfg.procs = 4;
+    cfg.fault = fault::FaultPlan::parse("0.2:7");
+    sim::RunResult r = runTrace(t, cfg);
+    EXPECT_GT(r.faultsInjected, 0u);
+}
+
+TEST(TraceReplay, WidenedConfigIsValidated)
+{
+    // 100 processors fit the trace format but not HW's 64 presence bits.
+    TraceWorkload t = parseTraceText("procs 100\n99 16 r\n", "wide.trace");
+    MachineConfig cfg;
+    cfg.scheme = SchemeKind::HW;
+    EXPECT_THROW(runTrace(t, cfg), FatalError);
+    cfg.scheme = SchemeKind::TPI;
+    EXPECT_EQ(runTrace(t, cfg).reads, 1u);
+}
+
 TEST(TraceReplay, NarrowConfigWidenedToTraceProcs)
 {
     TraceWorkload t = loadTraceSpec("trace:" + samplePath());

@@ -17,11 +17,11 @@ namespace {
 struct Rig
 {
     Rig()
-        : root("m"), memory(1 << 20),
-          network(&root, cfg.procs, cfg.networkRadix, cfg.maxNetworkLoad)
+        : memory(1 << 20),
+          network(cfg.procs, cfg.networkRadix, cfg.maxNetworkLoad)
     {
         cfg.scheme = SchemeKind::VC;
-        scheme = makeScheme(cfg, memory, network, &root);
+        scheme = makeScheme(cfg, memory, network);
     }
 
     AccessResult
@@ -56,7 +56,6 @@ struct Rig
     VcScheme &vc() { return *dynamic_cast<VcScheme *>(scheme.get()); }
 
     MachineConfig cfg;
-    stats::StatGroup root;
     MainMemory memory;
     net::Network network;
     std::unique_ptr<CoherenceScheme> scheme;
