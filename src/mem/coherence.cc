@@ -34,6 +34,32 @@ missClassName(MissClass c)
     return "?";
 }
 
+const char *
+tagCauseName(TagCause c)
+{
+    switch (c) {
+      case TagCause::DemandFill:
+        return "demand fill";
+      case TagCause::SideFill:
+        return "side fill";
+      case TagCause::Write:
+        return "write";
+      case TagCause::CriticalWrite:
+        return "critical write";
+      case TagCause::Promote:
+        return "time-read promote";
+      case TagCause::PhaseReset:
+        return "two-phase reset";
+      case TagCause::Evicted:
+        return "eviction";
+      case TagCause::Flushed:
+        return "cache flush";
+      case TagCause::FaultFlip:
+        return "fault flip";
+    }
+    return "?";
+}
+
 CoherenceScheme::CoherenceScheme(const MachineConfig &cfg,
                                  MainMemory &memory, net::Network &network)
     : _cfg(cfg), _mem(memory), _net(network), _writeDone(cfg.procs, 0)

@@ -69,6 +69,66 @@ struct AccessResult
     MissClass cls = MissClass::None;
 };
 
+/** Why a TPI word's timetag state changed (see TagEvent). */
+enum class TagCause : std::uint8_t
+{
+    DemandFill,    ///< line fill, the demanded word: tt := EC
+    SideFill,      ///< line fill, a line-mate: tt := EC - 1 (epoch 0: invalid)
+    Write,         ///< tt := EC
+    CriticalWrite, ///< lock-ordered write: tt := EC - 1 (epoch 0: invalid)
+    Promote,       ///< Time-Read hit: tt := EC
+    PhaseReset,    ///< two-phase reset invalidated the word
+    Evicted,       ///< the word's line was replaced
+    Flushed,       ///< the word's line was flash-invalidated
+    FaultFlip,     ///< fault site mem.tag flipped a timetag or valid bit
+};
+
+const char *tagCauseName(TagCause c);
+
+/** One change to a cached word's timetag state, as the scheme made it. */
+struct TagEvent
+{
+    ProcId proc = 0;
+    Addr word = 0;          ///< word-aligned address
+    EpochId epoch = 0;      ///< the epoch counter when the change happened
+    EpochId tt = 0;         ///< the word's timetag after the change
+    bool valid = false;     ///< effective: false once the line is gone
+    TagCause cause = TagCause::DemandFill;
+};
+
+/**
+ * Receives events during an instrumented run (Machine::setTraceSink) or
+ * a trace replay (sim::replayTrace). Declared here so the scheme can
+ * report its own timetag decisions to the same sink.
+ */
+class TraceSink
+{
+  public:
+    virtual ~TraceSink() = default;
+    virtual void onAccess(const MemOp &op) = 0;
+    virtual void onBoundary(EpochId epoch) = 0;
+    /**
+     * Scheme verdict for the op just issued via onAccess: hit/miss,
+     * class, stall, and the epoch it executed in. Default no-op so
+     * record-only sinks (sim::TraceBuffer) are unaffected.
+     */
+    virtual void
+    onOutcome(const MemOp &op, const AccessResult &res, EpochId epoch)
+    {
+        (void)op; (void)res; (void)epoch;
+    }
+    /**
+     * A scheme with timetags (TPI) changed one cached word's tag state.
+     * Ordering: the events of an access arrive between its onAccess and
+     * its onOutcome. A FaultFlip comes before the Time-Read compare;
+     * fill (the victim's Evicted events first) and Promote events come
+     * after it. PhaseReset and the Flushed events of an epoch-counter
+     * resync come after the boundary's onBoundary. Other schemes emit
+     * nothing. Default no-op.
+     */
+    virtual void onTag(const TagEvent &ev) { (void)ev; }
+};
+
 /**
  * Common statistics every scheme keeps: the scheme-owned RunResult
  * counters plus the scheme-only stats, both from the counter schema.
@@ -163,6 +223,12 @@ class CoherenceScheme
     void setFaultInjector(fault::FaultInjector *inj) { _fault = inj; }
 
     /**
+     * Attach the run's trace sink so the scheme can report TagEvents;
+     * nullptr (the default) leaves one branch at each emission site.
+     */
+    void setTraceSink(TraceSink *sink) { _sink = sink; }
+
+    /**
      * One-page description of protocol state for post-mortem snapshots
      * (directory owners/sharers, epoch counters, ...). Base version
      * reports only the write pipeline.
@@ -230,6 +296,7 @@ class CoherenceScheme
     net::Network &_net;
     SchemeStats _stats;
     fault::FaultInjector *_fault = nullptr;
+    TraceSink *_sink = nullptr;
     EpochId _epoch = 0;
     std::vector<Cycles> _writeDone;
 };

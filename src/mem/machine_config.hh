@@ -111,15 +111,15 @@ struct MachineConfig
      */
     bool shadowEpochCheck = false;
     /**
-     * Epoch-stream fast path: compile the program's per-processor
-     * reference sequences into flat streams once (cached on the
-     * CompiledProgram) and drive a devirtualized per-scheme access loop
-     * from them, instead of re-walking HIR statements per reference.
-     * Produces byte-identical RunResults; the interpreted path is kept
-     * compiled (fastPath = false) as the equivalence-test oracle, and is
-     * also used automatically whenever a program/config combination is
-     * ineligible for streaming (dynamic self-scheduling, alternating
-     * branches inside DOALL bodies).
+     * Epoch-stream fast path: record the program's serial code and each
+     * DOALL iteration into flat streams once (cached on the
+     * CompiledProgram, independent of procs and schedule), place the
+     * iterations on processors at run time, and drive a devirtualized
+     * per-scheme access loop from them instead of re-walking HIR
+     * statements per reference. Produces byte-identical RunResults; the
+     * interpreted path is kept compiled (fastPath = false) as the
+     * equivalence-test oracle, and also runs dynamic self-scheduling and
+     * recordings past the size cap.
      */
     bool fastPath = true;
     /**

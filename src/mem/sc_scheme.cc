@@ -49,6 +49,7 @@ ScScheme::access(const MemOp &op)
     if (op.write) {
         ++_stats.writes;
         Cache::Line *line = cache.lookup(op.addr, op.now);
+        res.hit = line != nullptr;
         if (!line) {
             // Write-allocate: bring the line in (off the critical path).
             ++_stats.writeMisses;

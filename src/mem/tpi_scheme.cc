@@ -33,8 +33,12 @@ TpiScheme::fill(ProcId proc, Addr addr, Cycles now)
     Cache::Line *frame = cache.lookup(addr, now);
     if (!frame) {
         frame = &cache.victim(addr, now);
-        if (frame->valid)
+        if (frame->valid) {
             _history.record(proc, frame->base, LineEvent::Evicted);
+            if (_sink)
+                for (unsigned w = 0; w < cache.wordsPerLine(); ++w)
+                    tagEvent(proc, *frame, w, TagCause::Evicted, true);
+        }
     }
     Cache::Line &line = *frame;
     line.valid = true;
@@ -57,6 +61,10 @@ TpiScheme::fill(ProcId proc, Addr addr, Cycles now)
             line.words[w].tt = 0;
         }
     }
+    if (_sink)
+        for (unsigned w = 0; w < cache.wordsPerLine(); ++w)
+            tagEvent(proc, line, w,
+                     w == widx ? TagCause::DemandFill : TagCause::SideFill);
     _history.record(proc, base, LineEvent::Cached);
     ++_stats.readPackets;
     _stats.readWords += cache.wordsPerLine();
@@ -65,7 +73,16 @@ TpiScheme::fill(ProcId proc, Addr addr, Cycles now)
 }
 
 void
-TpiScheme::maybeCorruptTag(Cache::Line *line)
+TpiScheme::tagEvent(ProcId proc, const Cache::Line &line, unsigned w,
+                    TagCause cause, bool gone)
+{
+    const TpiWord &word = line.words[w];
+    _sink->onTag({proc, line.base + Addr(w) * 4, _epoch, word.tt,
+                  !gone && word.valid, cause});
+}
+
+void
+TpiScheme::maybeCorruptTag(ProcId proc, Cache::Line *line)
 {
     if (!_fault || !line || !_fault->fire(fault::Site::MemTagFlip))
         return;
@@ -75,12 +92,15 @@ TpiScheme::maybeCorruptTag(Cache::Line *line)
     // spuriously-set valid bit can vouch for a stale word, which the
     // value-stamp oracle / shadow-epoch detector must then flag.
     const std::uint64_t bits = _fault->draw(fault::Site::MemTagFlip);
-    TpiWord &w = line->words[bits % _cfg.wordsPerLine()];
+    const unsigned widx = bits % _cfg.wordsPerLine();
+    TpiWord &w = line->words[widx];
     const unsigned bit = (bits >> 32) % (_cfg.timetagBits + 1);
     if (bit == _cfg.timetagBits)
         w.valid = !w.valid;
     else
         w.tt ^= EpochId{1} << bit;
+    if (_sink)
+        tagEvent(proc, *line, widx, TagCause::FaultFlip);
 }
 
 AccessResult
@@ -109,6 +129,7 @@ TpiScheme::access(const MemOp &op)
     if (op.write) {
         ++_stats.writes;
         Cache::Line *line = cache.lookup(op.addr, op.now);
+        res.hit = line != nullptr;
         if (!line) {
             ++_stats.writeMisses;
             line = &fill(op.proc, op.addr, op.now);
@@ -128,6 +149,9 @@ TpiScheme::access(const MemOp &op)
             line->words[widx].tt = 0;
             line->words[widx].valid = false;
         }
+        if (_sink)
+            tagEvent(op.proc, *line, widx,
+                     op.critical ? TagCause::CriticalWrite : TagCause::Write);
         _mem.write(op.addr, op.stamp);
         Cycles extra = 0;
         if (!_wbuf[op.proc].noteWrite(op.addr)) {
@@ -146,7 +170,7 @@ TpiScheme::access(const MemOp &op)
 
     ++_stats.reads;
     Cache::Line *line = cache.lookup(op.addr, op.now);
-    maybeCorruptTag(line);
+    maybeCorruptTag(op.proc, line);
 
     switch (op.mark) {
       case MarkKind::Normal: {
@@ -174,8 +198,11 @@ TpiScheme::access(const MemOp &op)
             line->words[widx].tt >= floor)
         {
             // Proven fresh: promote so later Time-Reads keep hitting.
-            if (_cfg.tpiPromoteOnHit)
+            if (_cfg.tpiPromoteOnHit) {
                 line->words[widx].tt = _epoch;
+                if (_sink)
+                    tagEvent(op.proc, *line, widx, TagCause::Promote);
+            }
             ++_stats.readHits;
             ++_stats.timeReadHits;
             res.hit = true;
@@ -259,6 +286,12 @@ TpiScheme::epochBoundary(EpochId new_epoch)
         for (unsigned p = 0; p < _cfg.procs; ++p) {
             const unsigned wpl = _caches[p].wordsPerLine();
             _caches[p].forEachLine([&](Cache::Line &line) {
+                if (_sink)
+                    for (unsigned wi = 0; wi < wpl; ++wi)
+                        if (line.words[wi].valid &&
+                            line.words[wi].tt < cutoff)
+                            tagEvent(p, line, wi, TagCause::PhaseReset,
+                                     true);
                 bool any_valid = false;
                 for (unsigned wi = 0; wi < wpl; ++wi) {
                     TpiWord &w = line.words[wi];
@@ -288,8 +321,12 @@ TpiScheme::migrationDrain(ProcId p)
 void
 TpiScheme::flushCache(ProcId p)
 {
+    const unsigned wpl = _caches[p].wordsPerLine();
     _caches[p].forEachLine([&](Cache::Line &line) {
         _history.record(p, line.base, LineEvent::InvalidatedTag);
+        if (_sink)
+            for (unsigned w = 0; w < wpl; ++w)
+                tagEvent(p, line, w, TagCause::Flushed, true);
         line.valid = false;
     });
 }

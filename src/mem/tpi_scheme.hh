@@ -20,6 +20,10 @@
  * Timetags are stored unbounded internally, but the two-phase reset is
  * applied exactly as the n-bit hardware would, so narrow tags genuinely
  * lose cached data (the Section 4 sensitivity experiment).
+ *
+ * With a trace sink attached, every change to a word's tag state is
+ * reported as a TagEvent (see TraceSink::onTag for the ordering), so
+ * tools explain misses from these decisions instead of re-deriving them.
  */
 
 #ifndef HSCD_MEM_TPI_SCHEME_HH
@@ -64,7 +68,13 @@ class TpiScheme final : public CoherenceScheme
     Cache::Line &fill(ProcId proc, Addr addr, Cycles now);
     AccessResult miss(const MemOp &op, MissClass cls, unsigned widx);
     /** Fault site mem.tag: maybe flip a timetag/valid bit of @p line. */
-    void maybeCorruptTag(Cache::Line *line);
+    void maybeCorruptTag(ProcId proc, Cache::Line *line);
+    /**
+     * Report word @p w of @p proc's @p line to the sink (the caller
+     * tests _sink); @p gone reports the word invalid with its line.
+     */
+    void tagEvent(ProcId proc, const Cache::Line &line, unsigned w,
+                  TagCause cause, bool gone = false);
 
     std::vector<Cache> _caches;
     std::vector<WriteBuffer> _wbuf;

@@ -94,6 +94,7 @@ VcScheme::access(const MemOp &op)
         ++_stats.writes;
         _writtenArrays.insert(op.arrayId);
         Cache::Line *line = cache.lookup(op.addr, op.now);
+        res.hit = line != nullptr;
         if (!line) {
             ++_stats.writeMisses;
             line = &fill(op.proc, op);

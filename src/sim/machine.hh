@@ -26,7 +26,7 @@ class Timeline;
 
 namespace sim {
 
-class TraceSink;
+using mem::TraceSink;
 
 class Machine
 {
@@ -38,14 +38,22 @@ class Machine
     Machine(const Machine &) = delete;
     Machine &operator=(const Machine &) = delete;
 
-    /** Record every scheme-visible event into @p sink during run(). */
-    void setTraceSink(TraceSink *sink) { _trace = sink; }
+    /**
+     * Record every scheme-visible event into @p sink during run(); the
+     * scheme reports its TagEvents to the same sink.
+     */
+    void
+    setTraceSink(TraceSink *sink)
+    {
+        _trace = sink;
+        _scheme->setTraceSink(sink);
+    }
 
     /**
      * Observability attachment points. All three default to null and
      * every hook is branch-guarded on the pointer, so an unobserved run
      * pays only a handful of null checks - the zero-overhead guard in
-     * the obs test suite and the perf_smoke 2% gate enforce this.
+     * the obs test suite enforces this.
      */
     /** Record epoch spans / protocol flows / instants during run(). */
     void setTimeline(obs::Timeline *tl) { _timeline = tl; }

@@ -176,6 +176,7 @@ replayTrace(const std::vector<TraceRecord> &records,
     net::Network network(cfg.procs, cfg.networkRadix, cfg.maxNetworkLoad,
                          cfg.topology);
     auto scheme = mem::makeScheme(cfg, memory, network);
+    scheme->setTraceSink(sink);
 
     std::unique_ptr<fault::FaultInjector> injector;
     if (cfg.fault.enabled() || (script && !script->empty())) {

@@ -43,27 +43,8 @@ struct TraceRecord
     EpochId epoch = 0;     ///< valid for Boundary
 };
 
-/** Receives events during an instrumented run. */
-class TraceSink
-{
-  public:
-    virtual ~TraceSink() = default;
-    virtual void onAccess(const mem::MemOp &op) = 0;
-    virtual void onBoundary(EpochId epoch) = 0;
-    /**
-     * Scheme verdict for the op just issued via onAccess: hit/miss,
-     * class, stall, and the epoch it executed in. Default no-op so
-     * record-only sinks (TraceBuffer) are unaffected; the observability
-     * layer (hscd_inspect why-miss) needs the outcome stream to
-     * reconstruct per-word timetag state.
-     */
-    virtual void
-    onOutcome(const mem::MemOp &op, const mem::AccessResult &res,
-              EpochId epoch)
-    {
-        (void)op; (void)res; (void)epoch;
-    }
-};
+/** The sink interface lives with the schemes, which report to it too. */
+using mem::TraceSink;
 
 /** Collects records in memory. */
 class TraceBuffer : public TraceSink
@@ -112,10 +93,10 @@ ParsedTrace readTrace(std::istream &is);
  * caller that does not: it replays TPI with 1-bit timetags, below the
  * range a Machine accepts.
  *
- * When @p sink is non-null it receives every record as it replays plus
- * the scheme's verdict for each access via TraceSink::onOutcome — the
- * hook the model checker uses to cross-check a counterexample trace
- * against the real scheme, outcome by outcome.
+ * When @p sink is non-null it receives every record as it replays, the
+ * scheme's verdict for each access via TraceSink::onOutcome (the hook
+ * the model checker uses to cross-check a counterexample trace against
+ * the real scheme, outcome by outcome) and the scheme's own TagEvents.
  *
  * When @p script is non-null and non-empty, a FaultInjector armed with
  * exactly those scripted firings (plus cfg.fault's probabilistic plan,

@@ -208,8 +208,8 @@ TEST(ObsEquivalence, ObserversDoNotPerturbTheRun)
 {
     // Zero-overhead guard, correctness half: attaching the recorders
     // must leave every simulated quantity (and the fingerprint) exactly
-    // as an unobserved run produces it. The performance half is the
-    // perf_smoke 2% gate.
+    // as an unobserved run produces it. The performance half is
+    // measured end to end by simbench (BENCHMARK.json).
     const compiler::CompiledProgram cp = compiler::compileProgram(
         workloads::buildBenchmark("qcd2", /*scale=*/1));
     MachineConfig cfg;

@@ -43,6 +43,7 @@ struct Rig
         op.proc = p;
         op.addr = a;
         op.write = true;
+        op.arrayId = 0; // VC versions every write's array
         op.stamp = ++stamp;
         op.now = ++now;
         return scheme->access(op);
@@ -406,6 +407,22 @@ TEST(DirectoryScheme, EpochBoundaryIsFree)
 {
     Rig rig(withScheme(SchemeKind::HW));
     EXPECT_EQ(rig.boundary(), 0u);
+}
+
+// -------------------------------------------------------- write hits --
+
+// A write to a resident line is a hit under every caching scheme; BASE
+// never caches shared data, so its writes stay misses.
+TEST(WriteHit, ResidentLinePerScheme)
+{
+    for (SchemeKind k : {SchemeKind::Base, SchemeKind::SC, SchemeKind::TPI,
+                         SchemeKind::HW, SchemeKind::VC}) {
+        SCOPED_TRACE(schemeName(k));
+        Rig rig(withScheme(k));
+        EXPECT_FALSE(rig.write(0, 0x100).hit) << "write-allocate miss";
+        EXPECT_EQ(rig.write(0, 0x104).hit, k != SchemeKind::Base)
+            << "line-mate write to the line just allocated";
+    }
 }
 
 // -------------------------------------------------- write buffer modes --

@@ -6,9 +6,9 @@
  * sources: a metrics time-series JSON (`--metrics FILE`, written by the
  * bench `--metrics/--metrics-out` flags), a Perfetto timeline
  * (`--perfetto FILE`, written by `--trace-out`), a recorded text trace
- * (`--trace FILE`, outcomes re-derived with a modelled infinite-capacity
- * TPI cache), or an in-process run of a workload (`--workload NAME`,
- * exact scheme verdicts via the TraceSink outcome stream).
+ * (`--trace FILE`, replayed through the `--scheme` scheme), or an
+ * in-process run of a workload (`--workload NAME`). Both run sources
+ * collect the scheme's own verdicts and TagEvents through a TraceSink.
  *
  *   hscd_inspect --metrics metrics.json summary
  *   hscd_inspect --metrics metrics.json epoch 12
@@ -16,27 +16,24 @@
  *   hscd_inspect --workload ocean why-miss 3 0x1a40
  *   hscd_inspect --workload ocean why-miss auto
  *
- * `why-miss` is the flagship query: for a Time-Read miss it reconstructs
- * the word's timetag from the outcome stream (fills stamp the demanded
- * word with the fill epoch and its line-mates with epoch-1; a passing
- * Time-Read promotes to the current epoch; a write stamps the write
- * epoch, or epoch-1 under a lock) and reports whether the miss was
- * TRUE-SHARE (a foreign write landed after the timetag - no marking
- * distance could have kept the copy) or CONSERVATIVE (the data was still
- * fresh - the compiler's distance was simply too small, and the report
- * states the distance that would have hit).
+ * `why-miss` is the flagship query: for a Time-Read miss it reads the
+ * copy's timetag, validity and provenance from the last TagEvent TPI
+ * emitted for that (processor, word) before the compare, and explains
+ * the scheme's own miss class: TRUE-SHARE names the foreign write that
+ * made the copy stale, CONSERVATIVE the marking distance that would have
+ * hit, and an invalid tag the reset, flush, fault or epoch-0 fill that
+ * cleared it. Schemes without timetags get their class and nothing more.
  *
  * Exit codes per the verify::ExitCode contract: 0 success, 1 the query
  * matched nothing, 2 usage error, 5 unreadable input.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/log.hh"
@@ -91,15 +88,14 @@ usage(const char *argv0)
         "Sources (at least one):\n"
         "  --metrics FILE    metrics series JSON (bench --metrics)\n"
         "  --perfetto FILE   Perfetto timeline JSON (bench --trace-out)\n"
-        "  --trace FILE      recorded text trace; outcomes re-derived\n"
-        "                    with a modelled infinite-capacity TPI cache\n"
+        "  --trace FILE      replay a recorded text trace through\n"
+        "                    --scheme on the machine its header names\n"
         "  --workload NAME   run NAME in-process (%s)\n"
-        "                    and inspect the exact scheme verdicts\n"
         "\n"
-        "Workload-mode options:\n"
+        "Run options (--trace, --workload):\n"
         "  --scheme S        base|sc|tpi|hw|vc (default tpi)\n"
         "  --scale N         workload problem scale (default 1)\n"
-        "  --procs N         processor count (default: Figure 8)\n"
+        "  --procs N         workload processor count (default: Figure 8)\n"
         "\n"
         "Other:\n"
         "  --limit N         max events listed by `line` (default 64)\n"
@@ -190,7 +186,8 @@ parseNumber(const std::string &s, const char *what)
 }
 
 // ---------------------------------------------------------------------
-// Outcome stream: one record per memory reference with its verdict.
+// Outcome stream: one record per memory reference with its verdict, and
+// the scheme's TagEvents in emission order.
 
 struct Outcome
 {
@@ -199,224 +196,143 @@ struct Outcome
     Cycles stall = 0;
     mem::MissClass cls = mem::MissClass::None;
     EpochId epoch = 0;
+    std::size_t tagBegin = 0; ///< first of this access's TagEvents
+};
+
+struct Tag
+{
+    mem::TagEvent ev;
+    std::size_t rec = 0; ///< the access it belongs to or precedes
 };
 
 struct Source
 {
     std::vector<Outcome> recs;
+    std::vector<Tag> tags;
     EpochId epochs = 0;      ///< last epoch id seen
     unsigned lineBytes = 16;
-    bool exact = false;      ///< scheme verdicts vs. modelled cache
-    bool promote = true;     ///< Time-Read hits refresh the timetag
-    sim::RunResult run;      ///< workload mode only
-    bool hasRun = false;
+    SchemeKind scheme = SchemeKind::TPI;
+    sim::RunResult run;
     std::string what;        ///< banner: where the outcomes came from
 };
 
-/** Record the exact scheme verdict of every reference during a run. */
+/** Record the scheme verdict and TagEvents of every reference. */
 class OutcomeLog : public sim::TraceSink
 {
   public:
-    void onAccess(const mem::MemOp &) override {}
+    explicit OutcomeLog(Source &src) : _src(src) {}
+
+    void
+    onAccess(const mem::MemOp &) override
+    {
+        _tagBegin = _src.tags.size();
+    }
 
     void
     onBoundary(EpochId epoch) override
     {
-        if (epoch > epochs)
-            epochs = epoch;
+        if (epoch > _src.epochs)
+            _src.epochs = epoch;
     }
 
     void
     onOutcome(const mem::MemOp &op, const mem::AccessResult &res,
               EpochId epoch) override
     {
-        recs.push_back({op, res.hit, res.stall, res.cls, epoch});
+        _src.recs.push_back(
+            {op, res.hit, res.stall, res.cls, epoch, _tagBegin});
     }
 
-    std::vector<Outcome> recs;
-    EpochId epochs = 0;
+    void
+    onTag(const mem::TagEvent &ev) override
+    {
+        _src.tags.push_back({ev, _src.recs.size()});
+    }
+
+  private:
+    Source &_src;
+    std::size_t _tagBegin = 0;
 };
 
+[[noreturn]] void
+usageError(const FatalError &e)
+{
+    std::fprintf(stderr, "hscd_inspect: %s\n", e.what());
+    std::exit(verify::ExitUsage);
+}
+
+/**
+ * Run --workload in-process: a compiled benchmark on a Machine, or a
+ * trace:<file> spec through workloads::runTrace. A config the machine
+ * rejects or malformed trace input exits 2.
+ */
 Source
 runWorkload(const CliOptions &opt)
 {
-    // trace:<file> replays an external trace through the chosen scheme
-    // with the exact per-access verdict stream (same path the compiled
-    // workloads use); the strict parser makes malformed input exit 2.
-    if (workloads::isTraceSpec(opt.workload)) {
-        Source src;
-        try {
-            const workloads::TraceWorkload t =
-                workloads::loadTraceSpec(opt.workload);
-            MachineConfig cfg;
-            cfg.scheme = opt.scheme;
-            cfg.procs = opt.procs ? opt.procs : t.procs;
-            if (cfg.procs < t.procs)
-                cfg.procs = t.procs;
-            OutcomeLog log;
-            src.run = workloads::runTrace(t, cfg, &log);
-            src.hasRun = true;
-            src.exact = true;
-            src.lineBytes = cfg.lineBytes;
-            src.promote = cfg.tpiPromoteOnHit;
-            src.recs = std::move(log.recs);
-            src.epochs = log.epochs;
-            src.what = csprintf(
-                "trace %s (scheme %s, %d procs, exact)", t.source,
-                schemeName(cfg.scheme), cfg.procs);
-        } catch (const FatalError &e) {
-            std::fprintf(stderr, "hscd_inspect: %s\n", e.what());
-            std::exit(verify::ExitUsage);
-        }
-        return src;
-    }
-    compiler::AnalysisOptions aopts;
-    aopts.assumeSerialAffinity = true;
-    compiler::CompiledProgram cp;
-    try {
-        cp = compiler::compileProgram(
-            workloads::buildBenchmark(opt.workload, opt.scale), aopts);
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "hscd_inspect: %s\n", e.what());
-        std::exit(verify::ExitUsage);
-    }
+    Source src;
+    OutcomeLog log(src);
     MachineConfig cfg;
     cfg.scheme = opt.scheme;
-    if (opt.procs)
-        cfg.procs = opt.procs;
-    sim::Machine m(cp, cfg);
-    OutcomeLog log;
-    m.setTraceSink(&log);
-
-    Source src;
-    src.run = m.run();
-    src.hasRun = true;
-    src.exact = true;
+    try {
+        if (workloads::isTraceSpec(opt.workload)) {
+            const workloads::TraceWorkload t =
+                workloads::loadTraceSpec(opt.workload);
+            cfg.procs = std::max(opt.procs, t.procs);
+            src.run = workloads::runTrace(t, cfg, &log);
+            src.what = csprintf("trace %s (scheme %s, %d procs)",
+                                t.source, schemeName(cfg.scheme),
+                                cfg.procs);
+        } else {
+            compiler::AnalysisOptions aopts;
+            aopts.assumeSerialAffinity = true;
+            const compiler::CompiledProgram cp = compiler::compileProgram(
+                workloads::buildBenchmark(opt.workload, opt.scale), aopts);
+            if (opt.procs)
+                cfg.procs = opt.procs;
+            sim::Machine m(cp, cfg);
+            m.setTraceSink(&log);
+            src.run = m.run();
+            src.what = csprintf("workload %s (scheme %s, scale %d)",
+                                opt.workload, schemeName(cfg.scheme),
+                                opt.scale);
+        }
+    } catch (const FatalError &e) {
+        usageError(e);
+    }
     src.lineBytes = cfg.lineBytes;
-    src.promote = cfg.tpiPromoteOnHit;
-    src.recs = std::move(log.recs);
-    src.epochs = log.epochs;
-    src.what = csprintf("workload %s (scheme %s, scale %d, exact)",
-                        opt.workload, schemeName(cfg.scheme), opt.scale);
+    src.scheme = cfg.scheme;
     return src;
 }
 
 /**
- * Re-derive outcomes for a recorded trace with a modelled TPI cache:
- * infinite capacity (no replacement misses), word timetags with demand/
- * side fill, promote-on-hit, and the paper's write stamping. Good
- * enough for why-miss attribution when only the trace survived; the
- * --workload mode is exact and preferred.
+ * Replay a recorded trace through the --scheme scheme on the machine its
+ * header describes; malformed input or a rejected config exits 2.
  */
 Source
-loadTrace(const std::string &path)
+loadTrace(const CliOptions &opt)
 {
-    std::ifstream is(path);
+    std::ifstream is(opt.tracePath);
     if (!is) {
         std::fprintf(stderr, "hscd_inspect: cannot read '%s'\n",
-                     path.c_str());
+                     opt.tracePath.c_str());
         std::exit(verify::ExitInternal);
     }
-    sim::ParsedTrace t;
-    try {
-        t = sim::readTrace(is);
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "hscd_inspect: %s\n", e.what());
-        std::exit(verify::ExitUsage);
-    }
-
     Source src;
-    src.exact = false;
-    src.what = csprintf("trace %s (%d procs, modelled TPI cache)", path,
-                        int(t.procs));
-
-    struct WordState
-    {
-        bool valid = false;
-        EpochId tt = 0;
-    };
-    std::map<std::pair<ProcId, Addr>, WordState> cache;
-    std::set<std::pair<ProcId, Addr>> lineCached;
-    std::map<Addr, std::pair<EpochId, ProcId>> lastWrite;
-    const Addr lineMask = ~Addr(src.lineBytes - 1);
-    EpochId epoch = 0;
-    // Fetch a line: the demanded word is vouched through the current
-    // epoch, its line-mates through epoch-1 (invalid in epoch 0).
-    auto fillLine = [&](ProcId proc, Addr demanded) {
-        const Addr base = demanded & lineMask;
-        lineCached.insert({proc, base});
-        for (Addr a = base; a < base + src.lineBytes; a += 4) {
-            WordState &st = cache[{proc, a}];
-            if (a == demanded) {
-                st.valid = true;
-                st.tt = epoch;
-            } else {
-                st.valid = epoch > 0;
-                st.tt = epoch ? epoch - 1 : 0;
-            }
-        }
-    };
-    for (const sim::TraceRecord &r : t.records) {
-        if (r.type == sim::TraceRecord::Type::Boundary) {
-            epoch = r.epoch;
-            if (epoch > src.epochs)
-                src.epochs = epoch;
-            continue;
-        }
-        const mem::MemOp &op = r.op;
-        Outcome o;
-        o.op = op;
-        o.epoch = epoch;
-        const Addr word = op.addr & ~Addr(3);
-        const bool present =
-            lineCached.count({op.proc, op.addr & lineMask}) != 0;
-        if (op.write) {
-            o.hit = present;
-            if (!present)
-                fillLine(op.proc, word); // write-allocate
-            WordState &st = cache[{op.proc, word}];
-            if (!op.critical) {
-                st.valid = true;
-                st.tt = epoch;
-            } else {
-                st.valid = epoch > 0;
-                st.tt = epoch ? epoch - 1 : 0;
-            }
-            lastWrite[word] = {epoch, op.proc};
-        } else if (op.mark == compiler::MarkKind::Bypass) {
-            o.hit = false; // uncached single-word fetch, unclassified
-        } else {
-            const WordState st = cache[{op.proc, word}];
-            bool fresh = true;
-            if (st.valid && op.mark == compiler::MarkKind::TimeRead) {
-                const EpochId floor =
-                    epoch >= op.distance ? epoch - op.distance : 0;
-                fresh = st.tt >= floor;
-            }
-            if (present && st.valid && fresh) {
-                o.hit = true;
-                if (op.mark == compiler::MarkKind::TimeRead)
-                    cache[{op.proc, word}].tt = epoch; // promote
-            } else {
-                o.hit = false;
-                if (!present) {
-                    o.cls = mem::MissClass::Cold;
-                } else if (!st.valid) {
-                    o.cls = mem::MissClass::TagReset;
-                } else {
-                    auto lw = lastWrite.find(word);
-                    const bool stale = lw != lastWrite.end() &&
-                                       lw->second.second != op.proc &&
-                                       lw->second.first > st.tt &&
-                                       lw->second.first <= epoch;
-                    o.cls = stale ? mem::MissClass::TrueShare
-                                  : mem::MissClass::Conservative;
-                }
-                fillLine(op.proc, word);
-            }
-        }
-        src.recs.push_back(o);
+    OutcomeLog log(src);
+    MachineConfig cfg;
+    cfg.scheme = opt.scheme;
+    try {
+        const sim::ParsedTrace t = sim::readTrace(is);
+        cfg.procs = t.procs;
+        cfg.validate();
+        src.run = sim::replayTrace(t.records, cfg, t.dataBytes, &log);
+    } catch (const FatalError &e) {
+        usageError(e);
     }
+    src.lineBytes = cfg.lineBytes;
+    src.scheme = cfg.scheme;
+    src.what = csprintf("trace %s (scheme %s, %d procs)", opt.tracePath,
+                        schemeName(cfg.scheme), cfg.procs);
     return src;
 }
 
@@ -432,125 +348,60 @@ markName(compiler::MarkKind m)
 }
 
 // ---------------------------------------------------------------------
-// Timetag reconstruction for one (processor, word) pair.
-
-struct WordHistory
-{
-    bool valid = false;
-    EpochId tt = 0;
-    std::string source = "never cached";
-    EpochId sourceEpoch = 0;
-    /** Writes to the word by *other* processors, in stream order. */
-    std::vector<std::pair<EpochId, ProcId>> foreignWrites;
-};
+// Commands over the outcome stream.
 
 /**
- * Replay outcomes [0, end) and reconstruct what processor @p p's cached
- * copy of @p word looked like: the timetag the hardware would compare
- * against a Time-Read floor, and where that timetag came from. Follows
- * the TPI stamping rules exactly (demand fill = fill epoch, side fill =
- * epoch-1, promote-on-hit, write = epoch or epoch-1 under a lock).
- * Evictions are invisible in the stream, but every query site branches
- * on the scheme's own miss class first, so a replaced copy is never
- * misattributed.
+ * The last TagEvent for access @p idx's (processor, word) before its
+ * Time-Read compare: every event before the access, plus the FaultFlip
+ * that may open the access's own events. Null if there is none.
  */
-WordHistory
-replayWord(const Source &s, ProcId p, Addr word, std::size_t end)
+const Tag *
+copyBeforeCompare(const Source &s, std::size_t idx)
 {
-    WordHistory h;
-    const Addr lineMask = ~Addr(s.lineBytes - 1);
-    const Addr line = word & lineMask;
-    // A line-mate fill vouches for this word only up to epoch-1; in
-    // epoch 0 there is no representable EC-1, so the tag stays invalid.
-    auto sideFill = [&h](EpochId e) {
-        h.valid = e > 0;
-        h.tt = e ? e - 1 : 0;
-        h.source = e ? "side fill" : "side fill (epoch 0: invalid)";
-        h.sourceEpoch = e;
-    };
-    for (std::size_t i = 0; i < end && i < s.recs.size(); ++i) {
-        const Outcome &o = s.recs[i];
-        const Addr w = o.op.addr & ~Addr(3);
-        const bool sameLine = (o.op.addr & lineMask) == line;
-        if (o.op.write) {
-            if (o.op.proc != p) {
-                if (w == word &&
-                    (h.foreignWrites.empty() ||
-                     h.foreignWrites.back() !=
-                         std::make_pair(o.epoch, o.op.proc)))
-                    h.foreignWrites.emplace_back(o.epoch, o.op.proc);
-                continue;
-            }
-            if (!sameLine)
-                continue;
-            // A write miss allocates the whole line before stamping
-            // the written word, so a missing write to a line-mate
-            // side-fills this word too.
-            if (!o.hit && w != word)
-                sideFill(o.epoch);
-            if (w == word) {
-                if (!o.op.critical) {
-                    h.valid = true;
-                    h.tt = o.epoch;
-                    h.source = "write";
-                } else if (o.epoch) {
-                    h.valid = true;
-                    h.tt = o.epoch - 1;
-                    h.source = "critical write";
-                } else {
-                    h.valid = false;
-                    h.tt = 0;
-                    h.source = "critical write (epoch 0: invalid)";
-                }
-                h.sourceEpoch = o.epoch;
-            }
-            continue;
-        }
-        // Bypass reads go around the cache: no fill, no tag change.
-        if (o.op.proc != p || o.op.mark == compiler::MarkKind::Bypass)
-            continue;
-        if (!o.hit) {
-            // A read miss (re)fetches the whole line.
-            if (!sameLine || o.cls == mem::MissClass::Uncached)
-                continue;
-            if (w == word) {
-                h.valid = true;
-                h.tt = o.epoch;
-                h.source = "demand fill";
-                h.sourceEpoch = o.epoch;
-            } else {
-                sideFill(o.epoch);
-            }
-        } else if (w == word && s.promote &&
-                   o.op.mark == compiler::MarkKind::TimeRead) {
-            h.tt = o.epoch;
-            h.source = "time-read promote";
-            h.sourceEpoch = o.epoch;
-        }
+    const Outcome &o = s.recs[idx];
+    const Addr word = o.op.addr & ~Addr(3);
+    std::size_t end = o.tagBegin;
+    while (end < s.tags.size() && s.tags[end].rec == idx &&
+           s.tags[end].ev.cause == mem::TagCause::FaultFlip)
+        ++end;
+    for (std::size_t k = end; k-- > 0;) {
+        const mem::TagEvent &ev = s.tags[k].ev;
+        if (ev.proc == o.op.proc && ev.word == word)
+            return &s.tags[k];
     }
-    return h;
+    return nullptr;
 }
 
-// ---------------------------------------------------------------------
-// Commands over the outcome stream.
+/** The first write to access @p idx's word by another processor after
+ *  @p tag and before the access; null if there is none. */
+const Outcome *
+foreignWriteAfter(const Source &s, const Tag &tag, std::size_t idx)
+{
+    const Outcome &o = s.recs[idx];
+    const Addr word = o.op.addr & ~Addr(3);
+    for (std::size_t i = tag.rec; i < idx; ++i) {
+        const Outcome &w = s.recs[i];
+        if (w.op.write && w.op.proc != o.op.proc &&
+            (w.op.addr & ~Addr(3)) == word)
+            return &w;
+    }
+    return nullptr;
+}
 
 void
 explainOne(const Source &s, std::size_t idx, unsigned seq, unsigned total)
 {
     const Outcome &o = s.recs[idx];
-    const ProcId p = o.op.proc;
-    const Addr word = o.op.addr & ~Addr(3);
-    const EpochId floor =
-        o.epoch >= o.op.distance ? o.epoch - o.op.distance : 0;
-
-    std::printf("  miss %u/%u: epoch %llu, cycle %llu, time-read d=%u "
-                "(floor = %llu)%s\n",
+    std::printf("  miss %u/%u: epoch %llu, cycle %llu, time-read d=%u, "
+                "scheme class: %s\n",
                 seq, total, ULL(o.epoch), ULL(o.op.now), o.op.distance,
-                ULL(floor),
-                s.exact ? csprintf(", scheme class: %s",
-                                   mem::missClassName(o.cls)).c_str()
-                        : "");
+                mem::missClassName(o.cls));
 
+    if (s.scheme != SchemeKind::TPI) {
+        std::printf("    scheme %s keeps no timetags, so no tag "
+                    "explains this class.\n", schemeName(s.scheme));
+        return;
+    }
     // Misses the scheme already blames on cache shape are not marking
     // questions; say so instead of second-guessing.
     if (o.cls == mem::MissClass::Cold ||
@@ -562,71 +413,55 @@ explainOne(const Source &s, std::size_t idx, unsigned seq, unsigned total)
         return;
     }
 
-    const WordHistory h = replayWord(s, p, word, idx);
-    if (o.cls == mem::MissClass::TagReset) {
-        // The line was present but the word's tag invalid: either the
-        // two-phase reset wiped it, or an epoch-0 fill never vouched.
-        if (!h.valid && h.source != "never cached")
-            std::printf("    verdict: INVALID TAG - the word's tag was "
-                        "never set (%s); no distance could hit.\n",
-                        h.source.c_str());
-        else
-            std::printf("    verdict: TAG-RESET - the copy was "
-                        "invalidated by timetag wraparound (two-phase "
-                        "reset), not by the marking distance.\n");
+    const Tag *tag = copyBeforeCompare(s, idx);
+    if (!tag) {
+        std::printf("    no timetag event for this word before the "
+                    "miss.\n");
         return;
     }
-    if (!h.valid) {
-        std::printf("    no reconstructable copy before this miss "
-                    "(%s).\n",
-                    h.source == "never cached" ? "first touch in the "
-                                                 "stream"
-                                               : h.source.c_str());
-        return;
-    }
-    std::printf("    cached timetag = %llu (%s in epoch %llu); "
-                "%llu < floor %llu so the Time-Read cannot vouch.\n",
-                ULL(h.tt), h.source.c_str(), ULL(h.sourceEpoch),
-                ULL(h.tt), ULL(floor));
+    const mem::TagEvent &ev = tag->ev;
+    std::printf("    copy: timetag %llu, %s (%s in epoch %llu)\n",
+                ULL(ev.tt), ev.valid ? "valid" : "invalid",
+                mem::tagCauseName(ev.cause), ULL(ev.epoch));
 
-    // Foreign write after the timetag but not after the reader's epoch?
-    const std::pair<EpochId, ProcId> *staleBy = nullptr;
-    const std::pair<EpochId, ProcId> *lastForeign = nullptr;
-    for (const auto &fw : h.foreignWrites) {
-        lastForeign = &fw;
-        if (!staleBy && fw.first > h.tt && fw.first <= o.epoch)
-            staleBy = &fw;
-    }
-    if (staleBy) {
-        std::printf("    foreign write in (%llu, %llu]: epoch %llu by "
-                    "proc %u - the copy really was stale.\n",
-                    ULL(h.tt), ULL(o.epoch), ULL(staleBy->first),
-                    unsigned(staleBy->second));
-        std::printf("    verdict: TRUE-SHARE - timetag state is "
-                    "correct; no marking distance could have kept "
-                    "this copy.\n");
-    } else {
-        if (lastForeign)
-            std::printf("    foreign writes in (%llu, %llu]: none "
-                        "(last foreign write: epoch %llu by proc %u).\n",
-                        ULL(h.tt), ULL(o.epoch), ULL(lastForeign->first),
-                        unsigned(lastForeign->second));
-        else
-            std::printf("    foreign writes in (%llu, %llu]: none "
-                        "(no other processor ever wrote this word).\n",
-                        ULL(h.tt), ULL(o.epoch));
+    switch (o.cls) {
+      case mem::MissClass::TrueShare:
+        if (const Outcome *w = foreignWriteAfter(s, *tag, idx))
+            std::printf("    foreign write after it: epoch %llu by proc "
+                        "%u - the copy really was stale.\n",
+                        ULL(w->epoch), unsigned(w->op.proc));
+        std::printf("    verdict: TRUE-SHARE - no marking distance could "
+                    "have kept this copy.\n");
+        return;
+      case mem::MissClass::Conservative:
         std::printf("    verdict: CONSERVATIVE - the data was still "
                     "fresh; a marking distance d >= %llu (epoch - "
                     "timetag) would have hit.\n",
-                    ULL(o.epoch - h.tt));
-    }
-    if (s.exact) {
-        const mem::MissClass want = staleBy ? mem::MissClass::TrueShare
-                                            : mem::MissClass::Conservative;
-        std::printf("    (reconstruction %s the scheme's %s "
-                    "classification)\n",
-                    o.cls == want ? "agrees with" : "DISAGREES with",
-                    mem::missClassName(o.cls));
+                    ULL(o.epoch - ev.tt));
+        return;
+      case mem::MissClass::TagReset:
+        switch (ev.cause) {
+          case mem::TagCause::PhaseReset:
+            std::printf("    verdict: TAG-RESET - the copy was "
+                        "invalidated by timetag wraparound (two-phase "
+                        "reset), not by the marking distance.\n");
+            return;
+          case mem::TagCause::Flushed:
+            std::printf("    verdict: FLUSHED - the whole cache was "
+                        "flash-invalidated; no distance could hit.\n");
+            return;
+          case mem::TagCause::FaultFlip:
+            std::printf("    verdict: FAULT-FLIP - an injected bit flip "
+                        "was the last change to the word's tag.\n");
+            return;
+          default:
+            std::printf("    verdict: INVALID TAG - the %s never vouched "
+                        "for the word; no distance could hit.\n",
+                        mem::tagCauseName(ev.cause));
+            return;
+        }
+      default:
+        return;
     }
 }
 
@@ -935,7 +770,7 @@ main(int argc, char **argv)
     if (!opt.workload.empty())
         src = runWorkload(opt);
     else if (!opt.tracePath.empty())
-        src = loadTrace(opt.tracePath);
+        src = loadTrace(opt);
 
     if (opt.command == "summary") {
         if (!opt.metricsPath.empty())
@@ -946,8 +781,7 @@ main(int argc, char **argv)
             std::printf("%s: %d references, %llu epochs\n",
                         src.what.c_str(), int(src.recs.size()),
                         ULL(src.epochs));
-            if (src.hasRun)
-                std::printf("  %s\n", src.run.summary().c_str());
+            std::printf("  %s\n", src.run.summary().c_str());
             outcomeTotals(src, 0, false);
         }
         return verify::ExitSuccess;
