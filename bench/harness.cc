@@ -8,6 +8,7 @@
 
 #include "common/log.hh"
 #include "common/strutil.hh"
+#include "sim/recorder.hh"
 #include "verify/diagnostic.hh"
 #include "workloads/workloads.hh"
 
@@ -161,28 +162,14 @@ runBenchmark(const std::string &name, const MachineConfig &cfg, int scale,
 
 sim::RunResult
 runBenchmarkObserved(const std::string &name, const MachineConfig &cfg,
-                     int scale, bool affinity, const RunObservers &o)
+                     int scale, bool affinity, obs::Timeline *timeline,
+                     obs::MetricsRecorder *metrics)
 {
-    obs::PhaseProfile pre;
-    CompiledProgramPtr cp;
-    {
-        obs::PhaseTimer t(o.profile ? &pre.compileMs : nullptr);
-        cp = compiledBenchmark(name, scale, affinity);
-    }
-    std::unique_ptr<sim::Machine> m;
-    {
-        obs::PhaseTimer t(o.profile ? &pre.scheduleMs : nullptr);
-        m = std::make_unique<sim::Machine>(*cp, cfg);
-    }
-    m->setTimeline(o.timeline);
-    m->setMetrics(o.metrics);
-    m->enableProfiling(o.profile);
-    sim::RunResult r = m->run();
-    if (o.profile) {
-        r.profile.compileMs += pre.compileMs;
-        r.profile.scheduleMs += pre.scheduleMs;
-    }
-    return r;
+    const CompiledProgramPtr cp = compiledBenchmark(name, scale, affinity);
+    sim::Machine m(*cp, cfg);
+    sim::RecorderSink sink(m, timeline, metrics);
+    m.setTraceSink(&sink);
+    return m.run();
 }
 
 obs::Timeline::Naming

@@ -68,25 +68,16 @@ sim::RunResult runBenchmark(const std::string &name,
                             const MachineConfig &cfg, int scale = 2,
                             bool affinity = true);
 
-/** Observability attachments for one instrumented run (all optional). */
-struct RunObservers
-{
-    obs::Timeline *timeline = nullptr;       ///< Perfetto event recorder
-    obs::MetricsRecorder *metrics = nullptr; ///< time-series sampler
-    bool profile = false;                    ///< fill RunResult::profile
-};
-
 /**
- * runBenchmark() with observers attached. With profile on, the returned
- * RunResult::profile breaks the wall clock into compile (HIR build +
- * marking; ~0 when the compile cache is already warm), schedule
- * (machine construction), stream-build, and execute phases, plus peak
- * RSS. Not thread-safe with respect to the recorders: callers
- * instrument one run at a time (the sweep engine observes one cell).
+ * runBenchmark() feeding @p timeline and @p metrics (either may be null)
+ * through a sim::RecorderSink. Not thread-safe with respect to the
+ * recorders: callers instrument one run at a time (the sweep engine
+ * observes one cell).
  */
 sim::RunResult runBenchmarkObserved(const std::string &name,
                                     const MachineConfig &cfg, int scale,
-                                    bool affinity, const RunObservers &o);
+                                    bool affinity, obs::Timeline *timeline,
+                                    obs::MetricsRecorder *metrics);
 
 /** Default display-name mapping for Timeline::writePerfetto. */
 obs::Timeline::Naming timelineNaming();

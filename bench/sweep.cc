@@ -34,7 +34,7 @@ usage(const char *argv0, int code)
         << "       [--deadline-ms N] [--checkpoint PATH] [--resume]\n"
         << "       [--trace-out PATH] [--metrics SPEC] [--metrics-out "
            "PATH]\n"
-        << "       [--cell SUBSTR] [--profile]\n"
+        << "       [--cell SUBSTR]\n"
         << "  --jobs N, -j N  run sweep cells on N threads (default: all\n"
         << "                  hardware threads; 1 = serial). The output\n"
         << "                  is identical at any N, modulo the trailing\n"
@@ -67,10 +67,6 @@ usage(const char *argv0, int code)
         << "                  metrics.json)\n"
         << "  --cell SUBSTR   observe the first cell whose label\n"
         << "                  contains SUBSTR (default: the first cell)\n"
-        << "  --profile       record per-cell phase wall-clock + RSS in\n"
-        << "                  the --json output (timings are machine-\n"
-        << "                  dependent; restored --resume cells report\n"
-        << "                  zero)\n"
         << "  --help, -h      this text\n";
     std::exit(code);
 }
@@ -179,8 +175,6 @@ SweepOptions::parse(int argc, char **argv)
             opts.metricsOut = value("--metrics-out");
         } else if (arg == "--cell") {
             opts.observeCell = value("--cell");
-        } else if (arg == "--profile") {
-            opts.profile = true;
         } else {
             std::cerr << argv[0] << ": unknown argument '" << arg
                       << "'\n";
@@ -230,14 +224,8 @@ Sweep::add(std::string label, const std::string &benchmark,
         cell_cfg.fault = fault::planForCell(_opts.fault, _cells.size());
     c.cfg = cell_cfg;
     c.hasCfg = true;
-    const bool prof = _opts.profile;
-    c.runCell = [benchmark, cell_cfg, scale, affinity, prof] {
-        if (!prof)
-            return runBenchmark(benchmark, cell_cfg, scale, affinity);
-        RunObservers o;
-        o.profile = true;
-        return runBenchmarkObserved(benchmark, cell_cfg, scale, affinity,
-                                    o);
+    c.runCell = [benchmark, cell_cfg, scale, affinity] {
+        return runBenchmark(benchmark, cell_cfg, scale, affinity);
     };
     _cells.push_back(std::move(c));
     return _cells.size() - 1;
@@ -386,13 +374,9 @@ Sweep::setupObservers()
     _obsIndex = idx;
 
     const Cell &c = _cells[idx];
-    RunObservers o;
-    o.timeline = _timeline.get();
-    o.metrics = _metrics.get();
-    o.profile = _opts.profile;
-    _cells[idx].runCell = [c, o] {
+    _cells[idx].runCell = [c, tl = _timeline.get(), mx = _metrics.get()] {
         return runBenchmarkObserved(c.benchmark, c.cfg, c.scale,
-                                    c.affinity, o);
+                                    c.affinity, tl, mx);
     };
 }
 

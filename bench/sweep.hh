@@ -78,18 +78,15 @@ struct SweepOptions
     std::string metricsOut = "metrics.json";
     /** Label substring picking the observed cell (default: cell 0). */
     std::string observeCell;
-    /** Profile every cell's phases into the JSON output. */
-    bool profile = false;
 
     /**
      * Parse `--jobs/-j N`, `--json PATH`, `--fault SPEC`,
      * `--timeout-ms N`, `--deadline-ms N`, `--checkpoint PATH`,
      * `--resume`, `--trace-out PATH`, `--metrics SPEC`,
-     * `--metrics-out PATH`, `--cell SUBSTR` and `--profile` (plus
-     * --help); exits with verify::ExitUsage on anything unrecognized so
-     * typos never silently change a sweep. Also installs the
-     * SIGINT/SIGTERM handlers that map a graceful interrupt onto
-     * verify::ExitAbort.
+     * `--metrics-out PATH` and `--cell SUBSTR` (plus --help); exits
+     * with verify::ExitUsage on anything unrecognized so typos never
+     * silently change a sweep. Also installs the SIGINT/SIGTERM
+     * handlers that map a graceful interrupt onto verify::ExitAbort.
      */
     static SweepOptions parse(int argc, char **argv);
 };

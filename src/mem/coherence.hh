@@ -99,7 +99,14 @@ struct TagEvent
 /**
  * Receives events during an instrumented run (Machine::setTraceSink) or
  * a trace replay (sim::replayTrace). Declared here so the scheme can
- * report its own timetag decisions to the same sink.
+ * report its own timetag decisions to the same sink. It is the
+ * executor's only observer: the timeline and the metrics sampler are a
+ * sink too (sim::RecorderSink).
+ *
+ * Order at an epoch boundary: the onSpan events of the closing epoch,
+ * then onBoundary, then the onTag events the boundary caused
+ * (PhaseReset, and the Flushed events of an epoch-counter resync), then
+ * onEpochStart once the barrier's network window has closed.
  */
 class TraceSink
 {
@@ -127,6 +134,37 @@ class TraceSink
      * nothing. Default no-op.
      */
     virtual void onTag(const TagEvent &ev) { (void)ev; }
+    /**
+     * Processor @p p executed epoch @p epoch over [begin, end). A
+     * parallel epoch reports each processor that did work after its
+     * last onOutcome; a serial region reports the serial processor
+     * before the onBoundary that closes it, or at the end of the run.
+     * Default no-op.
+     */
+    virtual void
+    onSpan(ProcId p, EpochId epoch, Cycles begin, Cycles end)
+    {
+        (void)p; (void)epoch; (void)begin; (void)end;
+    }
+    /**
+     * Epoch @p epoch starts at cycle @p t on every processor; @p reset
+     * of the barrier's cycles were the scheme's reset stall (TPI's
+     * two-phase reset), ending at @p t. Default no-op.
+     */
+    virtual void
+    onEpochStart(EpochId epoch, Cycles t, Cycles reset)
+    {
+        (void)epoch; (void)t; (void)reset;
+    }
+    /**
+     * The run ends in a structured abort during epoch @p epoch; the
+     * serial region's onSpan, if any, came first. Default no-op.
+     */
+    virtual void
+    onAbort(const fault::AbortInfo &info, EpochId epoch)
+    {
+        (void)info; (void)epoch;
+    }
 };
 
 /**

@@ -23,6 +23,7 @@ const char *const kFieldNames[] = {
 constexpr std::size_t kNumFields =
     sizeof(kFieldNames) / sizeof(kFieldNames[0]);
 
+/** Decimal digits only; false when empty or past 2^64 - 1. */
 bool
 parseU64(const std::string &s, std::uint64_t &out)
 {
@@ -32,7 +33,10 @@ parseU64(const std::string &s, std::uint64_t &out)
     for (char c : s) {
         if (!std::isdigit(static_cast<unsigned char>(c)))
             return false;
-        v = v * 10 + std::uint64_t(c - '0');
+        const std::uint64_t d = std::uint64_t(c - '0');
+        if (v > (UINT64_MAX - d) / 10)
+            return false;
+        v = v * 10 + d;
     }
     out = v;
     return true;
@@ -87,12 +91,12 @@ MetricsSpec::parse(const std::string &s)
             std::uint64_t cap = 0;
             if (!parseU64(p.substr(4), cap) || cap == 0)
                 fatal("bad --metrics spec '%s': cap must be a positive "
-                      "integer", s);
+                      "integer below 2^64", s);
             spec.cap = static_cast<std::size_t>(cap);
         } else if (!sawEvery) {
             if (!parseU64(p, spec.every) || spec.every == 0)
                 fatal("bad --metrics spec '%s': interval must be a "
-                      "positive integer", s);
+                      "positive integer below 2^64", s);
             sawEvery = true;
         } else {
             fatal("bad --metrics spec '%s': unexpected component '%s'",

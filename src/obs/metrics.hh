@@ -4,9 +4,9 @@
  * counters per epoch (or per N simulated cycles) into a bounded ring
  * buffer, exported as a compact column-oriented JSON series.
  *
- * The executor owns the sampling sites (epoch boundaries and the
- * per-reference hot loop); this module owns the spec grammar, the ring,
- * and the schema. Samples carry *cumulative* counters - consumers
+ * sim::RecorderSink owns the sampling sites (the start of each epoch
+ * and each reference's outcome); this module owns the spec grammar, the
+ * ring, and the schema. Samples carry *cumulative* counters - consumers
  * (hscd_inspect, plots) diff adjacent rows for per-interval rates, so a
  * capped ring that dropped its oldest rows still yields exact deltas
  * inside the retained window.

@@ -4,8 +4,6 @@
 
 #include <sys/resource.h>
 
-#include "common/strutil.hh"
-
 namespace hscd {
 namespace obs {
 
@@ -26,15 +24,6 @@ currentRssPeakKb()
     // ru_maxrss is KiB on Linux, bytes on some BSDs; we only build on
     // Linux so report it as-is.
     return static_cast<std::uint64_t>(ru.ru_maxrss);
-}
-
-std::string
-PhaseProfile::json() const
-{
-    return csprintf("{\"compile_ms\": %.3f, \"schedule_ms\": %.3f, "
-                    "\"stream_ms\": %.3f, \"exec_ms\": %.3f, "
-                    "\"rss_peak_kb\": %d}",
-                    compileMs, scheduleMs, streamMs, execMs, rssPeakKb);
 }
 
 } // namespace obs

@@ -6,10 +6,11 @@
  *
  * The recorder is deliberately ignorant of the mem/compiler layers: it
  * stores plain integers (track ids, epoch ids, cycle timestamps, raw
- * enum values). The executor - the single code path shared by the
- * interpreter and the epoch-stream fast path - is the only producer, so
- * the two execution modes emit identical event streams by construction;
- * a test asserts `events()` equality directly.
+ * enum values). Its only producer is sim::RecorderSink, fed by the
+ * executor - the single code path shared by the interpreter and the
+ * epoch-stream fast path - so the two execution modes emit identical
+ * event streams by construction; a test asserts `events()` equality
+ * directly.
  *
  * Track layout in the exported trace:
  *   tid 0..P-1   processor tracks (epoch spans, miss flow origins)

@@ -217,11 +217,6 @@ writeResultCellJson(std::ostream &f, const sim::RunResult &r,
     }
     if (!error.empty())
         f << ",\n      \"error\": \"" << jsonEscape(error) << "\"";
-    // Wall-clock phase profile: only under --profile (timings are
-    // machine-dependent, so byte-determinism contracts don't cover
-    // profiled output).
-    if (r.profile.any())
-        f << ",\n      \"profile\": " << r.profile.json();
 }
 
 bool

@@ -17,9 +17,6 @@
 #include "mem/sc_scheme.hh"
 #include "mem/tpi_scheme.hh"
 #include "mem/vc_scheme.hh"
-#include "obs/metrics.hh"
-#include "obs/profile.hh"
-#include "obs/timeline.hh"
 #include "sim/interp.hh"
 #include "sim/ready_heap.hh"
 #include "sim/stream.hh"
@@ -84,27 +81,6 @@ RunResult::fingerprint() const
     return h;
 }
 
-namespace {
-
-/**
- * Copy each scheme counter into the same-named member of @p row (a
- * RunResult or an obs::MetricSample); counters @p row has no member
- * for are skipped.
- */
-template <class Row, class Stats>
-void
-copySchemeCounters(Row &row, const Stats &st)
-{
-#define HSCD_COPY_COUNTER(type, member, ...)                                 \
-    if constexpr (requires { row.member = st.member; })                      \
-        row.member = st.member;
-    HSCD_RESULT_FIELDS(HSCD_COUNTER_SKIP, HSCD_COPY_COUNTER)
-    HSCD_SCHEME_ONLY_STATS(HSCD_COPY_COUNTER)
-#undef HSCD_COPY_COUNTER
-}
-
-} // namespace
-
 void
 harvest(RunResult &r, const mem::CoherenceScheme &scheme,
         const net::Network &network, const fault::FaultInjector *inj)
@@ -164,7 +140,7 @@ class Executor
     explicit Executor(Machine &m)
         : _m(m), _cfg(m._cfg), _prog(m._cp.program),
           _marking(m._cp.marking), _scheme(*m._scheme),
-          _tl(m._timeline), _mx(m._metrics),
+          _trace(m._trace),
           _lastStamp(m._memory.words(), 0),
           _procTime(m._cfg.procs, 0),
           _busy(m._cfg.procs, 0),
@@ -205,10 +181,8 @@ class Executor
             // serves the interpreter and the fast path - the abort is
             // thrown from machinery both share.
             finish();
-            if (_tl)
-                _tl->instant(obs::Timeline::InstantKind::Abort,
-                             ab.info.proc, _epoch, ab.info.cycle,
-                             static_cast<std::uint64_t>(ab.info.kind));
+            if (_trace)
+                _trace->onAbort(ab.info, _epoch);
             _res.abort = std::move(ab.info);
             return _res;
         }
@@ -219,11 +193,8 @@ class Executor
     dispatchByScheme()
     {
         std::shared_ptr<const StreamProgram> sp;
-        if (_cfg.fastPath) {
-            obs::PhaseTimer t(_m._profiled ? &_res.profile.streamMs
-                                           : nullptr);
+        if (_cfg.fastPath)
             sp = epochStream(_m._cp, _cfg);
-        }
         switch (_cfg.scheme) {
           case SchemeKind::Base:
             return dispatch(static_cast<mem::BaseScheme &>(_scheme), sp);
@@ -451,36 +422,14 @@ class Executor
             t = std::max(t, _procTime[p]);
             t = std::max(t, _scheme.writeDrainTime(p));
         }
-        if (_tl && !_spansEmitted && _procTime[_serialProc] > _epochStartT) {
-            // Serial region of the closing epoch (parallel epochs emit
-            // their spans in mergeEpoch).
-            _tl->procSpan(_serialProc, _epoch, _epochStartT,
-                          _procTime[_serialProc]);
-        }
+        serialSpan();
         _spansEmitted = false;
         t += _cfg.barrierCycles;
         ++_epoch;
-        if (_m._trace)
-            _m._trace->onBoundary(_epoch);
+        if (_trace)
+            _trace->onBoundary(_epoch);
         const Cycles reset = _scheme.epochBoundary(_epoch);
         t += reset;
-        if (_tl) {
-            if (reset > 0) {
-                _tl->resetWindow(_epoch, t - reset, reset);
-                _tl->instant(obs::Timeline::InstantKind::TagReset,
-                             obs::Timeline::memTrack(_cfg.procs), _epoch,
-                             t - reset, _scheme.stats().tagResets);
-            }
-            if (_m._faultInjector) {
-                const Counter n = _m._faultInjector->stats().totalInjected();
-                if (n != _faultsSeen) {
-                    _tl->instant(obs::Timeline::InstantKind::FaultInjected,
-                                 obs::Timeline::memTrack(_cfg.procs),
-                                 _epoch, t, n - _faultsSeen);
-                    _faultsSeen = n;
-                }
-            }
-        }
         for (ProcId p = 0; p < _cfg.procs; ++p)
             _procTime[p] = t;
         _m._network.endWindow(t);
@@ -488,31 +437,20 @@ class Executor
         _serialPosted.clear();
         ++_res.epochs;
         _epochStartT = t;
-        if (_mx && _mx->dueEpoch(_epoch))
-            _mx->record(sampleNow(t));
+        if (_trace)
+            _trace->onEpochStart(_epoch, t, reset);
     }
 
-    /** Snapshot the cumulative counters for a metrics row. */
-    obs::MetricSample
-    sampleNow(Cycles now) const
+    /**
+     * Report the serial region of the current epoch, unless it was a
+     * parallel epoch (mergeEpoch reported its spans) or did no work.
+     */
+    void
+    serialSpan()
     {
-        obs::MetricSample s;
-        s.epoch = _epoch;
-        s.cycle = now;
-        copySchemeCounters(s, _scheme.stats());
-        s.trafficPackets = _m._network.totalPackets();
-        s.trafficWords = _m._network.totalWords();
-        if (_m._faultInjector)
-            s.faultsInjected = _m._faultInjector->stats().totalInjected();
-        Cycles pending = 0;
-        for (ProcId p = 0; p < _cfg.procs; ++p) {
-            const Cycles drain = _scheme.writeDrainTime(p);
-            if (drain > now)
-                pending += drain - now;
-        }
-        s.writePending = pending;
-        s.networkLoad = _m._network.load();
-        return s;
+        if (_trace && !_spansEmitted && _procTime[_serialProc] > _epochStartT)
+            _trace->onSpan(_serialProc, _epoch, _epochStartT,
+                           _procTime[_serialProc]);
     }
 
     /**
@@ -584,12 +522,9 @@ class Executor
         _m._network.endWindow(t);
         _res.cycles = t;
 
-        if (_tl && !_spansEmitted && _procTime[_serialProc] > _epochStartT) {
-            // Trailing serial region (the program ends without a final
-            // barrier).
-            _tl->procSpan(_serialProc, _epoch, _epochStartT,
-                          _procTime[_serialProc]);
-        }
+        // Trailing serial region (the program ends without a final
+        // barrier).
+        serialSpan();
 
         harvest(_res, _scheme, _m._network, _m._faultInjector.get());
 
@@ -662,21 +597,12 @@ class Executor
             mop.distance = f.distance;
         }
 
-        if (_m._trace)
-            _m._trace->onAccess(mop);
+        if (_trace)
+            _trace->onAccess(mop);
         mem::AccessResult res = scheme.access(mop);
         _procTime[proc] += res.stall;
-
-        if (_m._trace)
-            _m._trace->onOutcome(mop, res, _epoch);
-        if (_tl && !res.hit && res.cls != mem::MissClass::None) {
-            _tl->missFlow(proc, _epoch, mop.addr, mop.now, res.stall,
-                          static_cast<std::uint8_t>(res.cls),
-                          static_cast<std::uint8_t>(mop.mark),
-                          mop.distance);
-        }
-        if (_mx && _mx->dueCycle(_procTime[proc]))
-            _mx->record(sampleNow(_procTime[proc]));
+        if (_trace)
+            _trace->onOutcome(mop, res, _epoch);
 
         if (!f.write) {
             ValueStamp expected = _lastStamp[addr / 4];
@@ -990,12 +916,12 @@ class Executor
         }
         _parallelWall += wall;
 
-        if (_tl) {
+        if (_trace) {
             for (unsigned p = 0; p < P; ++p)
                 if (_procTime[p] > epoch_start)
-                    _tl->procSpan(p, _epoch, epoch_start, _procTime[p]);
-            _spansEmitted = true;
+                    _trace->onSpan(p, _epoch, epoch_start, _procTime[p]);
         }
+        _spansEmitted = true;
     }
 
     struct AccessRec
@@ -1011,11 +937,10 @@ class Executor
     const hir::Program &_prog;
     const compiler::Marking &_marking;
     mem::CoherenceScheme &_scheme;
-    /** Observability recorders (null = hooks compile to a null check). */
-    obs::Timeline *_tl;
-    obs::MetricsRecorder *_mx;
+    /** The run's observer (null = each hook is one null check). */
+    TraceSink *const _trace;
     Cycles _epochStartT = 0;
-    Counter _faultsSeen = 0;
+    /** The current epoch's processor spans were reported (parallel). */
     bool _spansEmitted = false;
 
     std::vector<ValueStamp> _lastStamp;
@@ -1083,16 +1008,7 @@ Machine::run()
 {
     hscd_assert(!_ran, "Machine::run() is single-shot");
     _ran = true;
-    Executor ex(*this);
-    if (!_profiled)
-        return ex.run();
-    const double t0 = obs::nowMs();
-    RunResult res = ex.run();
-    // execMs includes the stream build; profile.streamMs reports the
-    // build's share separately.
-    res.profile.execMs += obs::nowMs() - t0;
-    res.profile.rssPeakKb = obs::currentRssPeakKb();
-    return res;
+    return Executor(*this).run();
 }
 
 RunResult

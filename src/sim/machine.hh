@@ -19,11 +19,6 @@
 
 namespace hscd {
 
-namespace obs {
-class MetricsRecorder;
-class Timeline;
-} // namespace obs
-
 namespace sim {
 
 using mem::TraceSink;
@@ -40,7 +35,10 @@ class Machine
 
     /**
      * Record every scheme-visible event into @p sink during run(); the
-     * scheme reports its TagEvents to the same sink.
+     * scheme reports its TagEvents to the same sink. The one observer
+     * attachment: a null sink (the default) leaves a null check at each
+     * emission site. The timeline and metrics recorders attach through
+     * a sim::RecorderSink.
      */
     void
     setTraceSink(TraceSink *sink)
@@ -48,19 +46,6 @@ class Machine
         _trace = sink;
         _scheme->setTraceSink(sink);
     }
-
-    /**
-     * Observability attachment points. All three default to null and
-     * every hook is branch-guarded on the pointer, so an unobserved run
-     * pays only a handful of null checks - the zero-overhead guard in
-     * the obs test suite enforces this.
-     */
-    /** Record epoch spans / protocol flows / instants during run(). */
-    void setTimeline(obs::Timeline *tl) { _timeline = tl; }
-    /** Sample counter snapshots per epoch / N cycles during run(). */
-    void setMetrics(obs::MetricsRecorder *m) { _metrics = m; }
-    /** Accumulate phase wall-clock into RunResult::profile. */
-    void enableProfiling(bool on = true) { _profiled = on; }
 
     /** Execute the whole program; callable once. */
     RunResult run();
@@ -84,9 +69,6 @@ class Machine
     std::unique_ptr<mem::CoherenceScheme> _scheme;
     std::unique_ptr<fault::FaultInjector> _faultInjector;
     TraceSink *_trace = nullptr;
-    obs::Timeline *_timeline = nullptr;
-    obs::MetricsRecorder *_metrics = nullptr;
-    bool _profiled = false;
     bool _ran = false;
 };
 

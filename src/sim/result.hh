@@ -13,7 +13,6 @@
 #include "fault/abort.hh"
 #include "mem/coherence.hh"
 #include "mem/counters.hh"
-#include "obs/profile.hh"
 
 namespace hscd {
 namespace sim {
@@ -83,14 +82,6 @@ struct RunResult
     Counter faultsRecovered = 0;
     Counter faultRetries = 0;
 
-    /**
-     * Self-profiling wall-clock phase breakdown (all zero unless the
-     * run was profiled). PhaseProfile compares always-equal and is
-     * excluded from fingerprint(), so this field never perturbs the
-     * determinism contract below.
-     */
-    obs::PhaseProfile profile;
-
     /** Unnecessary coherence misses (conservative + false sharing). */
     Counter
     unnecessaryMisses() const
@@ -118,6 +109,23 @@ struct RunResult
  */
 void harvest(RunResult &r, const mem::CoherenceScheme &scheme,
              const net::Network &network, const fault::FaultInjector *inj);
+
+/**
+ * Copy each scheme counter into the same-named member of @p row (a
+ * RunResult or an obs::MetricSample); counters @p row has no member
+ * for are skipped.
+ */
+template <class Row>
+void
+copySchemeCounters(Row &row, const mem::SchemeStats &st)
+{
+#define HSCD_COPY_COUNTER(type, member, ...)                                 \
+    if constexpr (requires { row.member = st.member; })                      \
+        row.member = st.member;
+    HSCD_RESULT_FIELDS(HSCD_COUNTER_SKIP, HSCD_COPY_COUNTER)
+    HSCD_SCHEME_ONLY_STATS(HSCD_COPY_COUNTER)
+#undef HSCD_COPY_COUNTER
+}
 
 /**
  * Call fn(key, field) on each schema scalar of @p r, in schema order.

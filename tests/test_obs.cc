@@ -3,10 +3,15 @@
  * Observability layer contract tests: the metrics spec grammar and ring
  * buffer, JSON schema round-trips for both artifact kinds, the
  * fastpath-vs-interpreter event-identity guarantee, the zero-overhead
- * guard (attaching observers must not perturb the simulation), and the
- * provenance primitives.
+ * guard (attaching observers must not perturb the simulation), pinned
+ * artifact digests, and the provenance primitives.
  */
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,10 +21,10 @@
 #include "common/log.hh"
 #include "compiler/analysis.hh"
 #include "obs/metrics.hh"
-#include "obs/profile.hh"
 #include "obs/provenance.hh"
 #include "obs/timeline.hh"
 #include "sim/machine.hh"
+#include "sim/recorder.hh"
 #include "workloads/workloads.hh"
 
 using namespace hscd;
@@ -67,6 +72,16 @@ TEST(MetricsSpec, MalformedSpecIsFatal)
     EXPECT_THROW(obs::MetricsSpec::parse("cycles"), FatalError);
     EXPECT_THROW(obs::MetricsSpec::parse("epoch:0"), FatalError);
     EXPECT_THROW(obs::MetricsSpec::parse("epoch:cap=0"), FatalError);
+    // Values past 2^64 - 1 are rejected, not wrapped (2^64 + 1 would
+    // otherwise read as 1).
+    EXPECT_THROW(obs::MetricsSpec::parse("cycles:18446744073709551617"),
+                 FatalError);
+    EXPECT_THROW(obs::MetricsSpec::parse("epoch:cap=18446744073709551617"),
+                 FatalError);
+    EXPECT_THROW(obs::MetricsSpec::parse("cycles:99999999999999999999"),
+                 FatalError);
+    EXPECT_EQ(obs::MetricsSpec::parse("cycles:18446744073709551615").every,
+              18446744073709551615ull);
 }
 
 TEST(MetricsRecorder, RingKeepsNewestRows)
@@ -167,16 +182,14 @@ struct ObservedRun
 };
 
 ObservedRun
-runObserved(const compiler::CompiledProgram &cp, bool fast_path)
+runObserved(const compiler::CompiledProgram &cp, const MachineConfig &cfg,
+            const std::string &metrics = "epoch")
 {
-    MachineConfig cfg;
-    cfg.fastPath = fast_path;
     sim::Machine m(cp, cfg);
     obs::Timeline tl;
-    obs::MetricsRecorder rec(obs::MetricsSpec::parse("epoch"));
-    m.setTimeline(&tl);
-    m.setMetrics(&rec);
-    m.enableProfiling(true);
+    obs::MetricsRecorder rec(obs::MetricsSpec::parse(metrics));
+    sim::RecorderSink sink(m, &tl, &rec);
+    m.setTraceSink(&sink);
     ObservedRun out;
     out.result = m.run();
     out.events = tl.events();
@@ -194,8 +207,11 @@ TEST(ObsEquivalence, FastPathEmitsIdenticalTimeline)
     // aggregates.
     const compiler::CompiledProgram cp = compiler::compileProgram(
         workloads::buildBenchmark("ocean", /*scale=*/1));
-    const ObservedRun interp = runObserved(cp, /*fast_path=*/false);
-    const ObservedRun fast = runObserved(cp, /*fast_path=*/true);
+    MachineConfig cfg;
+    cfg.fastPath = false;
+    const ObservedRun interp = runObserved(cp, cfg);
+    cfg.fastPath = true;
+    const ObservedRun fast = runObserved(cp, cfg);
 
     EXPECT_EQ(interp.result, fast.result);
     ASSERT_FALSE(interp.events.empty());
@@ -215,27 +231,141 @@ TEST(ObsEquivalence, ObserversDoNotPerturbTheRun)
     MachineConfig cfg;
     sim::Machine plain_machine(cp, cfg);
     const sim::RunResult plain = plain_machine.run();
-    const ObservedRun observed = runObserved(cp, cfg.fastPath);
+    const ObservedRun observed = runObserved(cp, cfg);
 
     EXPECT_EQ(plain, observed.result);
     EXPECT_EQ(plain.fingerprint(), observed.result.fingerprint());
-    // Profiling ran on the observed machine only; it must stay out of
-    // the equality/fingerprint contract but still measure something.
-    EXPECT_TRUE(observed.result.profile.any());
-    EXPECT_FALSE(plain.profile.any());
 }
 
-TEST(PhaseProfile, RendersAndComparesAsDesigned)
+namespace {
+
+/** FNV-1a over @p v's eight bytes, little end first. */
+void
+fnvMix(std::uint64_t &h, std::uint64_t v)
 {
-    obs::PhaseProfile p;
-    EXPECT_FALSE(p.any());
-    p.execMs = 12.5;
-    EXPECT_TRUE(p.any());
-    EXPECT_NE(p.json().find("\"exec_ms\": 12.500"), std::string::npos);
-    // Wall-clock is nondeterministic by nature, so the profile is
-    // deliberately invisible to equality (see the header comment).
-    obs::PhaseProfile q;
-    EXPECT_TRUE(p == q);
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+std::uint64_t
+digestEvents(const std::vector<obs::Timeline::Event> &events)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const obs::Timeline::Event &e : events) {
+        fnvMix(h, static_cast<std::uint64_t>(e.kind));
+        fnvMix(h, e.sub);
+        fnvMix(h, e.mark);
+        fnvMix(h, e.track);
+        fnvMix(h, e.epoch);
+        fnvMix(h, e.ts);
+        fnvMix(h, e.dur);
+        fnvMix(h, e.addr);
+        fnvMix(h, e.arg);
+    }
+    return h;
+}
+
+std::uint64_t
+digestRows(const std::vector<obs::MetricSample> &rows)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const obs::MetricSample &r : rows) {
+#define HSCD_METRIC_MIX(name) fnvMix(h, r.name);
+        HSCD_METRIC_U64_FIELDS(HSCD_METRIC_MIX)
+#undef HSCD_METRIC_MIX
+        std::uint64_t bits;
+        std::memcpy(&bits, &r.networkLoad, sizeof(bits));
+        fnvMix(h, bits);
+    }
+    return h;
+}
+
+bool
+hasInstant(const std::vector<obs::Timeline::Event> &events,
+           obs::Timeline::InstantKind k)
+{
+    return std::any_of(events.begin(), events.end(), [k](const auto &e) {
+        return e.kind == obs::Timeline::Kind::Instant &&
+               e.sub == static_cast<std::uint8_t>(k);
+    });
+}
+
+} // namespace
+
+TEST(ObsEquivalence, ArtifactsPinned)
+{
+    // The timeline events and metric rows of three runs, pinned as FNV
+    // digests: a plain TPI run sampled per epoch and per 5000 cycles, a
+    // faulted run whose boundaries report injected faults and resets,
+    // and a run that ends in a structured abort. Any change to what the executor
+    // reports, or when, shows up here.
+    const compiler::CompiledProgram ocean = compiler::compileProgram(
+        workloads::buildBenchmark("ocean", /*scale=*/1));
+    MachineConfig tpi;
+    tpi.scheme = SchemeKind::TPI;
+
+    const ObservedRun byEpoch = runObserved(ocean, tpi, "epoch");
+    const ObservedRun byCycles = runObserved(ocean, tpi, "cycles:5000");
+    EXPECT_EQ(byEpoch.events, byCycles.events);
+    EXPECT_GT(byCycles.rows.size(), 1u);
+
+    // 2-bit tags: boundaries report two-phase resets and injected
+    // faults together.
+    MachineConfig faulted = tpi;
+    faulted.timetagBits = 2;
+    faulted.fault.rate = 0.02;
+    faulted.fault.seed = 3;
+    const ObservedRun faults = runObserved(ocean, faulted, "epoch");
+    EXPECT_FALSE(faults.result.aborted());
+    EXPECT_TRUE(hasInstant(faults.events,
+                           obs::Timeline::InstantKind::FaultInjected));
+    EXPECT_TRUE(hasInstant(faults.events,
+                           obs::Timeline::InstantKind::TagReset));
+
+    // One retry per message: a second consecutive drop aborts the run
+    // a few epochs in, after spans, samples and recovered faults.
+    MachineConfig fragile = tpi;
+    fragile.fault.rate = 0.01;
+    fragile.fault.sites = fault::siteBit(fault::Site::NetDrop);
+    fragile.faultMaxRetries = 1;
+    const ObservedRun aborted = runObserved(ocean, fragile, "epoch");
+    EXPECT_EQ(aborted.result.abort.kind, fault::AbortKind::Protocol);
+    EXPECT_TRUE(hasInstant(aborted.events,
+                           obs::Timeline::InstantKind::Abort));
+    EXPECT_TRUE(hasInstant(aborted.events,
+                           obs::Timeline::InstantKind::FaultInjected));
+    EXPECT_FALSE(aborted.rows.empty());
+
+    // HSCD_PRINT_PINS=1 prints the current values.
+    struct Pin
+    {
+        std::size_t events;
+        std::uint64_t eventDigest;
+        std::size_t rows;
+        std::uint64_t rowDigest;
+    };
+    const Pin pins[] = {
+        {4093, 0xd188f4846503dcc7ull, 24, 0xb072f851e79b22d3ull},
+        {4093, 0xd188f4846503dcc7ull, 16, 0x64e5d3695eca53fbull},
+        {4200, 0x77e07441ce85659aull, 24, 0xc0db1703ca9f3e7bull},
+        {1786, 0x0f8b7df2974d7d3cull, 9, 0xd3340dab19363855ull},
+    };
+    const ObservedRun *runs[] = {&byEpoch, &byCycles, &faults, &aborted};
+    for (std::size_t i = 0; i < std::size(runs); ++i) {
+        const ObservedRun &r = *runs[i];
+        if (std::getenv("HSCD_PRINT_PINS"))
+            std::printf("PIN {%zu, %#018llxull, %zu, %#018llxull},\n",
+                        r.events.size(),
+                        (unsigned long long)digestEvents(r.events),
+                        r.rows.size(),
+                        (unsigned long long)digestRows(r.rows));
+        EXPECT_EQ(r.events.size(), pins[i].events) << "run " << i;
+        EXPECT_EQ(digestEvents(r.events), pins[i].eventDigest) << "run " << i;
+        EXPECT_EQ(r.rows.size(), pins[i].rows) << "run " << i;
+        EXPECT_EQ(digestRows(r.rows), pins[i].rowDigest) << "run " << i;
+    }
 }
 
 TEST(Provenance, JsonCarriesEveryField)

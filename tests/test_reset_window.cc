@@ -21,6 +21,7 @@
 #include "obs/metrics.hh"
 #include "obs/timeline.hh"
 #include "sim/machine.hh"
+#include "sim/recorder.hh"
 #include "sim/stream.hh"
 
 using namespace hscd;
@@ -68,8 +69,8 @@ runObserved(const compiler::CompiledProgram &cp, MachineConfig cfg,
     sim::Machine m(cp, cfg);
     obs::Timeline tl;
     obs::MetricsRecorder rec(obs::MetricsSpec::parse("epoch"));
-    m.setTimeline(&tl);
-    m.setMetrics(&rec);
+    sim::RecorderSink sink(m, &tl, &rec);
+    m.setTraceSink(&sink);
     ObservedRun out;
     out.result = m.run();
     out.events = tl.events();
