@@ -1,14 +1,13 @@
 #include "sweep.hh"
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <iostream>
-#include <mutex>
+#include <optional>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <tuple>
 
@@ -73,18 +72,10 @@ usage(const char *argv0, int code)
 
 using obs::jsonEscape;
 
-// Checkpoint journal encoding: the line-oriented format introduced in
-// PR 4 now lives in serve/journal.{hh,cc}, shared with the campaign
-// server's durable work queue so the two implementations cannot drift.
-// The sweep keeps its own magic; the server refuses sweep checkpoints
-// as foreign and vice versa.
-using serve::TokenReader;
-using serve::decodeResult;
-using serve::encodeResult;
-using serve::escapeTok;
-using serve::parseJournalHeader;
-
-constexpr const char *kJournalMagic = "hscd-sweep-journal v1";
+// The checkpoint is a serve::CellJournal, the campaign server's journal
+// with its own magic: the server refuses sweep checkpoints as foreign
+// and vice versa.
+constexpr const char *kJournalMagic = "hscd-sweep-journal v2";
 
 // SIGTERM/SIGINT -> verify::ExitCode contract for the sweep CLIs: the
 // first signal requests a graceful stop (in-flight cells finish and are
@@ -250,18 +241,14 @@ Sweep::journalIdentity() const
     // different fault axis) is rejected instead of silently reused.
     // Deliberately excludes jobs/timeout/json path: those may change
     // between the interrupted run and the resume.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mixByte = [&](unsigned char b) {
-        h = (h ^ b) * 0x100000001b3ull;
-    };
+    std::string key;
     auto mix = [&](const std::string &s) {
-        for (unsigned char b : s)
-            mixByte(b);
-        mixByte(0xff); // separator
+        key += s;
+        key += '\xff'; // separator
     };
     auto mixU = [&](std::uint64_t v) {
         for (int i = 0; i < 8; ++i)
-            mixByte(static_cast<unsigned char>(v >> (8 * i)));
+            key += static_cast<char>(v >> (8 * i));
     };
     mix(_experiment);
     mixU(_cells.size());
@@ -273,63 +260,29 @@ Sweep::journalIdentity() const
         mixU(c.affinity ? 1 : 0);
     }
     mix(_opts.fault.str());
-    return h;
+    return obs::fnv1a(key);
 }
 
 Sweep::Outcome
 Sweep::runGuarded(std::size_t i) const
 {
-    auto runCaught = [](const std::function<sim::RunResult()> &fn) {
-        Outcome o;
-        try {
-            o.result = fn();
-        } catch (const std::exception &e) {
-            o.error = e.what();
-            if (o.error.empty())
-                o.error = "unhandled exception";
-        } catch (...) {
-            o.error = "unhandled non-standard exception";
-        }
-        return o;
-    };
-
     if (_opts.timeoutMs <= 0)
-        return runCaught(_cells[i].runCell);
+        return {serve::guardedCall(_cells[i].runCell)};
 
     // Per-cell isolation: run the cell on its own thread and abandon it
     // when the budget expires. The abandoned thread is detached - it
-    // keeps only the shared state alive and its eventual result is
-    // discarded. (C++ offers no portable preemptive cancellation; the
+    // keeps only the task's shared state alive and its eventual result
+    // is discarded. (C++ offers no portable preemptive cancellation; the
     // simulator-side watchdog bounds how long the orphan can spin.)
-    struct Shared
-    {
-        std::mutex m;
-        std::condition_variable cv;
-        bool done = false;
-        Outcome o;
-    };
-    auto sh = std::make_shared<Shared>();
-    const std::function<sim::RunResult()> fn = _cells[i].runCell;
-    std::thread worker([sh, fn, runCaught] {
-        Outcome o = runCaught(fn);
-        {
-            std::lock_guard<std::mutex> lk(sh->m);
-            sh->o = std::move(o);
-            sh->done = true;
-        }
-        sh->cv.notify_all();
-    });
-
-    std::unique_lock<std::mutex> lk(sh->m);
-    const bool finished = sh->cv.wait_for(
-        lk, std::chrono::duration<double, std::milli>(_opts.timeoutMs),
-        [&] { return sh->done; });
-    if (finished) {
-        lk.unlock();
+    std::packaged_task<serve::CellOutcome()> task(
+        [fn = _cells[i].runCell] { return serve::guardedCall(fn); });
+    std::future<serve::CellOutcome> outcome = task.get_future();
+    std::thread worker(std::move(task));
+    if (outcome.wait_for(std::chrono::duration<double, std::milli>(
+            _opts.timeoutMs)) == std::future_status::ready) {
         worker.join();
-        return sh->o;
+        return {outcome.get()};
     }
-    lk.unlock();
     worker.detach();
     Outcome o;
     o.error = csprintf("timeout: cell still running after %.0f ms",
@@ -410,76 +363,37 @@ Sweep::run()
             keys.emplace(c.benchmark, c.scale, c.affinity).second)
             compiledBenchmark(c.benchmark, c.scale, c.affinity);
 
-    // Resume: collect outcomes a prior interrupted run already
-    // journaled, keyed by cell index.
-    std::vector<Outcome> restored(_cells.size());
-    std::vector<char> have(_cells.size(), 0);
-    const std::uint64_t identity = journalIdentity();
-    bool journal_has_header = false;
-    if (_opts.resume && !_opts.checkpointPath.empty()) {
-        std::ifstream f(_opts.checkpointPath);
-        std::string line;
-        if (f && std::getline(f, line)) {
-            // Strict header parse: a header torn anywhere - even inside
-            // the 16-hex identity - is structurally invalid and the
-            // file is rejected as "not a journal", never misparsed as a
-            // shorter foreign identity.
-            std::uint64_t id = 0;
-            if (!parseJournalHeader(line, kJournalMagic, id))
-                fatal("'%s' is not a sweep checkpoint journal",
-                      _opts.checkpointPath);
-            if (id != identity)
-                fatal("checkpoint journal '%s' was written by a "
-                      "different sweep (identity %016x, expected %016x)",
-                      _opts.checkpointPath, id, identity);
-            journal_has_header = true;
-            std::size_t loaded = 0, torn = 0;
-            while (std::getline(f, line)) {
-                TokenReader in(line);
-                const std::uint64_t idx = in.u64();
-                Outcome o;
-                if (!in.ok || idx >= _cells.size() ||
-                    !decodeResult(in, o.result)) {
-                    ++torn; // interrupted writer's tail: re-run the cell
-                    continue;
-                }
-                o.error = in.str();
-                if (!in.ok) {
-                    ++torn;
-                    continue;
-                }
-                restored[idx] = std::move(o);
-                have[idx] = 1;
-                ++loaded;
-            }
-            inform("resume: %d of %d cells restored from '%s'%s", loaded,
-                   _cells.size(), _opts.checkpointPath,
-                   torn ? csprintf(" (%d torn records re-run)", torn)
-                        : std::string());
-        }
-    }
-
-    // The observed cell must actually execute to fill its recorders; a
-    // journaled result can't reproduce the event stream.
-    if (_obsIndex < have.size() && have[_obsIndex]) {
-        have[_obsIndex] = 0;
-        inform("resume: re-running observed cell '%s' to record "
-               "observability artifacts", _cells[_obsIndex].label);
-    }
-
-    std::ofstream journal;
-    std::mutex journal_mtx;
+    std::optional<serve::CellJournal> journal;
     if (!_opts.checkpointPath.empty()) {
-        journal.open(_opts.checkpointPath,
-                     journal_has_header ? std::ios::app : std::ios::trunc);
-        if (!journal)
+        const std::uint64_t identity = journalIdentity();
+        journal.emplace(_opts.checkpointPath, kJournalMagic, identity,
+                        _cells.size());
+        using State = serve::CellJournal::State;
+        const State st = _opts.resume ? journal->restore() : State::Fresh;
+        if (st == State::NotAJournal)
+            fatal("'%s' is not a sweep checkpoint journal",
+                  _opts.checkpointPath);
+        if (st == State::Foreign)
+            fatal("checkpoint journal '%s' was written by a different "
+                  "sweep (identity %016x, expected %016x)",
+                  _opts.checkpointPath, journal->foundIdentity(), identity);
+        if (st == State::Resumed)
+            inform("resume: %d of %d cells restored from '%s'%s",
+                   journal->restored(), _cells.size(),
+                   _opts.checkpointPath,
+                   journal->dropped()
+                       ? csprintf(" (%d torn records re-run)",
+                                  journal->dropped())
+                       : std::string());
+        if (!journal->open())
             fatal("cannot write checkpoint journal '%s'",
                   _opts.checkpointPath);
-        if (!journal_has_header) {
-            journal << serve::journalHeader(kJournalMagic, identity)
-                    << '\n';
-            journal.flush();
-        }
+        // The observed cell must actually execute to fill its
+        // recorders; a journaled result can't reproduce the event
+        // stream.
+        if (_obsIndex < _cells.size() && journal->has(_obsIndex))
+            inform("resume: re-running observed cell '%s' to record "
+                   "observability artifacts", _cells[_obsIndex].label);
     }
 
     // Whole-campaign deadline: cells that have not *started* when the
@@ -494,8 +408,8 @@ Sweep::run()
 
     _results = parallelMap(
         _opts.jobs, _cells.size(), [&](std::size_t i) {
-            if (have[i])
-                return restored[i];
+            if (journal && i != _obsIndex && journal->has(i))
+                return Outcome{journal->outcome(i)};
             if (g_sweepInterrupted) {
                 Outcome o;
                 o.error = "interrupted: cell skipped (checkpointed "
@@ -514,15 +428,8 @@ Sweep::run()
                 return o;
             }
             Outcome o = runGuarded(i);
-            if (journal.is_open()) {
-                std::ostringstream rec;
-                rec << i;
-                encodeResult(rec, o.result);
-                rec << ' ' << escapeTok(o.error);
-                std::lock_guard<std::mutex> lk(journal_mtx);
-                journal << rec.str() << '\n';
-                journal.flush();
-            }
+            if (journal)
+                journal->append(i, o);
             return o;
         });
 

@@ -44,6 +44,7 @@
 #include "obs/metrics.hh"
 #include "obs/provenance.hh"
 #include "obs/timeline.hh"
+#include "serve/journal.hh"
 #include "sim/result.hh"
 
 namespace hscd {
@@ -162,10 +163,8 @@ class Sweep
     };
 
     /** Per-cell outcome: a result, or a harness error explaining why. */
-    struct Outcome
+    struct Outcome : serve::CellOutcome
     {
-        sim::RunResult result;
-        std::string error;
         /**
          * True for cells skipped by a signal or --deadline-ms: never
          * journaled (a --resume must re-run them) and excused from

@@ -1,16 +1,22 @@
 #include "serve/journal.hh"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <type_traits>
 
+#include "common/log.hh"
 #include "common/strutil.hh"
 #include "obs/provenance.hh"
 
 namespace hscd {
 namespace serve {
 
+namespace {
+
+/** Whitespace-free token encoding; the empty string becomes "-". */
 std::string
 escapeTok(const std::string &s)
 {
@@ -46,6 +52,7 @@ unescapeTok(const std::string &t)
     return out;
 }
 
+/** IEEE-754 bit pattern as 16 hex digits (bit-exact double travel). */
 std::string
 doubleBits(double v)
 {
@@ -53,6 +60,8 @@ doubleBits(double v)
     std::memcpy(&u, &v, sizeof(u));
     return csprintf("%016x", u);
 }
+
+} // namespace
 
 std::string
 TokenReader::tok()
@@ -83,6 +92,12 @@ TokenReader::f64()
     double v = 0;
     std::memcpy(&v, &u, sizeof(v));
     return v;
+}
+
+std::string
+TokenReader::str()
+{
+    return unescapeTok(tok());
 }
 
 bool
@@ -241,6 +256,131 @@ parseJournalHeader(const std::string &line, const std::string &magic,
             return false;
     identity = std::strtoull(id.c_str(), nullptr, 16);
     return true;
+}
+
+bool
+atomicWrite(const std::string &path, const std::string &content)
+{
+    // flush() pushes the bytes to the OS, which survives `kill -9` of
+    // this process (the crash model the chaos harness exercises;
+    // whole-machine power loss is out of scope).
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
+        if (!f)
+            return false;
+        f << content;
+        f.flush();
+        if (!f)
+            return false;
+    }
+    return std::rename(tmp.c_str(), path.c_str()) == 0;
+}
+
+CellOutcome
+guardedCall(const std::function<sim::RunResult()> &fn)
+{
+    CellOutcome o;
+    try {
+        o.result = fn();
+    } catch (const std::exception &e) {
+        o.error = e.what();
+        if (o.error.empty())
+            o.error = "unhandled exception";
+    } catch (...) {
+        o.error = "unhandled non-standard exception";
+    }
+    return o;
+}
+
+CellJournal::CellJournal(std::string path, std::string magic,
+                         std::uint64_t identity, std::size_t cells)
+    : _path(std::move(path)), _magic(std::move(magic)), _identity(identity),
+      _outcomes(cells), _have(cells, 0)
+{
+}
+
+CellJournal::State
+CellJournal::restore()
+{
+    std::ifstream f(_path);
+    std::string line;
+    if (!f || !std::getline(f, line))
+        return _state = State::Fresh;
+    if (!parseJournalHeader(line, _magic, _found))
+        return _state = State::NotAJournal;
+    if (_found != _identity)
+        return _state = State::Foreign;
+
+    std::string kept = line + "\n";
+    // getline() hits EOF only on a last line without its newline: an
+    // append would continue that line, so the file must be rewritten.
+    bool compact = f.eof();
+    while (std::getline(f, line)) {
+        compact = compact || f.eof();
+        if (line.empty())
+            continue;
+        TokenReader in(line);
+        const bool tagged = in.tok() == "cell";
+        const std::uint64_t idx = in.u64();
+        CellOutcome o;
+        o.error = in.str();
+        if (!tagged || !decodeResult(in, o.result) || !in.atEnd() ||
+            idx >= _outcomes.size() || _have[idx]) {
+            ++_dropped; // torn tail or duplicate: the cell re-runs
+            compact = true;
+            continue;
+        }
+        _outcomes[idx] = std::move(o);
+        _have[idx] = 1;
+        ++_restored;
+        kept += line + "\n";
+    }
+    f.close();
+    if (compact && !atomicWrite(_path, kept))
+        fatal("cannot rewrite journal '%s'", _path);
+    return _state = State::Resumed;
+}
+
+bool
+CellJournal::open()
+{
+    if (_state == State::Resumed) {
+        _file.open(_path, std::ios::app);
+    } else {
+        _file.open(_path, std::ios::trunc);
+        _file << journalHeader(_magic, _identity) << '\n';
+        _file.flush();
+    }
+    return _file.good();
+}
+
+void
+CellJournal::append(std::size_t cell, const CellOutcome &o)
+{
+    std::ostringstream rec;
+    rec << "cell " << cell << ' ' << escapeTok(o.error);
+    encodeResult(rec, o.result);
+    rec << '\n';
+    std::lock_guard<std::mutex> lock(_mu);
+    if (_have[cell])
+        return;
+    _outcomes[cell] = o;
+    _have[cell] = 1;
+    // One flushed line per cell: a kill -9 tears at most this line.
+    _file << rec.str();
+    _file.flush();
+}
+
+std::size_t
+CellJournal::errors() const
+{
+    std::lock_guard<std::mutex> lock(_mu);
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < _outcomes.size(); ++i)
+        if (_have[i] && !_outcomes[i].error.empty())
+            ++n;
+    return n;
 }
 
 } // namespace serve

@@ -1,51 +1,53 @@
 /**
  * @file
- * Durable line-oriented journal primitives shared by the sweep
- * checkpoint (`bench/sweep.cc --checkpoint/--resume`) and the campaign
- * server's work queue (`src/serve/queue.cc`).
+ * The campaign-cell core shared by the sweep checkpoint
+ * (`bench/sweep.cc --checkpoint/--resume`) and the campaign server's
+ * work queue (`src/serve/queue.cc`): one durable journal class, the
+ * record codec behind it, and one exception guard around a cell.
  *
- * Format contract (established in PR 4, generalized here):
+ * One format for both callers; only the magic differs, so each
+ * refuses the other's file:
  *
  *   <magic> <16-hex-digit identity>\n        header, written first
- *   <record tokens...>\n                     one line per completed unit
+ *   cell <idx> <error> <result tokens...>\n  one line per finished cell
  *
  * Records are whitespace-separated tokens, appended and flushed as each
- * unit of work finishes, so a `kill -9` can tear at most the final
- * line. Every RunResult field round-trips bit-exactly (doubles travel
- * as IEEE bit patterns), which is what lets a resumed run reproduce
- * byte-identical aggregate output without re-running finished work.
+ * cell finishes, so a `kill -9` can tear at most the final line. Every
+ * RunResult field round-trips bit-exactly (doubles travel as IEEE bit
+ * patterns), which is what lets a resumed run reproduce byte-identical
+ * aggregate output without re-running finished work.
  *
  * Robustness contract:
  *  - A torn or corrupt *record* (the interrupted writer's tail) fails
- *    to decode and the unit is simply re-run.
+ *    to decode, is dropped, and its cell is re-run. Before the journal
+ *    is reopened for append it is compacted to its valid lines by
+ *    tmp-file + rename, so a new record can never be glued onto a
+ *    half-written line.
  *  - A torn or malformed *header* - including one truncated inside the
  *    identity hash - makes the whole file invalid: parseJournalHeader
  *    only accepts the exact magic followed by exactly 16 hex digits
  *    and nothing else. A truncated identity is therefore rejected as
  *    "not a journal", never misparsed as a shorter (foreign) identity.
- *  - A well-formed header with a different identity is foreign and
- *    must be refused by the caller.
+ *  - A well-formed header with a different identity is foreign. What
+ *    happens to a foreign or invalid file is the caller's policy.
  */
 
 #ifndef HSCD_SERVE_JOURNAL_HH
 #define HSCD_SERVE_JOURNAL_HH
 
 #include <cstdint>
+#include <fstream>
+#include <functional>
+#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/result.hh"
 
 namespace hscd {
 namespace serve {
-
-/** Whitespace-free token encoding; the empty string becomes "-". */
-std::string escapeTok(const std::string &s);
-std::string unescapeTok(const std::string &t);
-
-/** IEEE-754 bit pattern as 16 hex digits (bit-exact double travel). */
-std::string doubleBits(double v);
 
 /** Strict token reader: any malformed/missing token poisons the line. */
 struct TokenReader
@@ -55,7 +57,7 @@ struct TokenReader
     std::string tok();
     std::uint64_t u64(int base = 10);
     double f64();
-    std::string str() { return unescapeTok(tok()); }
+    std::string str(); ///< an escaped token, unescaped
     /** True when every token so far parsed and nothing is left over. */
     bool atEnd();
 
@@ -93,6 +95,97 @@ bool parseJournalHeader(const std::string &line, const std::string &magic,
  */
 void writeResultCellJson(std::ostream &f, const sim::RunResult &r,
                          const std::string &error);
+
+/**
+ * Write @p content to @p path via tmp-file + rename so the file is
+ * either whole or absent after a crash. Returns false on I/O failure.
+ */
+bool atomicWrite(const std::string &path, const std::string &content);
+
+/** One cell's outcome: its result, or the harness error that replaced it. */
+struct CellOutcome
+{
+    sim::RunResult result;
+    std::string error; ///< "" when the cell ran to an end
+};
+
+/**
+ * Run @p fn, turning anything it throws into the outcome's error: the
+ * exception's what(), "unhandled exception" for an empty what(), and
+ * "unhandled non-standard exception" for a type not derived from
+ * std::exception. Never throws.
+ */
+CellOutcome guardedCall(const std::function<sim::RunResult()> &fn);
+
+/**
+ * The durable journal of one campaign of @p cells cells, and the only
+ * code that parses, compacts or appends journal records. restore() and
+ * open() run before any append(); append() and the queries are
+ * thread-safe.
+ */
+class CellJournal
+{
+  public:
+    enum class State
+    {
+        Fresh,       ///< no file, or an empty one
+        Resumed,     ///< our header; its whole records are restored
+        NotAJournal, ///< the first line fails the strict header parse
+        Foreign,     ///< a well-formed header with another identity
+    };
+
+    CellJournal(std::string path, std::string magic,
+                std::uint64_t identity, std::size_t cells);
+
+    /**
+     * Read the file and restore its whole records. Torn, duplicate and
+     * out-of-range records are dropped and the file is compacted to its
+     * valid lines (fatal() if that fails), as it is when its last line
+     * is unterminated. NotAJournal and Foreign restore nothing.
+     */
+    State restore();
+
+    /**
+     * Open the file for append; unless restore() returned Resumed it is
+     * truncated and gets a header. False when it cannot be written.
+     */
+    bool open();
+
+    /** Record cell @p cell and append its flushed record, once. */
+    void append(std::size_t cell, const CellOutcome &o);
+
+    bool has(std::size_t cell) const
+    {
+        std::lock_guard<std::mutex> lock(_mu);
+        return _have[cell];
+    }
+    /** Outcome of a cell for which has() is true. */
+    const CellOutcome &outcome(std::size_t cell) const
+    {
+        return _outcomes[cell];
+    }
+    /** Recorded cells whose outcome carries an error. */
+    std::size_t errors() const;
+
+    /** What restore() found: records kept and dropped, header identity. */
+    std::size_t restored() const { return _restored; }
+    std::size_t dropped() const { return _dropped; }
+    std::uint64_t foundIdentity() const { return _found; }
+
+  private:
+    std::string _path;
+    std::string _magic;
+    std::uint64_t _identity;
+    std::uint64_t _found = 0;
+    State _state = State::Fresh;
+    std::size_t _restored = 0;
+    std::size_t _dropped = 0;
+
+    mutable std::mutex _mu;
+    std::ofstream _file;
+    std::vector<CellOutcome> _outcomes;
+    std::vector<char> _have;
+};
 
 } // namespace serve
 } // namespace hscd

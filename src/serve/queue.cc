@@ -1,7 +1,6 @@
 #include "serve/queue.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -34,29 +33,6 @@ readFile(const std::string &path)
     std::ostringstream ss;
     ss << f.rdbuf();
     return ss.str();
-}
-
-/**
- * Write @p content to @p path via tmp-file + rename so the file is
- * either whole or absent after a crash. flush() pushes the bytes to the
- * OS, which survives `kill -9` of this process (the crash model the
- * chaos harness exercises; whole-machine power loss is out of scope,
- * as it is for the sweep checkpoint).
- */
-bool
-atomicWrite(const std::string &path, const std::string &content)
-{
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-        if (!f)
-            return false;
-        f << content;
-        f.flush();
-        if (!f)
-            return false;
-    }
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 } // namespace
@@ -100,92 +76,38 @@ CampaignQueue::resultPath(std::uint64_t id) const
     return _stateDir + "/" + csprintf("%016x", id) + ".result.json";
 }
 
-bool
-CampaignQueue::loadJournal(Campaign &c)
+CampaignQueue::Campaign::Campaign(CampaignSpec s, std::uint64_t i,
+                                 std::string journalPath)
+    : spec(std::move(s)), id(i),
+      journal(std::move(journalPath), kServeJournalMagic, i,
+              spec.cells.size()),
+      started(spec.cells.size(), 0),
+      admitted(std::chrono::steady_clock::now())
 {
-    std::ifstream f(journalPath(c.id));
-    if (!f)
-        return true; // no journal yet: nothing recorded
-
-    std::string line;
-    if (!std::getline(f, line)) {
-        // Empty file (crash between create and header flush): treat as
-        // absent and rewrite from scratch.
-        return true;
-    }
-    std::uint64_t identity = 0;
-    if (!parseJournalHeader(line, kServeJournalMagic, identity)) {
-        // Torn or malformed header - including one truncated inside the
-        // identity hash. Structurally not ours: set it aside rather
-        // than guessing.
-        Log::emit("serve",
-                  csprintf("discarding journal with invalid header: %s",
-                           journalPath(c.id)));
-        std::error_code ec;
-        fs::rename(journalPath(c.id), journalPath(c.id) + ".invalid", ec);
-        return true;
-    }
-    if (identity != c.id) {
-        Log::emit("serve",
-                  csprintf("journal %s is foreign (id %016x != %016x); "
-                           "set aside",
-                           journalPath(c.id), identity, c.id));
-        std::error_code ec;
-        fs::rename(journalPath(c.id), journalPath(c.id) + ".foreign", ec);
-        return false;
-    }
-
-    std::vector<std::string> validLines;
-    validLines.push_back(line);
-    bool sawTorn = false;
-    while (std::getline(f, line)) {
-        if (line.empty())
-            continue;
-        TokenReader in(line);
-        if (in.tok() != "cell") {
-            sawTorn = true;
-            continue;
-        }
-        std::uint64_t idx = in.u64();
-        std::string error = in.str();
-        sim::RunResult r;
-        if (!decodeResult(in, r) || !in.atEnd() || idx >= c.results.size()
-            || c.have[idx]) {
-            // Torn tail (or duplicate): drop the record, re-run the cell.
-            sawTorn = true;
-            continue;
-        }
-        c.results[idx] = r;
-        c.errors[idx] = error;
-        c.have[idx] = 1;
-        ++c.done;
-        validLines.push_back(line);
-    }
-    f.close();
-
-    if (sawTorn) {
-        // Compact away the torn tail before reopening for append, so a
-        // new record can never concatenate onto a half-written line.
-        std::string body;
-        for (const std::string &l : validLines)
-            body += l + "\n";
-        if (!atomicWrite(journalPath(c.id), body))
-            fatal("cannot rewrite journal '%s'", journalPath(c.id));
-    }
-    return true;
 }
 
 bool
-CampaignQueue::openJournal(Campaign &c, bool hasHeader)
+CampaignQueue::restoreJournal(Campaign &c)
 {
-    c.journal.open(journalPath(c.id), std::ios::app);
-    if (!c.journal)
-        return false;
-    if (!hasHeader) {
-        c.journal << journalHeader(kServeJournalMagic, c.id) << "\n";
-        c.journal.flush();
+    // A journal whose header is not ours - torn, malformed, or another
+    // campaign's - is set aside rather than guessed at, and the
+    // campaign starts fresh.
+    const CellJournal::State st = c.journal.restore();
+    if (st == CellJournal::State::NotAJournal ||
+        st == CellJournal::State::Foreign) {
+        const bool foreign = st == CellJournal::State::Foreign;
+        const std::string path = journalPath(c.id);
+        Log::emit("serve",
+                  foreign ? csprintf("journal %s is foreign (id %016x != "
+                                     "%016x); set aside",
+                                     path, c.journal.foundIdentity(), c.id)
+                          : csprintf("discarding journal with invalid "
+                                     "header: %s", path));
+        std::error_code ec;
+        fs::rename(path, path + (foreign ? ".foreign" : ".invalid"), ec);
     }
-    return c.journal.good();
+    c.done = c.journal.restored();
+    return c.journal.open();
 }
 
 std::size_t
@@ -222,29 +144,15 @@ CampaignQueue::recover()
             continue;
         }
 
-        auto c = std::make_shared<Campaign>();
-        c->spec = std::move(spec);
-        c->id = id;
-        c->results.resize(c->spec.cells.size());
-        c->errors.resize(c->spec.cells.size());
-        c->have.assign(c->spec.cells.size(), 0);
-        c->started.assign(c->spec.cells.size(), 0);
-        c->admitted = std::chrono::steady_clock::now();
-
+        auto c = std::make_shared<Campaign>(std::move(spec), id,
+                                            journalPath(id));
         if (fs::exists(resultPath(id))) {
             // Finished in a previous life; resident only for
             // poll/dedup, nothing to re-run.
             c->complete = true;
             c->done = c->spec.cells.size();
-            std::fill(c->have.begin(), c->have.end(), 1);
-            std::fill(c->started.begin(), c->started.end(), 1);
-        } else {
-            const bool hadJournal = fs::exists(journalPath(id));
-            loadJournal(*c); // foreign journal was set aside: start fresh
-            const bool headerKept =
-                hadJournal && fs::exists(journalPath(id));
-            if (!openJournal(*c, headerKept))
-                fatal("cannot open journal '%s'", journalPath(id));
+        } else if (!restoreJournal(*c)) {
+            fatal("cannot open journal '%s'", journalPath(id));
         }
 
         std::lock_guard<std::mutex> lock(_mu);
@@ -253,17 +161,8 @@ CampaignQueue::recover()
         _counters.cellsRestored += c->done;
         _campaigns[id] = c;
         ++recovered;
-        if (!c->complete) {
-            if (c->done == c->spec.cells.size()) {
-                // All cells journaled but the aggregate rename never
-                // happened: finish it now.
-                writeAggregate(*c);
-                c->complete = true;
-                ++_counters.completed;
-            } else {
-                enqueueRemaining(c);
-            }
-        }
+        if (!c->complete)
+            schedule(c);
     }
     _cv.notify_all();
     return recovered;
@@ -315,14 +214,7 @@ CampaignQueue::submit(const CampaignSpec &spec)
     // Admitted. Make the request durable *before* acknowledging: once
     // the caller sees Accepted, a kill -9 must not lose the campaign.
     lock.unlock();
-    auto c = std::make_shared<Campaign>();
-    c->spec = spec;
-    c->id = adm.id;
-    c->results.resize(spec.cells.size());
-    c->errors.resize(spec.cells.size());
-    c->have.assign(spec.cells.size(), 0);
-    c->started.assign(spec.cells.size(), 0);
-    c->admitted = std::chrono::steady_clock::now();
+    auto c = std::make_shared<Campaign>(spec, adm.id, journalPath(adm.id));
     if (!atomicWrite(reqPath(adm.id), spec.toRequestJson() + "\n")) {
         std::lock_guard<std::mutex> relock(_mu);
         adm.status = Admission::Status::Shed;
@@ -332,10 +224,7 @@ CampaignQueue::submit(const CampaignSpec &spec)
     }
     // A journal may survive from an earlier acknowledged run of this
     // same campaign whose .req was lost; adopt its completed cells.
-    const bool hadJournal = fs::exists(journalPath(adm.id));
-    loadJournal(*c);
-    const bool headerKept = hadJournal && fs::exists(journalPath(adm.id));
-    if (!openJournal(*c, headerKept)) {
+    if (!restoreJournal(*c)) {
         std::lock_guard<std::mutex> relock(_mu);
         adm.status = Admission::Status::Shed;
         adm.error = "cannot open journal (state dir unwritable)";
@@ -354,30 +243,27 @@ CampaignQueue::submit(const CampaignSpec &spec)
     ++_counters.submitted;
     _counters.cellsRestored += c->done;
     adm.status = Admission::Status::Accepted;
-    if (c->done == c->spec.cells.size()) {
-        writeAggregate(*c);
-        c->complete = true;
-        ++_counters.completed;
-    } else {
-        enqueueRemaining(c);
-    }
+    schedule(c);
     adm.queuedCells = _queue.size();
     _cv.notify_all();
     return adm;
 }
 
 void
-CampaignQueue::enqueueRemaining(const std::shared_ptr<Campaign> &c)
+CampaignQueue::schedule(const std::shared_ptr<Campaign> &c)
 {
     // Caller holds _mu. Submission order: the queue preserves cell
     // order within a campaign so output ordering never depends on
     // which worker finishes first (aggregation is index-keyed anyway).
     for (std::size_t i = 0; i < c->spec.cells.size(); ++i) {
-        if (!c->have[i] && !c->started[i]) {
+        if (!c->journal.has(i) && !c->started[i]) {
             c->started[i] = 1;
             _queue.push_back(Work{c, i});
         }
     }
+    // Every cell journaled but the aggregate never renamed into place
+    // (a crash after the last record): finish it now.
+    finishIfComplete(*c);
 }
 
 CampaignQueue::Status
@@ -393,9 +279,7 @@ CampaignQueue::status(std::uint64_t id) const
     st.complete = c.complete;
     st.done = c.done;
     st.total = c.spec.cells.size();
-    for (std::size_t i = 0; i < c.errors.size(); ++i)
-        if (c.have[i] && !c.errors[i].empty())
-            ++st.errors;
+    st.errors = c.journal.errors();
     if (c.complete)
         st.resultPath = resultPath(id);
     return st;
@@ -426,67 +310,36 @@ CampaignQueue::workerLoop()
             expired = ms > spec.deadlineMs;
         }
 
-        sim::RunResult r;
-        std::string error;
-        if (expired) {
-            error = csprintf("campaign deadline (%.0f ms) exceeded",
-                             spec.deadlineMs);
-        } else {
-            try {
-                r = _runCell(spec, w.cell);
-            } catch (const FatalError &e) {
-                error = e.what();
-            } catch (const std::exception &e) {
-                error = e.what();
-            }
-        }
-        recordOutcome(w.campaign, w.cell, r, error, true);
+        CellOutcome o;
+        if (expired)
+            o.error = csprintf("campaign deadline (%.0f ms) exceeded",
+                               spec.deadlineMs);
+        else
+            o = guardedCall([&] { return _runCell(spec, w.cell); });
+        // Durable before it counts: a kill -9 loses at most this cell.
+        w.campaign->journal.append(w.cell, o);
 
-        {
-            std::lock_guard<std::mutex> lock(_mu);
-            --_inFlight;
-            if (expired)
-                ++_counters.deadlineExpired;
-            else
-                ++_counters.cellsRun;
-            if (!error.empty())
-                ++_counters.cellErrors;
-        }
-        finishIfComplete(w.campaign);
+        std::lock_guard<std::mutex> lock(_mu);
+        --_inFlight;
+        ++w.campaign->done;
+        if (expired)
+            ++_counters.deadlineExpired;
+        else
+            ++_counters.cellsRun;
+        if (!o.error.empty())
+            ++_counters.cellErrors;
+        finishIfComplete(*w.campaign);
     }
 }
 
 void
-CampaignQueue::recordOutcome(const std::shared_ptr<Campaign> &c,
-                             std::size_t cell, const sim::RunResult &r,
-                             const std::string &error, bool journalIt)
+CampaignQueue::finishIfComplete(Campaign &c)
 {
-    if (journalIt) {
-        // One flushed line per completed cell; a kill -9 tears at most
-        // this line, and a torn line just re-runs the cell.
-        std::lock_guard<std::mutex> jlock(c->journalMu);
-        c->journal << "cell " << cell << ' ' << escapeTok(error);
-        encodeResult(c->journal, r);
-        c->journal << '\n';
-        c->journal.flush();
-    }
-    std::lock_guard<std::mutex> lock(_mu);
-    if (c->have[cell])
+    // Caller holds _mu.
+    if (c.complete || c.done != c.spec.cells.size())
         return;
-    c->results[cell] = r;
-    c->errors[cell] = error;
-    c->have[cell] = 1;
-    ++c->done;
-}
-
-void
-CampaignQueue::finishIfComplete(const std::shared_ptr<Campaign> &c)
-{
-    std::lock_guard<std::mutex> lock(_mu);
-    if (c->complete || c->done != c->spec.cells.size())
-        return;
-    writeAggregate(*c);
-    c->complete = true;
+    writeAggregate(c);
+    c.complete = true;
     ++_counters.completed;
 }
 
@@ -520,7 +373,8 @@ CampaignQueue::writeAggregate(Campaign &c)
         f << "      \"scale\": " << cell.scale << ",\n";
         f << "      \"affinity\": " << (cell.affinity ? "true" : "false")
           << ",\n";
-        writeResultCellJson(f, c.results[i], c.errors[i]);
+        const CellOutcome &o = c.journal.outcome(i);
+        writeResultCellJson(f, o.result, o.error);
         f << "\n    }" << (i + 1 < c.spec.cells.size() ? "," : "")
           << "\n";
     }

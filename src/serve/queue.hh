@@ -10,9 +10,10 @@
  *                     tmp-file + fsync + rename, so it is either whole
  *                     or absent - a kill -9 mid-write leaves a .tmp the
  *                     recovery scan ignores)
- *   <id>.journal      PR 4-format journal: strict identity header plus
- *                     one flushed record per completed cell (torn tail
- *                     tolerated, torn/foreign header refused)
+ *   <id>.journal      the CellJournal (serve/journal.hh): strict
+ *                     identity header plus one flushed record per
+ *                     completed cell (torn tail compacted, torn or
+ *                     foreign header set aside)
  *   <id>.result.json  the final aggregate, atomically renamed into
  *                     place on completion
  *
@@ -38,7 +39,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -47,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "serve/journal.hh"
 #include "serve/protocol.hh"
 #include "sim/result.hh"
 
@@ -168,16 +169,15 @@ class CampaignQueue
   private:
     struct Campaign
     {
+        Campaign(CampaignSpec s, std::uint64_t i, std::string journalPath);
+
         CampaignSpec spec;
         std::uint64_t id = 0;
-        std::vector<sim::RunResult> results;
-        std::vector<std::string> errors;
-        std::vector<char> have;    ///< cell recorded (journal-durable)
+        /** Per-cell outcomes; a cell is done once its record is durable. */
+        CellJournal journal;
         std::vector<char> started; ///< cell claimed by a worker
         std::size_t done = 0;
         bool complete = false;
-        std::ofstream journal;
-        std::mutex journalMu;
         std::chrono::steady_clock::time_point admitted;
     };
 
@@ -191,15 +191,15 @@ class CampaignQueue
     std::string journalPath(std::uint64_t id) const;
     std::string resultPath(std::uint64_t id) const;
 
-    /** Load journaled cells into @p c; returns false on foreign file. */
-    bool loadJournal(Campaign &c);
-    /** Open the journal for append, writing the header if absent. */
-    bool openJournal(Campaign &c, bool hasHeader);
-    void enqueueRemaining(const std::shared_ptr<Campaign> &c);
-    void recordOutcome(const std::shared_ptr<Campaign> &c,
-                       std::size_t cell, const sim::RunResult &r,
-                       const std::string &error, bool journalIt);
-    void finishIfComplete(const std::shared_ptr<Campaign> &c);
+    /**
+     * Restore @p c's journaled cells (an invalid or foreign journal is
+     * set aside and the campaign starts fresh) and open the journal
+     * for append; false when it cannot be written.
+     */
+    bool restoreJournal(Campaign &c);
+    /** Queue @p c's unstarted cells; finish it if none remain. */
+    void schedule(const std::shared_ptr<Campaign> &c);
+    void finishIfComplete(Campaign &c);
     void writeAggregate(Campaign &c);
     void workerLoop();
 

@@ -197,7 +197,7 @@ TEST(FaultDeterminism, ResumeReproducesByteIdenticalJson)
     EXPECT_EQ(slurp(json1), reference);
 
     // Interrupted resume: keep the header and the first two records,
-    // then a torn half-record exactly as a kill -9 mid-append leaves
+    // then half of the third exactly as a kill -9 mid-append leaves
     // it. The torn record and all missing cells are re-run; the final
     // JSON must still be byte-identical.
     std::istringstream all(journal);
@@ -205,7 +205,8 @@ TEST(FaultDeterminism, ResumeReproducesByteIdenticalJson)
     int keep = 3; // header + 2 records
     while (keep-- > 0 && std::getline(all, line))
         torn += line + "\n";
-    torn += "5 12345 87"; // torn tail: truncated record, no newline
+    ASSERT_TRUE(std::getline(all, line));
+    torn += line.substr(0, line.size() / 2); // torn tail, no newline
     {
         std::ofstream f(ckpt, std::ios::trunc);
         f << torn;
@@ -215,6 +216,21 @@ TEST(FaultDeterminism, ResumeReproducesByteIdenticalJson)
     topts.resume = true;
     runFaultSweep(topts);
     EXPECT_EQ(slurp(json1), reference);
+
+    // The torn tail was compacted away before the re-run cells were
+    // appended, so the journal is the header plus one whole record per
+    // cell. A second resume restores all of them: it runs no cell, so
+    // it appends nothing, and the JSON is still byte-identical.
+    const std::string resumed = slurp(ckpt);
+    std::istringstream records(resumed);
+    std::size_t lines = 0;
+    while (std::getline(records, line))
+        ++lines;
+    EXPECT_EQ(lines, 1 + kBenchmarks.size() * 3);
+    EXPECT_EQ(resumed.back(), '\n');
+    runFaultSweep(topts);
+    EXPECT_EQ(slurp(json1), reference);
+    EXPECT_EQ(slurp(ckpt), resumed) << "second resume re-ran a cell";
 
     std::remove(json0.c_str());
     std::remove(json1.c_str());

@@ -232,6 +232,40 @@ TEST(ServeJournal, OutOfRangeAbortKindIsATornRecord)
     EXPECT_EQ(back, r);
 }
 
+TEST(ServeJournal, UnterminatedLastRecordIsCompactedBeforeAppend)
+{
+    // A kill -9 can cut a record after its last token but before its
+    // newline. The record is whole and restored, but the next append
+    // would continue that line and tear both records, so restore()
+    // rewrites the file first.
+    const std::string path = freshDir("serve_j_unterminated") + "/j";
+    const CampaignSpec spec = smallSpec("j", 3);
+    {
+        CellJournal j(path, "m v1", 7, 3);
+        ASSERT_TRUE(j.open());
+        j.append(0, {fakeCell(spec, 0), ""});
+    }
+    std::string bytes = slurp(path);
+    ASSERT_EQ(bytes.back(), '\n');
+    bytes.pop_back();
+    std::ofstream(path, std::ios::trunc) << bytes;
+    {
+        CellJournal j(path, "m v1", 7, 3);
+        ASSERT_EQ(j.restore(), CellJournal::State::Resumed);
+        EXPECT_EQ(j.restored(), 1u);
+        ASSERT_TRUE(j.open());
+        j.append(1, {fakeCell(spec, 1), "boom"});
+    }
+    CellJournal j(path, "m v1", 7, 3);
+    ASSERT_EQ(j.restore(), CellJournal::State::Resumed);
+    EXPECT_EQ(j.restored(), 2u);
+    EXPECT_EQ(j.dropped(), 0u);
+    EXPECT_EQ(j.outcome(0).result, fakeCell(spec, 0));
+    EXPECT_EQ(j.outcome(1).error, "boom");
+    EXPECT_EQ(j.errors(), 1u);
+    EXPECT_FALSE(j.has(2));
+}
+
 // --- counter schema ------------------------------------------------------
 
 namespace {
@@ -589,19 +623,20 @@ TEST(ServeQueue, ForeignAndTornHeaderJournalsAreSetAside)
     const CampaignSpec spec = smallSpec("aside", 3);
     const std::string idHex = csprintf("%016x", spec.identity());
 
-    // A sweep-format journal squatting on our key: its magic fails the
-    // strict header parse, so it is structurally not ours - set aside
-    // as .invalid, campaign re-run from scratch, nothing trusted.
+    // A sweep checkpoint squatting on our key: the record layout is the
+    // same, but its magic fails the strict header parse, so it is
+    // structurally not ours - set aside as .invalid, campaign re-run
+    // from scratch, nothing trusted.
     {
         const std::string dir = freshDir("serve_q_sweepmagic");
         {
             std::ofstream req(dir + "/" + idHex + ".req");
             req << spec.toRequestJson() << "\n";
             std::ofstream j(dir + "/" + idHex + ".journal");
-            j << journalHeader("hscd-sweep-journal v1", spec.identity())
-              << "\n0 ";
+            j << journalHeader("hscd-sweep-journal v2", spec.identity())
+              << "\ncell 0 -";
             encodeResult(j, fakeCell(spec, 0));
-            j << " -\n";
+            j << "\n";
         }
         CampaignQueue q(dir, QueueLimits(), fakeCell, 1);
         ASSERT_EQ(q.recover(), 1u);
@@ -656,6 +691,36 @@ TEST(ServeQueue, ForeignAndTornHeaderJournalsAreSetAside)
         EXPECT_TRUE(fs::exists(dir + "/" + idHex + ".journal.invalid"));
         q.shutdown(true);
     }
+}
+
+TEST(ServeQueue, ThrowingCellsBecomeStructuredErrors)
+{
+    // Neither a throw of a non-std::exception type nor an exception
+    // with an empty what() may kill the server or pass as a success:
+    // both become the cell's error and the campaign completes.
+    const std::string dir = freshDir("serve_q_throw");
+    const CampaignSpec spec = smallSpec("throw", 4);
+    auto cell = [](const CampaignSpec &s, std::size_t i) {
+        if (i == 1)
+            throw 42;
+        if (i == 2)
+            throw std::runtime_error("");
+        return fakeCell(s, i);
+    };
+    CampaignQueue q(dir, QueueLimits(), cell, 2);
+    const CampaignQueue::Admission a = q.submit(spec);
+    ASSERT_EQ(a.status, CampaignQueue::Admission::Status::Accepted);
+    const CampaignQueue::Status st = awaitComplete(q, a.id);
+    EXPECT_EQ(st.done, 4u);
+    EXPECT_EQ(st.errors, 2u);
+    EXPECT_EQ(q.counters().cellErrors, 2u);
+    const std::string result = slurp(st.resultPath);
+    EXPECT_NE(result.find(
+                  "\"error\": \"unhandled non-standard exception\""),
+              std::string::npos);
+    EXPECT_NE(result.find("\"error\": \"unhandled exception\""),
+              std::string::npos);
+    q.shutdown(true);
 }
 
 TEST(ServeQueue, OverBoundSubmissionsAreShed)
