@@ -13,6 +13,7 @@
 #include "compiler/analysis.hh"
 #include "hir/builder.hh"
 #include "sim/machine.hh"
+#include "verify/diagnostic.hh"
 
 using namespace hscd;
 
@@ -59,10 +60,16 @@ heatSolver(std::int64_t n, int steps)
 int
 main(int argc, char **argv)
 {
-    Params params = MachineConfig::params();
-    for (int a = 1; a < argc; ++a)
-        params.parseAssignment(argv[a]);
-    MachineConfig cfg = MachineConfig::fromParams(params);
+    MachineConfig cfg;
+    try {
+        Params params = MachineConfig::params();
+        for (int a = 1; a < argc; ++a)
+            params.parseAssignment(argv[a]);
+        cfg = MachineConfig::fromParams(params);
+    } catch (const FatalError &) {
+        // fatal() has already printed the message.
+        return verify::ExitUsage;
+    }
 
     compiler::CompiledProgram cp =
         compiler::compileProgram(heatSolver(48, 4));

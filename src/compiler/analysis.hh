@@ -27,10 +27,9 @@ struct CompiledProgram
     AnalysisOptions options;
 
     /**
-     * Lazily-built simulator-side artifacts (the epoch-stream cache of
-     * src/sim/stream.cc). Type-erased so the compiler layer stays
-     * independent of sim; guarded by a sim-side mutex, and tied to this
-     * program's lifetime so cached streams can never dangle.
+     * The lowered program of src/sim/stream.cc, built on first use.
+     * Type-erased so the compiler layer stays independent of sim;
+     * guarded by a sim-side mutex and tied to this program's lifetime.
      */
     mutable std::shared_ptr<void> simCache;
 };

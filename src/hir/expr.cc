@@ -9,23 +9,32 @@ namespace hscd {
 namespace hir {
 
 std::uint64_t
+nameHash(const std::string &name)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (char c : name)
+        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+    return h;
+}
+
+std::uint64_t
+mixEnd(std::uint64_t seed, std::uint64_t sum)
+{
+    std::uint64_t acc = seed * 0x9e3779b97f4a7c15ULL + sum;
+    acc ^= acc >> 33;
+    acc *= 0xc4ceb9fe1a85ec53ULL;
+    return acc ^ (acc >> 33);
+}
+
+std::uint64_t
 Env::mixHash(std::uint64_t seed) const
 {
     // Order-insensitive: combine per-binding hashes commutatively so the
     // result doesn't depend on binding insertion order.
-    std::uint64_t acc = seed * 0x9e3779b97f4a7c15ULL;
-    for (const auto &[name, value] : _vars) {
-        std::uint64_t h = 1469598103934665603ULL;
-        for (char c : name)
-            h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-        h ^= static_cast<std::uint64_t>(value) + 0x9e3779b97f4a7c15ULL +
-             (h << 6) + (h >> 2);
-        acc += h * 0xff51afd7ed558ccdULL;
-    }
-    acc ^= acc >> 33;
-    acc *= 0xc4ceb9fe1a85ec53ULL;
-    acc ^= acc >> 33;
-    return acc;
+    std::uint64_t sum = 0;
+    for (const auto &[name, value] : _vars)
+        sum += mixBinding(nameHash(name), value);
+    return mixEnd(seed, sum);
 }
 
 IntExpr

@@ -22,6 +22,19 @@
 namespace hscd {
 namespace hir {
 
+/** Env::mixHash(seed): mixEnd(seed, sum of mixBinding(nameHash, value)). */
+std::uint64_t nameHash(const std::string &name);
+std::uint64_t mixEnd(std::uint64_t seed, std::uint64_t sum);
+
+inline std::uint64_t
+mixBinding(std::uint64_t name_hash, std::int64_t value)
+{
+    return (name_hash ^ (static_cast<std::uint64_t>(value) +
+                         0x9e3779b97f4a7c15ULL + (name_hash << 6) +
+                         (name_hash >> 2))) *
+           0xff51afd7ed558ccdULL;
+}
+
 /** Variable environment used when evaluating expressions. */
 class Env
 {

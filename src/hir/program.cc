@@ -49,24 +49,21 @@ Program::layout(Addr align)
 }
 
 Addr
-Program::elementAddr(ArrayId id, const std::vector<std::int64_t> &idx)
-    const
+ArrayDecl::elementAddr(const std::vector<std::int64_t> &idx) const
 {
-    const ArrayDecl &a = _arrays.at(id);
-    hscd_assert(idx.size() == a.dims.size(),
-                "array %s: %d subscripts, %d dims", a.name, idx.size(),
-                a.dims.size());
+    hscd_assert(idx.size() == dims.size(), "array %s: %d subscripts, %d dims",
+                name, idx.size(), dims.size());
     // Column-major: first subscript varies fastest.
     std::int64_t linear = 0;
     std::int64_t mult = 1;
     for (std::size_t d = 0; d < idx.size(); ++d) {
-        if (idx[d] < 0 || idx[d] >= a.dims[d])
+        if (idx[d] < 0 || idx[d] >= dims[d])
             panic("array %s: subscript %d out of range [0,%d) in dim %d",
-                  a.name, idx[d], a.dims[d], d);
+                  name, idx[d], dims[d], d);
         linear += idx[d] * mult;
-        mult *= a.dims[d];
+        mult *= dims[d];
     }
-    return a.base + Addr(linear) * wordBytes;
+    return base + Addr(linear) * wordBytes;
 }
 
 std::string

@@ -38,6 +38,12 @@ struct ArrayDecl
     }
 
     Addr sizeBytes() const { return Addr(elements()) * wordBytes; }
+
+    /**
+     * Address of the element at concrete 0-based subscripts
+     * (column-major). Panics when a subscript is out of range.
+     */
+    Addr elementAddr(const std::vector<std::int64_t> &idx) const;
 };
 
 /** A procedure: a name plus a structured statement body. */
@@ -91,13 +97,6 @@ class Program
 
     /** Total bytes of shared data. */
     Addr dataBytes() const { return _dataBytes; }
-
-    /**
-     * Address of an array element given concrete 0-based subscripts
-     * (column-major). Panics when a subscript is out of range.
-     */
-    Addr elementAddr(ArrayId id, const std::vector<std::int64_t> &idx)
-        const;
 
     /** Word index within the shared space (addr / wordBytes). */
     static std::uint64_t wordOf(Addr a) { return a / wordBytes; }

@@ -111,18 +111,6 @@ struct MachineConfig
      */
     bool shadowEpochCheck = false;
     /**
-     * Epoch-stream fast path: record the program's serial code and each
-     * DOALL iteration into flat streams once (cached on the
-     * CompiledProgram, independent of procs and schedule), place the
-     * iterations on processors at run time, and drive a devirtualized
-     * per-scheme access loop from them instead of re-walking HIR
-     * statements per reference. Produces byte-identical RunResults; the
-     * interpreted path is kept compiled (fastPath = false) as the
-     * equivalence-test oracle, and also runs dynamic self-scheduling and
-     * recordings past the size cap.
-     */
-    bool fastPath = true;
-    /**
      * Deterministic fault injection (off by default: rate 0). When the
      * plan is enabled the Machine owns a FaultInjector and threads it
      * through the network model and the coherence scheme; faults then

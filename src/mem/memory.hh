@@ -31,8 +31,8 @@ class MainMemory
     {}
 
     // Hot loop: every simulated reference lands here at least once, so
-    // release builds use unchecked indexing (addresses are produced by
-    // Program::elementAddr, which already range-checks subscripts).
+    // release builds use unchecked indexing (the lowered program proves
+    // each subscript in range or checks it with ArrayDecl::elementAddr).
     ValueStamp
     read(Addr addr) const
     {

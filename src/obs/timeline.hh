@@ -7,10 +7,7 @@
  * The recorder is deliberately ignorant of the mem/compiler layers: it
  * stores plain integers (track ids, epoch ids, cycle timestamps, raw
  * enum values). Its only producer is sim::RecorderSink, fed by the
- * executor - the single code path shared by the interpreter and the
- * epoch-stream fast path - so the two execution modes emit identical
- * event streams by construction; a test asserts `events()` equality
- * directly.
+ * executor; tests compare `events()` vectors directly.
  *
  * Track layout in the exported trace:
  *   tid 0..P-1   processor tracks (epoch spans, miss flow origins)
@@ -55,10 +52,7 @@ class Timeline
         Abort,          ///< structured abort ended the run
     };
 
-    /**
-     * One recorded event; plain integers only so defaulted equality is
-     * exact and the fastpath-vs-interpreter test can compare vectors.
-     */
+    /** One recorded event; plain integers, so equality is exact. */
     struct Event
     {
         Kind kind = Kind::Instant;

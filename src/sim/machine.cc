@@ -17,7 +17,6 @@
 #include "mem/sc_scheme.hh"
 #include "mem/tpi_scheme.hh"
 #include "mem/vc_scheme.hh"
-#include "sim/interp.hh"
 #include "sim/ready_heap.hh"
 #include "sim/stream.hh"
 #include "sim/trace.hh"
@@ -120,19 +119,12 @@ RunResult::summary() const
 }
 
 /**
- * Execution engine: walks the program with a master serial stream and
- * interleaves parallel-epoch task streams in global time order.
- *
- * Two sources can feed the engine. The interpreted path walks HIR
- * statements through TaskStream per reference; the epoch-stream fast
- * path (sim/stream.hh) replays the program's recorded iterations
- * instead. mergeEpoch places DOALL iterations on processors with one
- * rule for both (initialShare and refill), and every operation goes
- * through the same issueRef/merge/boundary machinery, templated on the
- * concrete coherence scheme so the per-reference access call is direct
- * rather than virtual; results are
- * byte-identical by construction (and enforced by the equivalence
- * tests).
+ * Execution engine: runs the lowered program (sim/stream.hh) with one
+ * cursor for the serial master and one per processor, interleaving the
+ * processors of each parallel epoch in global time order. One path
+ * serves every schedule: mergeEpoch places DOALL iterations by one rule
+ * (initialShare, then refill for Dynamic), templated on the concrete
+ * coherence scheme so the per-reference access call is direct.
  */
 class Executor
 {
@@ -177,9 +169,7 @@ class Executor
             // Structured termination: counters are harvested up to the
             // point of death, and the abort record (with its post-mortem
             // snapshot) rides along in the RunResult instead of the run
-            // spinning forever or dying on an assert. The same path
-            // serves the interpreter and the fast path - the abort is
-            // thrown from machinery both share.
+            // spinning forever or dying on an assert.
             finish();
             if (_trace)
                 _trace->onAbort(ab.info, _epoch);
@@ -192,21 +182,20 @@ class Executor
     RunResult
     dispatchByScheme()
     {
-        std::shared_ptr<const StreamProgram> sp;
-        if (_cfg.fastPath)
-            sp = epochStream(_m._cp, _cfg);
+        const std::shared_ptr<const StreamProgram> sp =
+            epochStream(_m._cp, _cfg);
         switch (_cfg.scheme) {
           case SchemeKind::Base:
-            return dispatch(static_cast<mem::BaseScheme &>(_scheme), sp);
+            return runProgram(static_cast<mem::BaseScheme &>(_scheme), *sp);
           case SchemeKind::SC:
-            return dispatch(static_cast<mem::ScScheme &>(_scheme), sp);
+            return runProgram(static_cast<mem::ScScheme &>(_scheme), *sp);
           case SchemeKind::TPI:
-            return dispatch(static_cast<mem::TpiScheme &>(_scheme), sp);
+            return runProgram(static_cast<mem::TpiScheme &>(_scheme), *sp);
           case SchemeKind::HW:
-            return dispatch(static_cast<mem::DirectoryScheme &>(_scheme),
-                            sp);
+            return runProgram(static_cast<mem::DirectoryScheme &>(_scheme),
+                              *sp);
           case SchemeKind::VC:
-            return dispatch(static_cast<mem::VcScheme &>(_scheme), sp);
+            return runProgram(static_cast<mem::VcScheme &>(_scheme), *sp);
         }
         panic("unknown scheme kind");
     }
@@ -215,7 +204,7 @@ class Executor
     /**
      * What the engine needs to know about a reference that does not vary
      * between its dynamic instances. Built once per run from the program
-     * and the current marking; both operation sources carry only the
+     * and the current marking; the lowered program carries only the
      * reference id and the address, so marks are always read at run time.
      */
     struct RefFacts
@@ -228,122 +217,37 @@ class Executor
         bool markCritical = false;
     };
 
-    /**
-     * Iterations of one epoch that a processor runs next: indices
-     * k = begin, begin + stride, ... below end, where index k is the
-     * DOALL value lo + k * step.
-     */
-    struct IterShare
+    template <class Scheme>
+    RunResult
+    runProgram(Scheme &scheme, const StreamProgram &sp)
     {
-        std::size_t begin = 0;
-        std::size_t end = 0;
-        std::size_t stride = 1;
-    };
-
-    /** Replays one processor's share of a recorded epoch. */
-    class StreamCursor
-    {
-      public:
-        explicit StreamCursor(const EpochStream &ep) : _ep(ep) {}
-
-        /** Run @p share next (before the first op or after an End). */
-        void assign(IterShare share) { _share = share; }
-
-        /** Next op (End when the share is exhausted). */
-        StreamOp
-        next()
+        OpCursor master(sp);
+        master.startMaster();
+        std::vector<OpCursor> cursors;
+        for (ProcId p = 0; p < _cfg.procs; ++p)
+            cursors.emplace_back(sp);
+        for (StreamOp op = master.next(); op.kind != StreamOp::Kind::End;
+             op = master.next())
         {
-            while (_cur == _end) {
-                if (_share.begin >= _share.end)
-                    return StreamOp{};
-                const std::size_t k = _share.begin;
-                _share.begin += _share.stride;
-                _cur = _ep.ops.data() + _ep.iterBegin[k];
-                _end = _ep.ops.data() + _ep.iterBegin[k + 1];
-                _iter = _ep.lo + static_cast<std::int64_t>(k) * _ep.step;
-            }
-            // Sixteen processors' streams are read in turn; fetch this
-            // one's a few lines ahead (an address, never read, so running
-            // past the end is harmless).
-            __builtin_prefetch(reinterpret_cast<const void *>(
-                reinterpret_cast<std::uintptr_t>(_cur) + kPrefetchBytes));
-            return *_cur++;
-        }
-
-        /** Iteration of the op last returned (-1 before the first). */
-        std::int64_t iter() const { return _iter; }
-
-      private:
-        static constexpr std::uintptr_t kPrefetchBytes = 256;
-
-        const EpochStream &_ep;
-        IterShare _share{};
-        const StreamOp *_cur = nullptr;
-        const StreamOp *_end = nullptr;
-        std::int64_t _iter = -1;
-    };
-
-    template <class Scheme>
-    RunResult
-    dispatch(Scheme &scheme, const std::shared_ptr<const StreamProgram> &sp)
-    {
-        return sp ? runStream(scheme, *sp) : runInterp(scheme);
-    }
-
-    template <class Scheme>
-    RunResult
-    runInterp(Scheme &scheme)
-    {
-        RunCtx ctx;
-        TaskStream master(_prog, ctx, _prog.main().body);
-        while (true) {
-            TaskOp op = master.next();
-            if (op.kind == TaskOp::Kind::End)
-                break;
             switch (op.kind) {
-              case TaskOp::Kind::Ref:
-                issueRef(scheme, _serialProc, streamOpOf(op), -1);
-                break;
-              case TaskOp::Kind::Barrier:
-                boundary();
-                break;
-              case TaskOp::Kind::BeginDoall:
-                boundary();
-                runParallelInterp(scheme, op, master.env(), ctx);
-                boundary();
-                migrateSerialTask();
-                break;
-              default:
-                serialOp(streamOpOf(op));
-                break;
-            }
-        }
-        finish();
-        return _res;
-    }
-
-    template <class Scheme>
-    RunResult
-    runStream(Scheme &scheme, const StreamProgram &sp)
-    {
-        for (const StreamOp &rec : sp.master) {
-            switch (rec.kind) {
               case StreamOp::Kind::Ref:
-                issueRef(scheme, _serialProc, rec, -1);
+                issueRef(scheme, _serialProc, op, -1);
                 break;
               case StreamOp::Kind::Barrier:
                 boundary();
                 break;
               case StreamOp::Kind::BeginDoall:
                 boundary();
-                runParallelStream(
-                    scheme,
-                    sp.epochs[static_cast<std::size_t>(rec.aux)]);
+                for (OpCursor &c : cursors)
+                    c.enterEpoch(master);
+                mergeEpoch(scheme, cursors, master.doallTrips(),
+                           sp.loops[static_cast<std::size_t>(op.aux)]
+                               .hasSync);
                 boundary();
                 migrateSerialTask();
                 break;
               default:
-                serialOp(rec);
+                serialOp(op);
                 break;
             }
         }
@@ -632,22 +536,10 @@ class Executor
         }
     }
 
-    /** Does the DOALL body contain post/wait (memoized)? */
-    bool
-    doallHasSync(const hir::LoopStmt *loop)
-    {
-        auto it = _doallSync.find(loop);
-        if (it != _doallSync.end())
-            return it->second;
-        bool has = doallBodyHasSync(_prog, *loop);
-        _doallSync[loop] = has;
-        return has;
-    }
-
     /**
-     * The placement rule both operation sources use: processor @p p's
-     * first share of an @p n-iteration epoch is its Block chunk, its
-     * Cyclic stride, or its first Dynamic chunk.
+     * The placement rule: processor @p p's first share of an
+     * @p n-iteration epoch is its Block chunk, its Cyclic stride, or its
+     * first Dynamic chunk.
      */
     IterShare
     initialShare(std::size_t n, ProcId p) const
@@ -688,54 +580,14 @@ class Executor
         return true;
     }
 
-    template <class Scheme>
-    void
-    runParallelInterp(Scheme &scheme, const TaskOp &doall,
-                      const hir::Env &outer, RunCtx &ctx)
-    {
-        std::vector<std::unique_ptr<TaskStream>> streams;
-        streams.reserve(_cfg.procs);
-        for (ProcId p = 0; p < _cfg.procs; ++p)
-            streams.push_back(std::make_unique<TaskStream>(
-                _prog, ctx, *doall.doall, outer));
-
-        const std::size_t n =
-            doall.lo > doall.hi
-                ? 0
-                : static_cast<std::size_t>((doall.hi - doall.lo) /
-                                           doall.step) + 1;
-        mergeEpoch(
-            scheme, n, doallHasSync(doall.doall),
-            [&](ProcId p) { return streamOpOf(streams[p]->next()); },
-            [&](ProcId p) { return streams[p]->currentIteration(); },
-            [&](ProcId p, IterShare share) {
-                for (std::size_t k = share.begin; k < share.end;
-                     k += share.stride)
-                    streams[p]->addIteration(
-                        doall.lo + static_cast<std::int64_t>(k) * doall.step);
-            });
-    }
-
-    template <class Scheme>
-    void
-    runParallelStream(Scheme &scheme, const EpochStream &ep)
-    {
-        std::vector<StreamCursor> cursors(_cfg.procs, StreamCursor(ep));
-        mergeEpoch(
-            scheme, ep.iterations(), ep.hasSync,
-            [&](ProcId p) { return cursors[p].next(); },
-            [&](ProcId p) { return cursors[p].iter(); },
-            [&](ProcId p, IterShare share) { cursors[p].assign(share); });
-    }
-
     /**
      * One lock, post/wait, call-boundary or end op of processor @p p,
      * already popped from the ready heap; re-queues p and any processor
      * the op wakes.
      */
-    template <class AssignFn>
     void
-    rareOp(const StreamOp &op, ProcId p, EpochSync &sync, AssignFn &assign)
+    rareOp(const StreamOp &op, ProcId p, EpochSync &sync,
+           std::vector<OpCursor> &cursors)
     {
         switch (op.kind) {
           case StreamOp::Kind::LockAcquire:
@@ -813,7 +665,7 @@ class Executor
           case StreamOp::Kind::End: {
             IterShare share;
             if (refill(sync, share)) {
-                assign(p, share);
+                cursors[p].assign(share);
                 _ready.push(_procTime[p], p);
             }
             break;
@@ -825,16 +677,15 @@ class Executor
 
     /**
      * Global-time interleaving of one parallel epoch of @p n DOALL
-     * iterations. @p assign hands processor p a share of the iterations
-     * (initialShare for everyone first, then refill whenever a stream is
-     * exhausted), @p nextOp yields the next operation of p's task
-     * stream, and @p iterOf its current iteration (the legality
-     * checker's task id).
+     * iterations. Each processor's cursor gets a share of the iterations
+     * (initialShare for everyone first, then refill whenever a share is
+     * exhausted); its current iteration is the legality checker's task
+     * id.
      */
-    template <class Scheme, class NextFn, class IterFn, class AssignFn>
+    template <class Scheme>
     void
-    mergeEpoch(Scheme &scheme, std::size_t n, bool hasSync, NextFn &&nextOp,
-               IterFn &&iterOf, AssignFn &&assign)
+    mergeEpoch(Scheme &scheme, std::vector<OpCursor> &cursors, std::size_t n,
+               bool hasSync)
     {
         ++_res.parallelEpochs;
         _res.tasks += n;
@@ -850,7 +701,7 @@ class Executor
                             : n;
         _ready.clear();
         for (ProcId p = 0; p < P; ++p) {
-            assign(p, initialShare(n, p));
+            cursors[p].assign(initialShare(n, p));
             _ready.push(_procTime[p], p);
         }
 
@@ -864,10 +715,10 @@ class Executor
         while (!_ready.empty()) {
             const ProcId p = _ready.top().proc;
             const Cycles t_before = _procTime[p];
-            const StreamOp op = nextOp(p);
+            const StreamOp op = cursors[p].next();
             if (op.kind == StreamOp::Kind::Ref) {
                 // Only p re-queues: one sift-down instead of pop + push.
-                issueRef(scheme, p, op, iterOf(p));
+                issueRef(scheme, p, op, cursors[p].iter());
                 _ready.replaceTop(_procTime[p]);
             } else if (op.kind == StreamOp::Kind::Compute) {
                 _procTime[p] += static_cast<Cycles>(op.aux);
@@ -876,7 +727,7 @@ class Executor
                 // The rare ops may wake other processors, so p leaves
                 // the heap before anyone is pushed.
                 _ready.pop();
-                rareOp(op, p, sync, assign);
+                rareOp(op, p, sync, cursors);
             }
             if (_procTime[p] != t_before)
                 stalled_ops = 0;
@@ -965,7 +816,6 @@ class Executor
     std::uint64_t _accessGen = 1;
     std::vector<char> _inCritical;
     std::set<std::int64_t> _serialPosted;
-    std::map<const hir::LoopStmt *, bool> _doallSync;
     bool _syncEpoch = false;
     EpochId _epoch = 0;
     ProcId _serialProc = 0;

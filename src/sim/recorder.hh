@@ -3,8 +3,7 @@
  * The sink that turns a run's TraceSink events into the observability
  * artifacts: the Perfetto timeline (obs::Timeline) and the counter
  * time series (obs::MetricsRecorder). The executor reports to it like
- * to any other sink, so the interpreter and the epoch-stream fast path
- * produce identical artifacts by construction.
+ * to any other sink.
  */
 
 #ifndef HSCD_SIM_RECORDER_HH

@@ -1,36 +1,19 @@
 /**
  * @file
- * Epoch-stream fast path: a program's reference sequences, recorded
- * once into flat per-iteration streams.
+ * The executable form of a program: its serial master and every DOALL
+ * body lowered once into one flat, slot-indexed op program, and the
+ * cursor that runs it (DESIGN.md section 9).
  *
- * The execution-driven engine normally re-walks HIR statements for every
- * simulated reference (frame stack, environment lookups, subscript
- * expression trees). Each DOALL iteration's operations depend only on
- * the program, the master's bindings and the iteration number (an
- * Alternate branch counts its trips per iteration inside a DOALL, see
- * sim/interp.hh), so the same TaskStream interpreter the legacy path
- * uses records every iteration once, and the executor places the
- * recorded iterations on processors at run time with the same share
- * rule the interpreted path uses. One recording therefore serves every
- * processor count and every static schedule. A StreamOp keeps only what
- * varies per dynamic reference: the word address and the reference id.
- * Everything static per reference id (read or write, array, mark kind,
- * Time-Read distance, critical-section marking) is looked up by the
- * executor in one per-run table built from the program and its current
- * marking, so a stream never bakes in marks and stays valid when a mark
- * is overridden after it was recorded.
- *
- * The contract is strict equivalence: a fast-path run produces a
- * byte-identical RunResult to the interpreted run (enforced by
- * tests/test_fastpath_equiv.cc). Dynamic self-scheduling still runs on
- * the interpreter. Its placement could replay the same recording, but
- * caching the recording would grow the resident set of Dynamic-only
- * campaigns, and recording without caching costs more per reference
- * than interpreting does.
- *
- * The recording is cached on the CompiledProgram itself, so sweeps that
- * re-simulate one workload under many machine configurations pay for
- * interpretation once.
+ * Every binding gets an integer slot. An affine subscript the lowering
+ * proves in range is an address generator (a base plus per-slot strides,
+ * moved by one add when its loop advances); runs of them and of Computes
+ * are served as flat records. Unknown or unbounded subscripts, Hash and
+ * Alternate branches and post/wait flags are the slow ops, evaluated
+ * from the slots; hashes reproduce hir::Env::mixHash bit for bit. The
+ * program is O(program text), has no size cap, and one lowering, cached
+ * on the CompiledProgram, serves every machine shape and every schedule.
+ * Ops carry a reference's address and id only; the executor reads the
+ * static facts from the current marking.
  */
 
 #ifndef HSCD_SIM_STREAM_HH
@@ -41,13 +24,13 @@
 #include <vector>
 
 #include "compiler/analysis.hh"
+#include "hir/program.hh"
 #include "mem/machine_config.hh"
-#include "sim/interp.hh"
 
 namespace hscd {
 namespace sim {
 
-/** One recorded operation of an epoch stream (16 bytes, flat). */
+/** One operation the executor consumes (16 bytes, flat). */
 struct StreamOp
 {
     enum class Kind : std::uint8_t
@@ -60,70 +43,232 @@ struct StreamOp
         Wait,         ///< block on synchronization flag aux
         CallBoundary, ///< procedure entry/return
         Barrier,      ///< master only: explicit epoch boundary
-        BeginDoall,   ///< master only: run parallel epoch aux
-        End,          ///< a task's ops are exhausted (never recorded)
+        BeginDoall,   ///< master only: run the DOALL of loop aux
+        End,          ///< the master or a processor's share is exhausted
     };
 
-    /** Ref: word address; else cycles / flag / epoch index. */
+    /** Ref: word address; else cycles / flag / DOALL loop. */
     std::int64_t aux = 0;
     hir::RefId ref = hir::invalidRef; ///< Ref: static facts by id
     Kind kind = Kind::End;
 };
 static_assert(sizeof(StreamOp) == 16, "StreamOp is a 16-byte record");
 
-/**
- * The stream form of one interpreter operation. Both the recorder and
- * the executor's interpreted path convert through here, so the executor
- * consumes one operation type whichever source feeds it. BeginDoall
- * has no single-record form; the caller handles it.
- */
-StreamOp streamOpOf(const TaskOp &op);
-
-/**
- * One parallel epoch, recorded iteration by iteration: iteration k (the
- * DOALL index lo + k * step) is ops[iterBegin[k], iterBegin[k + 1]).
- */
-struct EpochStream
+/** Iteration indices begin, begin + stride, ... below end (k: lo + k*step). */
+struct IterShare
 {
-    bool hasSync = false; ///< body contains post/wait
-    std::int64_t lo = 0;
-    std::int64_t step = 1;
-    std::vector<std::uint32_t> iterBegin; ///< iterations() + 1 offsets
-    std::vector<StreamOp> ops;
-
-    std::size_t iterations() const { return iterBegin.size() - 1; }
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::size_t stride = 1;
 };
 
-/** A whole program, flattened once for every machine shape. */
+/** One lowered instruction (16 bytes). */
+struct LoweredOp
+{
+    enum class Code : std::uint8_t
+    {
+        Run,       ///< aux, arg: StreamProgram::runOps range
+        SlowRef,   ///< aux: array << 32 | first subscript expr; arg: ref
+        Mark,      ///< arg: a Lock, CallBoundary or Barrier StreamOp::Kind
+        Sync,      ///< aux: flag expression; arg: Post or Wait
+        Doall,     ///< master only; aux: the DOALL's loop
+        LoopBegin, ///< aux: loop; arg: pc past the loop (zero trips)
+        LoopNext,  ///< aux: loop; arg: pc of the loop body
+        Alternate, ///< aux: IfUnknownStmt::id; arg: pc of the else arm
+        Hash,      ///< aux: the expr it hashes; arg: pc of the else arm
+        Jump,      ///< arg: target pc
+        IterEnd,   ///< end of a DOALL body: next iteration of the share
+        End,       ///< end of the master
+    };
+
+    std::int64_t aux = 0;
+    std::uint32_t arg = 0;
+    Code code = Code::End;
+};
+static_assert(sizeof(LoweredOp) == 16, "LoweredOp is a 16-byte record");
+
+/** coef * slots[slot]; for a binding, coef is its variable's nameHash. */
+struct SlotTerm
+{
+    std::uint32_t slot = 0;
+    std::int64_t coef = 0;
+};
+
+/**
+ * konst + sum of terms, plus (hashed) a hash of the live bindings, as
+ * an IntExpr's unknown term adds; a Hash branch tests the hash alone.
+ */
+struct SlotExpr
+{
+    std::int64_t konst = 0;
+    std::uint32_t terms = 0, termsEnd = 0; ///< StreamProgram::terms
+    std::uint32_t binds = 0, bindsEnd = 0; ///< StreamProgram::terms
+    std::uint64_t seed = 0;
+    bool hashed = false;
+};
+
+/** The address of the Ref at runOps[pos], owned by one loop. */
+struct AddrGen
+{
+    std::uint32_t addr = 0; ///< its expression, evaluated on entry
+    std::uint32_t pos = 0;
+    std::int64_t delta = 0; ///< added each time the owner advances
+};
+
+/** A serial loop, a DOALL's iteration loop, or (loops[0]) the master. */
+struct LoopInfo
+{
+    std::uint32_t slot = 0;
+    std::uint32_t lo = 0, hi = 0; ///< StreamProgram::exprs
+    std::int64_t step = 1;
+    std::uint32_t gens = 0, gensEnd = 0; ///< the generators it owns
+    std::uint32_t body = 0, end = 0; ///< a DOALL: body and IterEnd pcs
+    bool hasSync = false; ///< a DOALL whose body has post/wait
+};
+
+/** A whole program, lowered once for every machine shape. */
 struct StreamProgram
 {
-    /** Serial master ops; BeginDoall records index into epochs. */
-    std::vector<StreamOp> master;
-    std::vector<EpochStream> epochs;
+    /** The master from pc 0 to its End, then every DOALL body. */
+    std::vector<LoweredOp> code;
+    /** The ops of every run; a Ref's address is its generator's. */
+    std::vector<StreamOp> runOps;
+    std::vector<SlotExpr> exprs;
+    std::vector<SlotTerm> terms;
+    std::vector<AddrGen> gens;
+    std::vector<LoopInfo> loops;
+    std::vector<hir::ArrayDecl> arrays; ///< for SlowRef range checks
+    std::vector<std::int64_t> slotInit; ///< the parameters' values
 
-    /** Total recorded ops (master plus every epoch stream). */
-    std::size_t opCount() const;
+    /** Lowered ops: the code plus the ops of its runs. */
+    std::size_t opCount() const { return code.size() + runOps.size(); }
 };
 
 /**
- * The program's recording, made on first use and cached on @p cp
- * (thread-safe, insert-once). Returns nullptr for dynamic
- * self-scheduling and when the recording would exceed the hard size
- * cap - callers must then use the interpreted path.
+ * Runs the master or one processor's share of a parallel epoch. It keeps
+ * a live copy of the run ops, whose Ref addresses its generators update
+ * in place, and serves a run as flat records; between runs it steps the
+ * op program. Its state is O(program text); it serves every epoch.
+ */
+class OpCursor
+{
+  public:
+    explicit OpCursor(const StreamProgram &sp);
+
+    OpCursor(OpCursor &&) = default; ///< points into its own buffers
+
+    /** Position at the master's first op. */
+    void startMaster();
+
+    /**
+     * Take the DOALL that @p master just yielded (BeginDoall), with the
+     * master's bindings; the cursor runs no iteration until assign().
+     */
+    void enterEpoch(const OpCursor &master);
+
+    /** Run @p share next (before the first op or after an End). */
+    void assign(IterShare share) { _share = share; }
+
+    /** Next op (End when the master or the share is exhausted). */
+    StreamOp
+    next()
+    {
+        if (_cur == _end && !loopBack()) {
+            StreamOp out;
+            if (step(out))
+                return out;
+        }
+        return *_cur++;
+    }
+
+    /** Iteration of the op last returned (-1 in the master). */
+    std::int64_t iter() const { return _iter; }
+
+    /** The bounds and trip count of the DOALL the master last yielded. */
+    std::int64_t doallLo() const { return _doallLo; }
+    std::int64_t doallHi() const { return _doallHi; }
+    std::size_t doallTrips() const;
+
+  private:
+    /**
+     * At the end of a run that is a whole loop body, advance the loop
+     * and restart the run if there is another trip: the innermost loops
+     * run without step().
+     */
+    bool
+    loopBack()
+    {
+        if (!_tight)
+            return false;
+        if ((_slots[_tight->slot] += _tight->step) > _his[_tight->slot]) {
+            _tight = nullptr;
+            ++_pc; // past the LoopNext
+            return false;
+        }
+        for (std::uint32_t g = _tight->gens; g < _tight->gensEnd; ++g)
+            _ops[_genInfo[g].pos].aux += _genInfo[g].delta;
+        _cur = _tightBegin;
+        return true;
+    }
+
+    /** Step the program to a run (false) or an op for @p out (true). */
+    bool step(StreamOp &out);
+    void reset(std::uint32_t pc);
+    void startIteration();
+    std::int64_t eval(const SlotExpr &e, std::int64_t unknown_modulus) const;
+    std::uint64_t hash(const SlotExpr &e) const;
+    std::int64_t slowRefAddr(std::int64_t aux);
+    bool alternate(std::uint32_t id);
+    void recompute(const LoopInfo &l);
+
+    const StreamOp *_cur = nullptr; ///< the current run's ops
+    const StreamOp *_end = nullptr;
+    std::int64_t _iter = -1;
+    const LoopInfo *_tight = nullptr; ///< loop whose body is the run
+    const StreamOp *_tightBegin = nullptr;
+    StreamOp *_ops; ///< the live run ops
+    const AddrGen *_genInfo;
+    std::int64_t *_slots; ///< current value of each slot
+    std::int64_t *_his;   ///< per loop slot: its evaluated upper bound
+
+    const StreamProgram *_sp;
+    const LoweredOp *_code;
+    std::uint32_t _pc = 0;
+    IterShare _share{};
+    const LoopInfo *_doall = nullptr; ///< the epoch's DOALL (not master)
+    /** The last iteration's index: the next moves generators by delta. */
+    std::int64_t _lastK = -1;
+    std::int64_t _epochLo = 0;
+    std::uint64_t _stamp = 0; ///< iterations this cursor has started
+    std::vector<std::int64_t> _state; ///< _slots and _his
+    std::vector<StreamOp> _opsBuf;    ///< _ops
+    std::vector<std::int64_t> _subs;  ///< SlowRef's scratch subscripts
+    /**
+     * Alternate trip counts by IfUnknownStmt::id, run-wide in the master;
+     * in a DOALL one stamped with an earlier iteration counts from zero.
+     */
+    struct AltCount
+    {
+        std::uint64_t stamp = 0;
+        std::uint64_t trips = 0;
+    };
+    std::vector<AltCount> _alt;
+    std::int64_t _doallLo = 0, _doallHi = -1;
+    const LoopInfo *_doallLast = nullptr; ///< the DOALL last yielded
+};
+
+/**
+ * The program's lowered form, made on first use and cached on @p cp
+ * (thread-safe, insert-once). Every configuration gets the same
+ * program; @p cfg is not read. Never null.
  */
 std::shared_ptr<const StreamProgram>
 epochStream(const compiler::CompiledProgram &cp, const MachineConfig &cfg);
 
-/** Does a DOALL body (transitively) contain post/wait? */
-bool doallBodyHasSync(const hir::Program &prog, const hir::LoopStmt &loop);
-
-/**
- * Process-wide StreamProgram cache telemetry, aggregated over every
- * program's per-CompiledProgram slot (monotonic; for /stats).
- */
+/** Process-wide lowered-program cache telemetry (monotonic). */
 struct StreamCacheStats
 {
-    std::uint64_t builds = 0; ///< programs recorded fresh
+    std::uint64_t builds = 0; ///< programs lowered fresh
     std::uint64_t hits = 0;   ///< served from a slot cache
 };
 

@@ -490,7 +490,7 @@ class OracleBuilder
         std::uint64_t budget = _cap;
         const std::uint64_t base_word = decl.base / hir::wordBytes;
 
-        // Per-dimension strides, column-major like Program::elementAddr.
+        // Per-dimension strides, column-major like ArrayDecl::elementAddr.
         std::vector<std::int64_t> stride(decl.dims.size());
         std::int64_t mult = 1;
         for (std::size_t d = 0; d < decl.dims.size(); ++d) {

@@ -1,0 +1,36 @@
+/**
+ * @file
+ * Op-level equivalence of a program's lowered form (sim/stream.hh) with
+ * the TaskStream reference interpreter (tests/task_stream.hh).
+ */
+
+#ifndef HSCD_TESTS_OP_EQUIV_HH
+#define HSCD_TESTS_OP_EQUIV_HH
+
+#include <cstddef>
+
+#include <gtest/gtest.h>
+
+#include "compiler/analysis.hh"
+
+namespace hscd {
+namespace testref {
+
+/**
+ * Hold @p cp's lowered program to the reference, op for op: the
+ * master's ops, each DOALL's bounds and trip count, and every iteration
+ * of every DOALL instance the master reaches (kind, address, reference
+ * id, cycles, flag, and the iteration the cursor reports). Each epoch's
+ * iterations run on one reused cursor in reverse order, against a
+ * reference that runs them in order, so the check also covers that an
+ * iteration's ops do not depend on where or after what it runs.
+ * @p compared, when given, receives the number of ops compared.
+ */
+::testing::AssertionResult
+opsMatchReference(const compiler::CompiledProgram &cp,
+                  std::size_t *compared = nullptr);
+
+} // namespace testref
+} // namespace hscd
+
+#endif // HSCD_TESTS_OP_EQUIV_HH

@@ -1,4 +1,4 @@
-#include "sim/interp.hh"
+#include "task_stream.hh"
 
 #include "common/log.hh"
 
@@ -60,7 +60,7 @@ TaskStream::refAddr(const ArrayRefStmt &ref)
             v = ((v % dim) + dim) % dim;
         _subscripts[d] = v;
     }
-    return _prog.elementAddr(ref.array, _subscripts);
+    return _prog.array(ref.array).elementAddr(_subscripts);
 }
 
 void

@@ -1,27 +1,27 @@
 /**
  * @file
- * Resumable HIR interpreter.
+ * Reference HIR interpreter for the equivalence tests.
  *
  * A TaskStream walks a statement list with an explicit frame stack and
- * yields one operation at a time, which is what lets the executor
- * interleave many processors' work in global time order. Two modes:
+ * yields one operation at a time, evaluating every subscript through
+ * hir::IntExpr and hir::Env. The simulator never runs it: it executes
+ * the lowered program of sim/stream.hh. The tests hold the lowered
+ * program's op sequence to this interpreter's, op for op. Two modes:
  *
  *  - top-level (the serial master thread): encountering a DOALL yields a
  *    BeginDoall operation with evaluated bounds and does not descend;
- *  - task mode (one DOALL's iterations on one processor): nested DOALLs
- *    are demoted to serial loops, and the stream runs a list of
- *    iterations that can be extended dynamically (self-scheduling).
+ *  - task mode (one DOALL's iterations): nested DOALLs are demoted to
+ *    serial loops, and the stream runs a list of iterations that can be
+ *    extended dynamically.
  *
  * An Alternate-policy branch counts its trips per DOALL iteration in
- * task mode and run-wide (RunCtx) in serial code. Each iteration's
- * operations therefore depend only on the program, the master's
- * bindings and the iteration number - never on which processor runs
- * it or what ran there before - which is what lets sim/stream record
- * every iteration once and place it on any processor at run time.
+ * task mode and run-wide (RunCtx) in serial code, so each iteration's
+ * operations depend only on the program, the master's bindings and the
+ * iteration number.
  */
 
-#ifndef HSCD_SIM_INTERP_HH
-#define HSCD_SIM_INTERP_HH
+#ifndef HSCD_TESTS_TASK_STREAM_HH
+#define HSCD_TESTS_TASK_STREAM_HH
 
 #include <map>
 #include <memory>
@@ -155,4 +155,4 @@ class TaskStream
 } // namespace sim
 } // namespace hscd
 
-#endif // HSCD_SIM_INTERP_HH
+#endif // HSCD_TESTS_TASK_STREAM_HH

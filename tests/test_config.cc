@@ -140,3 +140,21 @@ TEST(MachineConfigValidate, ZeroWordWriteBufferCacheIsFatal)
     c.writeBufferAsCache = false;
     EXPECT_NO_THROW(c.validate());
 }
+
+/**
+ * The executor has one operation source, so the old `fastpath` machine
+ * key is gone: passing it is a usage error, not a silent no-op.
+ */
+TEST(MachineConfigParams, FastpathKeyIsUnknown)
+{
+    Params p = MachineConfig::params();
+    EXPECT_FALSE(p.has("fastpath"));
+    try {
+        p.parseAssignment("fastpath=false");
+        ADD_FAILURE() << "fastpath=false was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("unknown parameter 'fastpath'"),
+                  std::string::npos)
+            << e.what();
+    }
+}

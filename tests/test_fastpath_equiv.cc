@@ -1,14 +1,17 @@
 /**
  * @file
- * Differential equivalence tests for the epoch-stream fast path.
+ * Equivalence tests for the lowered program (src/sim/stream.hh), the
+ * executor's one operation source.
  *
- * The contract (src/sim/stream.hh) is strict: for every (program,
- * config) the fast path produces a RunResult byte-identical to the
- * legacy per-access interpreter, which stays compiled behind
- * MachineConfig::fastPath = false as the oracle. One recording per
- * program serves every processor count and static schedule; dynamic
- * self-scheduling falls back to the interpreter and still agrees
- * trivially.
+ * The lowered program must yield exactly the op sequence of the
+ * TaskStream reference interpreter (tests/task_stream.hh): the master's
+ * ops and every DOALL iteration's ops. The paper workloads, the 50-seed
+ * generated corpus, Alternate branches inside DOALLs, Hash branches,
+ * unknown and unbounded subscripts, calls, critical sections and
+ * post/wait chains are held to it here; the synthetic families in
+ * test_synth_differential.cc. Simulated results are pinned by
+ * fingerprints (DynamicScheduleFingerprintsPinned here, simbench's pins,
+ * the golden miss-rate tables and ObsEquivalence.ArtifactsPinned).
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "hir/builder.hh"
+#include "op_equiv.hh"
 #include "program_gen.hh"
 #include "sim/machine.hh"
 #include "sim/stream.hh"
@@ -29,6 +33,7 @@
 
 using namespace hscd;
 using namespace hscd::sim;
+using testref::opsMatchReference;
 
 namespace {
 
@@ -45,19 +50,24 @@ constexpr SchemeKind kAllSchemes[] = {SchemeKind::Base, SchemeKind::SC,
                                       SchemeKind::TPI, SchemeKind::HW,
                                       SchemeKind::VC};
 
-/** Run both paths and require field-by-field + fingerprint equality. */
+/**
+ * A run of @p cached, whose lowered program is cached and reused,
+ * equals a run of @p fresh, lowered inside the run: field by field and
+ * by fingerprint.
+ */
 ::testing::AssertionResult
-pathsAgree(const compiler::CompiledProgram &cp, MachineConfig cfg)
+cachedAgreesWithFresh(const compiler::CompiledProgram &cached,
+                      const compiler::CompiledProgram &fresh,
+                      const MachineConfig &cfg)
 {
-    cfg.fastPath = false;
-    RunResult legacy = simulate(cp, cfg);
-    cfg.fastPath = true;
-    RunResult fast = simulate(cp, cfg);
-    if (!(legacy == fast))
+    epochStream(cached, cfg);
+    const RunResult a = simulate(cached, cfg);
+    const RunResult b = simulate(fresh, cfg);
+    if (!(a == b))
         return ::testing::AssertionFailure()
-               << schemeName(cfg.scheme) << ": results differ\n  legacy: "
-               << legacy.summary() << "\n  fast:   " << fast.summary();
-    if (legacy.fingerprint() != fast.fingerprint())
+               << schemeName(cfg.scheme) << ": results differ\n  cached: "
+               << a.summary() << "\n  fresh:  " << b.summary();
+    if (a.fingerprint() != b.fingerprint())
         return ::testing::AssertionFailure()
                << schemeName(cfg.scheme) << ": fingerprints differ";
     return ::testing::AssertionSuccess();
@@ -107,107 +117,149 @@ alternateInDoall(const hir::Program &prog, const hir::StmtList &body,
 
 } // namespace
 
-/** Every paper workload (scale 1), every scheme: byte-identical. */
+/**
+ * Every paper workload (scale 1) lowers to the reference's op sequence,
+ * qcd2's Hash branch and unknown subscripts included, and runs clean
+ * on every scheme.
+ */
 TEST(FastpathEquiv, BenchmarksAllSchemes)
 {
-    unsigned eligible = 0;
     for (const std::string &name : workloads::benchmarkNames()) {
         compiler::CompiledProgram cp =
             compiler::compileProgram(workloads::buildBenchmark(name, 1));
+        std::size_t ops = 0;
+        EXPECT_TRUE(opsMatchReference(cp, &ops)) << name;
+        EXPECT_GT(ops, 1000u) << name;
         for (SchemeKind k : kAllSchemes) {
-            MachineConfig cfg = baseCfg(k);
-            eligible += epochStream(cp, cfg) != nullptr ? 1 : 0;
-            EXPECT_TRUE(pathsAgree(cp, cfg)) << name;
+            const RunResult r = simulate(cp, baseCfg(k));
+            EXPECT_EQ(r.oracleViolations, 0u) << name << " " << schemeName(k);
+            EXPECT_EQ(r.doallViolations, 0u) << name << " " << schemeName(k);
         }
     }
-    // The suite must not pass vacuously with every workload falling back
-    // to the interpreter.
-    EXPECT_GT(eligible, 0u);
 }
 
-/** 50-seed random legal-DOALL corpus, schemes rotating per seed. */
+/** The 50-seed random legal-DOALL corpus, op for op. */
 TEST(FastpathEquiv, FuzzCorpus)
 {
-    unsigned eligible = 0;
     for (std::uint64_t seed = 1; seed <= 50; ++seed) {
         testgen::GenOptions opt;
         opt.seed = seed;
         compiler::CompiledProgram cp =
             compiler::compileProgram(testgen::randomLegalProgram(opt));
-        for (SchemeKind k : kAllSchemes) {
-            MachineConfig cfg = baseCfg(k);
-            if (epochStream(cp, cfg) != nullptr)
-                ++eligible;
-            EXPECT_TRUE(pathsAgree(cp, cfg)) << "gen:" << seed;
-        }
+        EXPECT_TRUE(opsMatchReference(cp)) << "gen:" << seed;
     }
-    // Every program of the corpus is recorded, so every cell must take
-    // the fast path.
-    EXPECT_EQ(eligible, 250u);
 }
 
-/** Config dimensions that feed the stream or the issue path. */
+/**
+ * Config dimensions that feed the issue path: a run on a program whose
+ * lowered form is cached and reused by earlier runs equals a run that
+ * lowers a fresh compile of the same program.
+ */
 TEST(FastpathEquiv, ConfigVariations)
 {
     testgen::GenOptions opt;
     opt.seed = 7;
     compiler::CompiledProgram cp =
         compiler::compileProgram(testgen::randomLegalProgram(opt));
+    auto fresh = [&] {
+        return compiler::compileProgram(testgen::randomLegalProgram(opt));
+    };
 
     for (SchemeKind k : {SchemeKind::SC, SchemeKind::TPI, SchemeKind::HW}) {
         {
             MachineConfig cfg = baseCfg(k);
             cfg.sched = SchedPolicy::Cyclic;
-            EXPECT_TRUE(pathsAgree(cp, cfg)) << "cyclic";
+            EXPECT_TRUE(cachedAgreesWithFresh(cp, fresh(), cfg)) << "cyclic";
+        }
+        {
+            MachineConfig cfg = baseCfg(k);
+            cfg.sched = SchedPolicy::Dynamic;
+            cfg.dynamicChunk = 2;
+            EXPECT_TRUE(cachedAgreesWithFresh(cp, fresh(), cfg))
+                << "dynamic";
         }
         {
             MachineConfig cfg = baseCfg(k, 8);
-            EXPECT_TRUE(pathsAgree(cp, cfg)) << "procs=8";
+            EXPECT_TRUE(cachedAgreesWithFresh(cp, fresh(), cfg)) << "procs=8";
         }
         {
             MachineConfig cfg = baseCfg(k);
             cfg.migrationRate = 0.5;
-            EXPECT_TRUE(pathsAgree(cp, cfg)) << "migration";
+            EXPECT_TRUE(cachedAgreesWithFresh(cp, fresh(), cfg))
+                << "migration";
         }
         {
             MachineConfig cfg = baseCfg(k);
             cfg.flushAtCalls = true;
-            EXPECT_TRUE(pathsAgree(cp, cfg)) << "flushAtCalls";
+            EXPECT_TRUE(cachedAgreesWithFresh(cp, fresh(), cfg))
+                << "flushAtCalls";
         }
         {
             MachineConfig cfg = baseCfg(k);
             cfg.sequentialConsistency = true;
-            EXPECT_TRUE(pathsAgree(cp, cfg)) << "seqConsistency";
+            EXPECT_TRUE(cachedAgreesWithFresh(cp, fresh(), cfg))
+                << "seqConsistency";
         }
         {
             MachineConfig cfg = baseCfg(k);
             cfg.shadowEpochCheck = true;
-            EXPECT_TRUE(pathsAgree(cp, cfg)) << "shadowEpochCheck";
+            EXPECT_TRUE(cachedAgreesWithFresh(cp, fresh(), cfg))
+                << "shadowEpochCheck";
         }
         {
             MachineConfig cfg = baseCfg(k);
             cfg.writeBufferAsCache = true;
-            EXPECT_TRUE(pathsAgree(cp, cfg)) << "writeBufferAsCache";
+            EXPECT_TRUE(cachedAgreesWithFresh(cp, fresh(), cfg))
+                << "writeBufferAsCache";
         }
     }
 }
 
-/** Dynamic self-scheduling is ineligible and must fall back cleanly. */
-TEST(FastpathEquiv, DynamicSchedFallsBack)
+/**
+ * The lowered program is O(program text): a DOALL whose dynamic op
+ * count is past 2^24 lowers to as many ops as the same DOALL with 16
+ * trips, and every schedule, Dynamic included, gets it.
+ */
+TEST(FastpathEquiv, LoweringIsBoundedByProgramText)
 {
-    compiler::CompiledProgram cp = compiler::compileProgram(
-        workloads::buildBenchmark(workloads::benchmarkNames().front(), 1));
-    MachineConfig cfg = baseCfg(SchemeKind::TPI);
-    cfg.sched = SchedPolicy::Dynamic;
-    EXPECT_EQ(epochStream(cp, cfg), nullptr);
-    EXPECT_TRUE(pathsAgree(cp, cfg));
+    auto program = [](std::int64_t trips) {
+        hir::ProgramBuilder b;
+        b.param("N", trips);
+        b.array("A", {"N"});
+        b.array("B", {64});
+        b.proc("MAIN", [&] {
+            b.doall("i", 0, b.p("N") - 1, [&] {
+                b.doserial("k", 0, 63, [&] {
+                    b.read("B", {b.v("k")});
+                    b.compute(1);
+                });
+                b.write("A", {b.v("i")});
+            });
+        });
+        return compiler::compileProgram(b.build());
+    };
+    // 64 * 2 + 1 ops per iteration, 2^18 iterations: past 2^25.
+    const compiler::CompiledProgram big = program(std::int64_t(1) << 18);
+    const compiler::CompiledProgram small = program(16);
+    const std::shared_ptr<const StreamProgram> sp =
+        epochStream(big, baseCfg(SchemeKind::TPI));
+    ASSERT_NE(sp, nullptr);
+    EXPECT_EQ(sp->opCount(),
+              epochStream(small, baseCfg(SchemeKind::TPI))->opCount());
+    EXPECT_LT(sp->opCount(), 16u);
+    for (SchedPolicy sched :
+         {SchedPolicy::Block, SchedPolicy::Cyclic, SchedPolicy::Dynamic}) {
+        MachineConfig cfg = baseCfg(SchemeKind::TPI);
+        cfg.sched = sched;
+        EXPECT_EQ(epochStream(big, cfg), sp) << int(sched);
+    }
+    EXPECT_TRUE(opsMatchReference(small));
 }
 
 /**
  * An Alternate-policy unknown branch inside a DOALL body counts its
  * trips per iteration, so its outcomes do not depend on which processor
- * runs the iteration: the program is recorded, and the recording
- * replays byte-identically under every placement.
+ * runs the iteration or what ran there before.
  */
 TEST(FastpathEquiv, AlternateInDoallRecords)
 {
@@ -223,16 +275,20 @@ TEST(FastpathEquiv, AlternateInDoallRecords)
         });
     });
     compiler::CompiledProgram cp = compiler::compileProgram(b.build());
-    MachineConfig cfg = baseCfg(SchemeKind::TPI);
-    EXPECT_NE(epochStream(cp, cfg), nullptr);
+    EXPECT_TRUE(opsMatchReference(cp));
+    // Every placement takes the then-arm once per iteration.
+    const Counter reads = simulate(cp, baseCfg(SchemeKind::TPI, 1)).reads;
     for (unsigned procs : {1u, 3u, 4u})
-        for (SchedPolicy sched : {SchedPolicy::Block, SchedPolicy::Cyclic}) {
+        for (SchedPolicy sched : {SchedPolicy::Block, SchedPolicy::Cyclic,
+                                  SchedPolicy::Dynamic}) {
             MachineConfig c = baseCfg(SchemeKind::TPI, procs);
             c.sched = sched;
-            EXPECT_TRUE(pathsAgree(cp, c)) << "procs=" << procs;
+            const RunResult r = simulate(cp, c);
+            EXPECT_EQ(r.reads, reads) << "procs=" << procs;
+            EXPECT_EQ(r.oracleViolations, 0u) << "procs=" << procs;
         }
 
-    // The same branch in serial code is recorded in master order: fine.
+    // The same branch in serial code counts run-wide.
     hir::ProgramBuilder s;
     s.param("N", 32);
     s.array("A", {"N"});
@@ -245,15 +301,13 @@ TEST(FastpathEquiv, AlternateInDoallRecords)
         });
     });
     compiler::CompiledProgram scp = compiler::compileProgram(s.build());
-    EXPECT_NE(epochStream(scp, cfg), nullptr);
-    EXPECT_TRUE(pathsAgree(scp, cfg));
+    EXPECT_TRUE(opsMatchReference(scp));
 }
 
 /**
  * The generator emits Alternate-policy branches inside DOALL bodies too
  * (tests/program_gen.hh): the corpus must actually contain such
- * programs, and every one must be recorded and replay byte-identically
- * on every scheme and under more than one placement.
+ * programs, and every one must match the reference.
  */
 TEST(FastpathEquiv, GeneratedAlternateInDoallRecords)
 {
@@ -266,25 +320,117 @@ TEST(FastpathEquiv, GeneratedAlternateInDoallRecords)
         if (!alternateInDoall(cp.program, cp.program.main().body, false))
             continue;
         ++found;
-        EXPECT_NE(epochStream(cp, baseCfg(SchemeKind::TPI)), nullptr)
-            << "gen:" << seed;
-        for (SchemeKind k : kAllSchemes)
-            EXPECT_TRUE(pathsAgree(cp, baseCfg(k))) << "gen:" << seed;
-        MachineConfig cyclic = baseCfg(SchemeKind::TPI, 3);
-        cyclic.sched = SchedPolicy::Cyclic;
-        EXPECT_TRUE(pathsAgree(cp, cyclic)) << "gen:" << seed;
+        EXPECT_TRUE(opsMatchReference(cp)) << "gen:" << seed;
     }
     // The shape must be exercised, or this test is vacuous.
     EXPECT_GT(found, 0u);
 }
 
 /**
- * One recording per program: every processor count and static schedule
- * gets the same cached stream, recorded once, and each placement of it
- * replays byte-identically to the interpreter. The program covers the
- * placement edge cases: a trip count no processor count above 1
- * divides, a zero-trip DOALL, a DOALL with fewer iterations than
- * processors, and a post/wait chain.
+ * Every slow op against the reference: Hash branches and unknown
+ * subscripts in the master and in a DOALL (both hash the live
+ * bindings, here with a loop variable shadowing a parameter), a
+ * subscript whose range the lowering cannot bound, a procedure called
+ * from a DOALL that reads the caller's loop variable, a critical
+ * section, post/wait on affine flags, step loops and a nested DOALL.
+ */
+TEST(FastpathEquiv, SlowOpsMatchReference)
+{
+    hir::ProgramBuilder b;
+    b.param("N", 24);
+    b.param("k", 5);
+    b.array("A", {"N", "N"});
+    b.array("X", {64});
+    b.array("S", {4});
+    b.proc("MAIN", [&] {
+        b.doserial("t", 0, 2, [&] {
+            b.ifUnknown(hir::TakePolicy::Hash,
+                        [&] { b.read("X", {b.unknown()}); },
+                        [&] { b.write("X", {b.v("t") + b.v("k")}); });
+            b.doall("i", 1, b.p("N") - 1, [&] {
+                b.doserial("k", 0, b.v("i") - 1, [&] {
+                    b.read("A", {b.v("i") - b.v("k"), b.v("k")});
+                    b.ifUnknown(hir::TakePolicy::Hash, [&] {
+                        b.read("X", {b.unknown() + b.v("k")});
+                    });
+                });
+                b.call("SUB");
+                b.critical([&] {
+                    b.read("S", {b.c(0)});
+                    b.write("S", {b.c(0)});
+                });
+                b.doall("j", 0, b.p("N") - 1, [&] {
+                    b.read("A", {b.v("j"), b.v("i")});
+                }, 3);
+            });
+            b.doall("d", 1, 20, [&] {
+                b.post(0);
+                b.wait(b.v("d") - 1);
+                b.read("X", {b.v("d") - 1});
+                b.write("X", {b.v("d")});
+                b.post(b.v("d"));
+            });
+        });
+    });
+    b.proc("SUB", [&] {
+        b.write("A", {b.v("i"), b.unknown()});
+        b.ifUnknown(hir::TakePolicy::Alternate,
+                    [&] { b.read("X", {b.v("i")}); });
+    });
+    compiler::CompiledProgram cp = compiler::compileProgram(b.build());
+    std::size_t ops = 0;
+    EXPECT_TRUE(opsMatchReference(cp, &ops));
+    EXPECT_GT(ops, 2000u);
+}
+
+/**
+ * A subscript out of its array's range panics with
+ * ArrayDecl::elementAddr's message when the op runs, not when the
+ * program is lowered; an unbound variable (lint HIR001) panics with
+ * IntExpr::eval's message when the program is lowered.
+ */
+TEST(FastpathEquiv, BadSubscriptsPanic)
+{
+    auto expectPanic = [](const std::string &what, auto &&fn) {
+        try {
+            fn();
+            ADD_FAILURE() << "no panic for " << what;
+        } catch (const PanicError &e) {
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+                << e.what();
+        }
+    };
+    {
+        hir::ProgramBuilder b;
+        b.array("A", {8});
+        b.proc("MAIN", [&] {
+            b.doall("i", 0, 8, [&] { b.write("A", {b.v("i")}); });
+        });
+        const compiler::CompiledProgram cp =
+            compiler::compileProgram(b.build());
+        ASSERT_NE(epochStream(cp, baseCfg(SchemeKind::TPI)), nullptr);
+        expectPanic("subscript 8 out of range [0,8)",
+                    [&] { simulate(cp, baseCfg(SchemeKind::TPI)); });
+    }
+    {
+        hir::ProgramBuilder b;
+        b.array("A", {8});
+        b.proc("MAIN", [&] {
+            b.doall("i", 0, 7, [&] { b.read("A", {b.v("q")}); });
+        });
+        const compiler::CompiledProgram cp =
+            compiler::compileProgram(b.build());
+        expectPanic("unbound variable 'q'",
+                    [&] { epochStream(cp, baseCfg(SchemeKind::TPI)); });
+    }
+}
+
+/**
+ * One lowering per program: every processor count and schedule gets the
+ * same cached program, lowered once, and it matches the reference. The
+ * program covers the placement edge cases: a trip count no processor
+ * count above 1 divides, a zero-trip DOALL, a DOALL with fewer
+ * iterations than processors, and a post/wait chain.
  */
 TEST(FastpathEquiv, OneRecordingServesEveryShape)
 {
@@ -329,17 +475,26 @@ TEST(FastpathEquiv, OneRecordingServesEveryShape)
         epochStream(cp, baseCfg(SchemeKind::TPI, 1));
     ASSERT_NE(sp, nullptr);
     bool zeroTrip = false;
-    for (const EpochStream &ep : sp->epochs)
-        zeroTrip |= ep.iterations() == 0;
+    OpCursor master(*sp);
+    master.startMaster();
+    for (StreamOp op = master.next(); op.kind != StreamOp::Kind::End;
+         op = master.next())
+        zeroTrip |= op.kind == StreamOp::Kind::BeginDoall &&
+                    master.doallTrips() == 0;
     EXPECT_TRUE(zeroTrip);
+    EXPECT_TRUE(opsMatchReference(cp));
 
     for (unsigned procs : {1u, 3u, 4u, 16u, 64u}) {
-        for (SchedPolicy sched : {SchedPolicy::Block, SchedPolicy::Cyclic}) {
+        for (SchedPolicy sched : {SchedPolicy::Block, SchedPolicy::Cyclic,
+                                  SchedPolicy::Dynamic}) {
             for (SchemeKind k : kAllSchemes) {
                 MachineConfig cfg = baseCfg(k, procs);
                 cfg.sched = sched;
                 EXPECT_EQ(epochStream(cp, cfg), sp) << "procs=" << procs;
-                EXPECT_TRUE(pathsAgree(cp, cfg))
+                const RunResult r = simulate(cp, cfg);
+                EXPECT_EQ(r.oracleViolations, 0u)
+                    << "procs=" << procs << " sched=" << int(sched);
+                EXPECT_EQ(r.tasks, 37u * 2 + 10 * 2 + 38 * 2)
                     << "procs=" << procs << " sched=" << int(sched);
             }
         }
@@ -348,14 +503,19 @@ TEST(FastpathEquiv, OneRecordingServesEveryShape)
 }
 
 /**
- * The stream cache lives on the shared CompiledProgram; concurrent
- * simulations under different configs must build/reuse slots without
- * races (also runs under TSan via the tsan ctest label).
+ * The lowered-program cache lives on the shared CompiledProgram;
+ * concurrent simulations under different configs must lower it once and
+ * share it without races (also runs under TSan via the tsan ctest
+ * label). The first round starts on a program not yet lowered, so its
+ * threads race the lowering itself.
  */
 TEST(FastpathEquiv, ConcurrentSharedProgramCache)
 {
-    compiler::CompiledProgram cp = compiler::compileProgram(
-        workloads::buildBenchmark(workloads::benchmarkNames().front(), 1));
+    const std::string name = workloads::benchmarkNames().front();
+    const compiler::CompiledProgram serial =
+        compiler::compileProgram(workloads::buildBenchmark(name, 1));
+    const compiler::CompiledProgram cp =
+        compiler::compileProgram(workloads::buildBenchmark(name, 1));
 
     struct Cell
     {
@@ -367,11 +527,14 @@ TEST(FastpathEquiv, ConcurrentSharedProgramCache)
         for (unsigned procs : {2u, 4u, 8u}) {
             Cell c;
             c.cfg = baseCfg(k, procs);
-            c.expect = simulate(cp, c.cfg);
+            if (procs == 8)
+                c.cfg.sched = SchedPolicy::Dynamic;
+            c.expect = simulate(serial, c.cfg);
             cells.push_back(c);
         }
     }
 
+    const std::uint64_t builds = streamCacheStats().builds;
     std::vector<RunResult> got(cells.size());
     std::vector<std::thread> threads;
     for (int rep = 0; rep < 2; ++rep) {
@@ -385,29 +548,33 @@ TEST(FastpathEquiv, ConcurrentSharedProgramCache)
         for (std::size_t i = 0; i < cells.size(); ++i)
             EXPECT_TRUE(got[i] == cells[i].expect) << i;
     }
+    EXPECT_EQ(streamCacheStats().builds, builds + 1);
 }
 
 /**
- * Streams carry no marks: the executor reads them from the marking at
- * run time. A mark overridden after its program's stream was recorded
- * and cached must therefore take effect on the fast path exactly as on
- * the interpreter.
+ * The lowered program carries no marks: the executor reads them from
+ * the marking at run time. A mark overridden after the program was
+ * lowered and cached must therefore take effect exactly as on a program
+ * lowered after the override.
  */
 TEST(FastpathEquiv, MarkOverrideAfterStreamIsCached)
 {
-    hir::ProgramBuilder b;
-    b.param("N", 64);
-    b.array("C", {"N"});
-    b.array("A", {"N"});
-    b.proc("MAIN", [&] {
-        b.doserial("t", 0, 2, [&] {
-            b.doall("i", 0, 63, [&] {
-                b.read("C", {b.v("i")});
-                b.write("A", {b.v("i")});
+    auto build = [] {
+        hir::ProgramBuilder b;
+        b.param("N", 64);
+        b.array("C", {"N"});
+        b.array("A", {"N"});
+        b.proc("MAIN", [&] {
+            b.doserial("t", 0, 2, [&] {
+                b.doall("i", 0, 63, [&] {
+                    b.read("C", {b.v("i")});
+                    b.write("A", {b.v("i")});
+                });
             });
         });
-    });
-    compiler::CompiledProgram cp = compiler::compileProgram(b.build());
+        return compiler::compileProgram(b.build());
+    };
+    compiler::CompiledProgram cp = build();
     const MachineConfig cfg = baseCfg(SchemeKind::TPI);
 
     // The only read, of read-only C, is marked Normal.
@@ -426,22 +593,23 @@ TEST(FastpathEquiv, MarkOverrideAfterStreamIsCached)
     bypass.kind = compiler::MarkKind::Bypass;
     cp.marking.overrideMark(read, bypass);
 
-    MachineConfig legacy_cfg = cfg;
-    legacy_cfg.fastPath = false;
-    const RunResult legacy = simulate(cp, legacy_cfg);
+    // A fresh compile, overridden the same way before it is lowered.
+    compiler::CompiledProgram fresh = build();
+    fresh.marking.overrideMark(read, bypass);
+    const RunResult uncached = simulate(fresh, cfg);
     const RunResult fast = simulate(cp, cfg);
-    EXPECT_EQ(epochStream(cp, cfg), cached) << "stream was re-recorded";
-    EXPECT_TRUE(legacy == fast) << "legacy: " << legacy.summary()
-                                << "\nfast:   " << fast.summary();
-    EXPECT_EQ(legacy.fingerprint(), fast.fingerprint());
+    EXPECT_EQ(epochStream(cp, cfg), cached) << "program was re-lowered";
+    EXPECT_TRUE(uncached == fast) << "uncached: " << uncached.summary()
+                                  << "\ncached:   " << fast.summary();
+    EXPECT_EQ(uncached.fingerprint(), fast.fingerprint());
     // The override is visible at all: every re-read of C now misses.
     EXPECT_GT(fast.readMisses, before.readMisses);
 }
 
 /**
  * Dynamic self-scheduling's results, pinned. The fingerprints were
- * captured before Dynamic's placement moved onto the share/refill rule
- * the recorded path uses, for chunks 1 and 3 at P = 3 and 5, on two
+ * captured while Dynamic still ran on an interpreter of its own, for
+ * chunks 1 and 3 at P = 3 and 5, on two
  * workloads and two generated programs with post/wait chains and
  * critical sections. An intentional change regenerates the rows with
  *

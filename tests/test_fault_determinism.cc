@@ -2,8 +2,9 @@
  * @file
  * Determinism and resilience contract of the fault-injection harness:
  * the same (workload, config, fault_seed) produces byte-identical
- * RunResults at any --jobs and on both execution paths (fast path and
- * interpreter); a disabled plan is bit-for-bit identical to a build
+ * RunResults at any --jobs and whether the program's lowered form is
+ * cached or built inside the run; a disabled plan is bit-for-bit
+ * identical to a build
  * without the fault axis; the checkpoint journal restarts an
  * interrupted sweep with byte-identical final JSON; and a throwing or
  * timed-out cell becomes a structured per-cell "error" instead of
@@ -24,6 +25,7 @@
 #include "common/log.hh"
 #include "harness.hh"
 #include "sweep.hh"
+#include "workloads/workloads.hh"
 
 using namespace hscd;
 using namespace hscd::bench;
@@ -136,20 +138,21 @@ TEST(FaultDeterminism, FaultedJsonIsByteIdenticalAcrossJobs)
 
 TEST(FaultDeterminism, FastPathMatchesInterpreterUnderFaults)
 {
+    // The harness's cached program (lowered by earlier cells) and a
+    // fresh compile lowered inside the run must fault identically.
     for (const std::string &name : kBenchmarks) {
         const CompiledProgramPtr prog = compiledBenchmark(name, 1);
-        const compiler::CompiledProgram &cp = *prog;
         for (SchemeKind k : kSchemes) {
             MachineConfig cfg = makeConfig(k);
             cfg.fault = fault::FaultPlan::parse("0.02:11");
             cfg.shadowEpochCheck = true;
-            cfg.fastPath = false;
-            sim::RunResult legacy = sim::simulate(cp, cfg);
-            cfg.fastPath = true;
-            sim::RunResult fast = sim::simulate(cp, cfg);
-            EXPECT_EQ(legacy, fast)
-                << name << "/" << schemeName(k) << "\n  legacy: "
-                << legacy.summary() << "\n  fast:   " << fast.summary();
+            const compiler::CompiledProgram fresh =
+                compiler::compileProgram(workloads::buildBenchmark(name, 1));
+            sim::RunResult uncached = sim::simulate(fresh, cfg);
+            sim::RunResult cached = sim::simulate(*prog, cfg);
+            EXPECT_EQ(uncached, cached)
+                << name << "/" << schemeName(k) << "\n  uncached: "
+                << uncached.summary() << "\n  cached:   " << cached.summary();
         }
     }
 }

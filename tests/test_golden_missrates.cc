@@ -12,7 +12,7 @@
  * and pastes the emitted rows below. The miss-kind and traffic rows are
  * raw event counters (exact integer equality): any change to a single
  * coherence decision anywhere in a run trips them, which is what pins
- * the epoch-stream fast path to the interpreter's behavior.
+ * the simulator's behavior across changes to how it executes programs.
  */
 
 #include <cstdio>

@@ -183,19 +183,20 @@ TEST(Program, ElementAddrColumnMajor)
     Program p = b.build();
     ArrayId m = p.findArray("M");
     Addr base = p.array(m).base;
-    EXPECT_EQ(p.elementAddr(m, {0, 0}), base);
+    EXPECT_EQ(p.array(m).elementAddr({0, 0}), base);
     // Column-major: first subscript varies fastest.
-    EXPECT_EQ(p.elementAddr(m, {1, 0}), base + wordBytes);
-    EXPECT_EQ(p.elementAddr(m, {0, 1}), base + 3 * wordBytes);
-    EXPECT_EQ(p.elementAddr(m, {2, 4}), base + (2 + 4 * 3) * wordBytes);
+    EXPECT_EQ(p.array(m).elementAddr({1, 0}), base + wordBytes);
+    EXPECT_EQ(p.array(m).elementAddr({0, 1}), base + 3 * wordBytes);
+    EXPECT_EQ(p.array(m).elementAddr({2, 4}),
+              base + (2 + 4 * 3) * wordBytes);
 }
 
 TEST(Program, ElementAddrOutOfRangePanics)
 {
     Program p = simpleProgram();
     ArrayId a = p.findArray("A");
-    EXPECT_THROW(p.elementAddr(a, {8}), PanicError);
-    EXPECT_THROW(p.elementAddr(a, {-1}), PanicError);
+    EXPECT_THROW(p.array(a).elementAddr({8}), PanicError);
+    EXPECT_THROW(p.array(a).elementAddr({-1}), PanicError);
 }
 
 TEST(Program, DescribeAddr)
@@ -205,7 +206,7 @@ TEST(Program, DescribeAddr)
     b.proc("MAIN", [&] { b.compute(1); });
     Program p = b.build();
     ArrayId m = p.findArray("M");
-    EXPECT_EQ(p.describeAddr(p.elementAddr(m, {2, 4})), "M(2,4)");
+    EXPECT_EQ(p.describeAddr(p.array(m).elementAddr({2, 4})), "M(2,4)");
     EXPECT_NE(p.describeAddr(0).find("unmapped"), std::string::npos);
 }
 

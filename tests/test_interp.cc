@@ -1,9 +1,9 @@
-/** @file Unit tests for the resumable task-stream interpreter. */
+/** @file Unit tests for the TaskStream reference interpreter. */
 
 #include <gtest/gtest.h>
 
 #include "hir/builder.hh"
-#include "sim/interp.hh"
+#include "task_stream.hh"
 
 using namespace hscd;
 using namespace hscd::hir;
@@ -42,7 +42,7 @@ TEST(Interp, StraightLineOps)
     ASSERT_EQ(ops.size(), 3u);
     EXPECT_EQ(ops[0].kind, TaskOp::Kind::Ref);
     EXPECT_FALSE(ops[0].write);
-    EXPECT_EQ(ops[0].addr, p.elementAddr(0, {3}));
+    EXPECT_EQ(ops[0].addr, p.array(0).elementAddr({3}));
     EXPECT_EQ(ops[1].kind, TaskOp::Kind::Compute);
     EXPECT_EQ(ops[1].cycles, 7u);
     EXPECT_TRUE(ops[2].write);
@@ -61,9 +61,9 @@ TEST(Interp, SerialLoopIterates)
     TaskStream s(p, ctx, p.main().body);
     auto ops = drain(s);
     ASSERT_EQ(ops.size(), 3u); // k = 2, 4, 6
-    EXPECT_EQ(ops[0].addr, p.elementAddr(0, {2}));
-    EXPECT_EQ(ops[1].addr, p.elementAddr(0, {4}));
-    EXPECT_EQ(ops[2].addr, p.elementAddr(0, {6}));
+    EXPECT_EQ(ops[0].addr, p.array(0).elementAddr({2}));
+    EXPECT_EQ(ops[1].addr, p.array(0).elementAddr({4}));
+    EXPECT_EQ(ops[2].addr, p.array(0).elementAddr({6}));
 }
 
 TEST(Interp, ZeroTripLoopSkipped)
@@ -99,10 +99,10 @@ TEST(Interp, NestedLoopOrder)
     TaskStream s(p, ctx, p.main().body);
     auto ops = drain(s);
     ASSERT_EQ(ops.size(), 4u);
-    EXPECT_EQ(ops[0].addr, p.elementAddr(0, {0, 0}));
-    EXPECT_EQ(ops[1].addr, p.elementAddr(0, {0, 1}));
-    EXPECT_EQ(ops[2].addr, p.elementAddr(0, {1, 0}));
-    EXPECT_EQ(ops[3].addr, p.elementAddr(0, {1, 1}));
+    EXPECT_EQ(ops[0].addr, p.array(0).elementAddr({0, 0}));
+    EXPECT_EQ(ops[1].addr, p.array(0).elementAddr({0, 1}));
+    EXPECT_EQ(ops[2].addr, p.array(0).elementAddr({1, 0}));
+    EXPECT_EQ(ops[3].addr, p.array(0).elementAddr({1, 1}));
 }
 
 TEST(Interp, DoallYieldsBeginWithEvaluatedBounds)
@@ -153,9 +153,9 @@ TEST(Interp, TaskModeRunsAssignedIterations)
     task.addIteration(7);
     auto ops = drain(task);
     ASSERT_EQ(ops.size(), 4u);
-    EXPECT_EQ(ops[0].addr, p.elementAddr(0, {3}));
-    EXPECT_EQ(ops[1].addr, p.elementAddr(0, {3}));
-    EXPECT_EQ(ops[2].addr, p.elementAddr(0, {7}));
+    EXPECT_EQ(ops[0].addr, p.array(0).elementAddr({3}));
+    EXPECT_EQ(ops[1].addr, p.array(0).elementAddr({3}));
+    EXPECT_EQ(ops[2].addr, p.array(0).elementAddr({7}));
     EXPECT_TRUE(ops[3].write);
 }
 
@@ -195,7 +195,7 @@ TEST(Interp, DynamicIterationAppend)
     task.addIteration(9);
     TaskOp op = task.next();
     ASSERT_EQ(op.kind, TaskOp::Kind::Ref);
-    EXPECT_EQ(op.addr, p.elementAddr(0, {9}));
+    EXPECT_EQ(op.addr, p.array(0).elementAddr({9}));
 }
 
 TEST(Interp, NestedDoallDemotedInsideTask)
@@ -217,7 +217,7 @@ TEST(Interp, NestedDoallDemotedInsideTask)
     task.addIteration(2);
     auto ops = drain(task);
     ASSERT_EQ(ops.size(), 4u) << "inner DOALL executes serially in-task";
-    EXPECT_EQ(ops[1].addr, p.elementAddr(0, {1, 2}));
+    EXPECT_EQ(ops[1].addr, p.array(0).elementAddr({1, 2}));
 }
 
 TEST(Interp, CriticalEmitsLockPairs)
@@ -393,5 +393,5 @@ TEST(Interp, LoopVarRestoredAfterLoop)
     TaskStream s(p, ctx, p.main().body);
     auto ops = drain(s);
     ASSERT_EQ(ops.size(), 5u);
-    EXPECT_EQ(ops[4].addr, p.elementAddr(0, {99}));
+    EXPECT_EQ(ops[4].addr, p.array(0).elementAddr({99}));
 }

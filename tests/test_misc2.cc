@@ -10,7 +10,7 @@
 #include "hir/builder.hh"
 #include "hir/printer.hh"
 #include "network/kruskal_snir.hh"
-#include "sim/interp.hh"
+#include "task_stream.hh"
 #include "sim/machine.hh"
 
 using namespace hscd;

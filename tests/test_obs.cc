@@ -1,8 +1,8 @@
 /**
  * @file
  * Observability layer contract tests: the metrics spec grammar and ring
- * buffer, JSON schema round-trips for both artifact kinds, the
- * fastpath-vs-interpreter event-identity guarantee, the zero-overhead
+ * buffer, JSON schema round-trips for both artifact kinds, event
+ * identity between cached and freshly lowered programs, the zero-overhead
  * guard (attaching observers must not perturb the simulation), pinned
  * artifact digests, and the provenance primitives.
  */
@@ -201,23 +201,25 @@ runObserved(const compiler::CompiledProgram &cp, const MachineConfig &cfg,
 
 TEST(ObsEquivalence, FastPathEmitsIdenticalTimeline)
 {
-    // The executor is the single producer of observability events, so
-    // the interpreter and the epoch-stream fast path must emit
-    // event-identical timelines and metric series, not merely equal
-    // aggregates.
-    const compiler::CompiledProgram cp = compiler::compileProgram(
-        workloads::buildBenchmark("ocean", /*scale=*/1));
-    MachineConfig cfg;
-    cfg.fastPath = false;
-    const ObservedRun interp = runObserved(cp, cfg);
-    cfg.fastPath = true;
-    const ObservedRun fast = runObserved(cp, cfg);
+    // The executor is the single producer of observability events, so a
+    // run whose program is lowered inside it and a run served from the
+    // program cache must emit event-identical timelines and metric
+    // series, not merely equal aggregates - under the static schedule
+    // and under Dynamic self-scheduling alike.
+    for (SchedPolicy sched : {SchedPolicy::Block, SchedPolicy::Dynamic}) {
+        MachineConfig cfg;
+        cfg.sched = sched;
+        const compiler::CompiledProgram cp = compiler::compileProgram(
+            workloads::buildBenchmark("ocean", /*scale=*/1));
+        const ObservedRun fresh = runObserved(cp, cfg);
+        const ObservedRun cached = runObserved(cp, cfg);
 
-    EXPECT_EQ(interp.result, fast.result);
-    ASSERT_FALSE(interp.events.empty());
-    ASSERT_FALSE(interp.rows.empty());
-    EXPECT_EQ(interp.events, fast.events);
-    EXPECT_EQ(interp.rows, fast.rows);
+        EXPECT_EQ(fresh.result, cached.result);
+        ASSERT_FALSE(fresh.events.empty());
+        ASSERT_FALSE(fresh.rows.empty());
+        EXPECT_EQ(fresh.events, cached.events);
+        EXPECT_EQ(fresh.rows, cached.rows);
+    }
 }
 
 TEST(ObsEquivalence, ObserversDoNotPerturbTheRun)

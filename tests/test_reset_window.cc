@@ -1,16 +1,17 @@
 /**
  * @file
- * Regression test for the two-phase tag-reset window on the epoch-stream
- * fast path: a narrower, faster cousin of test_fastpath_equiv.cc aimed
- * at one hand-written interleaving that marches a program across several
- * reset sweeps at a 2-bit tag width (phase = 2 epochs).
+ * Regression test for the two-phase tag-reset window: a narrower,
+ * faster cousin of test_fastpath_equiv.cc aimed at one hand-written
+ * interleaving that marches a program across several reset sweeps at a
+ * 2-bit tag width (phase = 2 epochs).
  *
  * The program writes array A in an early epoch, spins through enough
  * unrelated epochs for A's timetags to be retired by the reset sweeps,
- * then reads A back. Both execution paths must produce byte-identical
- * RunResults and, with observers attached, event-identical timelines
- * (including the TagReset instants the sweeps emit) - not merely equal
- * aggregate counters.
+ * then reads A back. Its lowered ops must be the reference
+ * interpreter's, and a run lowering the program and a run served from
+ * the program cache must produce byte-identical RunResults and, with
+ * observers attached, event-identical timelines (including the TagReset
+ * instants the sweeps emit) - not merely equal aggregate counters.
  */
 
 #include <gtest/gtest.h>
@@ -20,9 +21,9 @@
 #include "hir/builder.hh"
 #include "obs/metrics.hh"
 #include "obs/timeline.hh"
+#include "op_equiv.hh"
 #include "sim/machine.hh"
 #include "sim/recorder.hh"
-#include "sim/stream.hh"
 
 using namespace hscd;
 using hir::ProgramBuilder;
@@ -62,10 +63,8 @@ struct ObservedRun
 };
 
 ObservedRun
-runObserved(const compiler::CompiledProgram &cp, MachineConfig cfg,
-            bool fast_path)
+runObserved(const compiler::CompiledProgram &cp, const MachineConfig &cfg)
 {
-    cfg.fastPath = fast_path;
     sim::Machine m(cp, cfg);
     obs::Timeline tl;
     obs::MetricsRecorder rec(obs::MetricsSpec::parse("epoch"));
@@ -93,46 +92,45 @@ TEST(ResetWindow, InterpreterAndFastPathEmitIdenticalTimelines)
 {
     const compiler::CompiledProgram cp = resetWindowProgram(6);
     const MachineConfig cfg = narrowTagConfig();
-    ASSERT_NE(sim::epochStream(cp, cfg), nullptr)
-        << "the hand-written program must actually take the fast path";
+    EXPECT_TRUE(testref::opsMatchReference(cp));
 
-    const ObservedRun interp = runObserved(cp, cfg, /*fast_path=*/false);
-    const ObservedRun fast = runObserved(cp, cfg, /*fast_path=*/true);
+    const ObservedRun fresh = runObserved(resetWindowProgram(6), cfg);
+    const ObservedRun cached = runObserved(cp, cfg);
 
     // The interleaving must genuinely cross the reset window: the final
     // reads of A miss with TagReset class, and the sweeps show up as
     // TagReset instants on the timeline.
-    EXPECT_GT(interp.result.missTagReset, 0u)
+    EXPECT_GT(fresh.result.missTagReset, 0u)
         << "program never reached the reset window";
     const auto isReset = [](const obs::Timeline::Event &e) {
         return e.kind == obs::Timeline::Kind::ResetWindow ||
                (e.kind == obs::Timeline::Kind::Instant &&
                 e.sub == std::uint8_t(obs::Timeline::InstantKind::TagReset));
     };
-    EXPECT_TRUE(std::any_of(interp.events.begin(), interp.events.end(),
+    EXPECT_TRUE(std::any_of(fresh.events.begin(), fresh.events.end(),
                             isReset));
 
-    EXPECT_EQ(interp.result, fast.result);
-    EXPECT_EQ(interp.result.fingerprint(), fast.result.fingerprint());
-    ASSERT_FALSE(interp.events.empty());
-    EXPECT_EQ(interp.events, fast.events);
-    EXPECT_EQ(interp.rows, fast.rows);
+    EXPECT_EQ(fresh.result, cached.result);
+    EXPECT_EQ(fresh.result.fingerprint(), cached.result.fingerprint());
+    ASSERT_FALSE(fresh.events.empty());
+    EXPECT_EQ(fresh.events, cached.events);
+    EXPECT_EQ(fresh.rows, cached.rows);
 }
 
 TEST(ResetWindow, SweepCountScalesWithIdleEpochs)
 {
     // Sanity on the window geometry itself: lengthening the idle span
-    // only adds reset work, and both paths agree at every length.
+    // only adds reset work, and a cached program replays every length
+    // identically.
     const MachineConfig cfg = narrowTagConfig();
     Counter prev = 0;
     for (int idle : {4, 6, 8}) {
         const compiler::CompiledProgram cp = resetWindowProgram(idle);
-        const ObservedRun interp =
-            runObserved(cp, cfg, /*fast_path=*/false);
-        const ObservedRun fast = runObserved(cp, cfg, /*fast_path=*/true);
-        EXPECT_EQ(interp.result, fast.result) << "idle=" << idle;
-        EXPECT_EQ(interp.events, fast.events) << "idle=" << idle;
-        EXPECT_GE(interp.result.missTagReset, prev) << "idle=" << idle;
-        prev = interp.result.missTagReset;
+        const ObservedRun fresh = runObserved(cp, cfg);
+        const ObservedRun cached = runObserved(cp, cfg);
+        EXPECT_EQ(fresh.result, cached.result) << "idle=" << idle;
+        EXPECT_EQ(fresh.events, cached.events) << "idle=" << idle;
+        EXPECT_GE(fresh.result.missTagReset, prev) << "idle=" << idle;
+        prev = fresh.result.missTagReset;
     }
 }

@@ -5,11 +5,11 @@
  * For every family and seed, the generated program must (a) lint with
  * zero errors, (b) show zero under-markings against the stale-marking
  * oracle, (c) run shadow-clean (zero oracle / shadow-epoch / DOALL
- * violations) under TPI and SC, and (d) produce byte-identical
- * RunResults from the epoch-stream fast path and the per-access
- * interpreter across the whole scheme matrix. A generator that emits a
- * racy DOALL, a dishonest marking, or a shape the fast path
- * miscompiles fails here, per family, with the seed in the message.
+ * violations) under TPI and SC, and (d) lower to exactly the op
+ * sequence of the TaskStream reference interpreter and run without
+ * violations across the whole scheme matrix. A generator that emits a
+ * racy DOALL, a dishonest marking, or a shape the lowering miscompiles
+ * fails here, per family, with the seed in the message.
  *
  * Seed count: 200 per family by default; HSCD_SYNTH_SEEDS overrides
  * (the `synth.soak` ctest entry widens it to 500).
@@ -22,8 +22,8 @@
 
 #include "common/log.hh"
 #include "compiler/analysis.hh"
+#include "op_equiv.hh"
 #include "sim/machine.hh"
-#include "sim/stream.hh"
 #include "verify/verify.hh"
 #include "workloads/synth.hh"
 
@@ -47,30 +47,11 @@ seedCount()
     return 200;
 }
 
-/** Fast path vs interpreter: field-by-field + fingerprint equality. */
-::testing::AssertionResult
-pathsAgree(const compiler::CompiledProgram &cp, MachineConfig cfg)
-{
-    cfg.fastPath = false;
-    sim::RunResult legacy = sim::simulate(cp, cfg);
-    cfg.fastPath = true;
-    sim::RunResult fast = sim::simulate(cp, cfg);
-    if (!(legacy == fast))
-        return ::testing::AssertionFailure()
-               << schemeName(cfg.scheme) << ": results differ\n  legacy: "
-               << legacy.summary() << "\n  fast:   " << fast.summary();
-    if (legacy.fingerprint() != fast.fingerprint())
-        return ::testing::AssertionFailure()
-               << schemeName(cfg.scheme) << ": fingerprints differ";
-    return ::testing::AssertionSuccess();
-}
-
 /** The full per-seed gauntlet for one family. */
 void
 runFamily(const std::string &family)
 {
     const unsigned seeds = seedCount();
-    unsigned eligible = 0;
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
         const std::string label =
             "synth:" + family + ":" + std::to_string(seed);
@@ -89,13 +70,16 @@ runFamily(const std::string &family)
         ASSERT_TRUE(rep.underMarked.empty())
             << label << " under-marked ref " << rep.underMarked.front();
 
-        // (d) fast path == interpreter on every scheme.
+        // (d) the lowered program's ops are the reference's, and every
+        // scheme runs it clean.
+        EXPECT_TRUE(testref::opsMatchReference(cp)) << label;
         for (SchemeKind k : kAllSchemes) {
             MachineConfig cfg;
             cfg.scheme = k;
             cfg.procs = 8;
-            eligible += sim::epochStream(cp, cfg) != nullptr ? 1 : 0;
-            EXPECT_TRUE(pathsAgree(cp, cfg)) << label;
+            const sim::RunResult r = sim::simulate(cp, cfg);
+            EXPECT_EQ(r.oracleViolations, 0u) << label << " " << schemeName(k);
+            EXPECT_EQ(r.doallViolations, 0u) << label << " " << schemeName(k);
         }
 
         // (c) shadow-clean under the timetag schemes (sampled: the
@@ -118,9 +102,6 @@ runFamily(const std::string &family)
             }
         }
     }
-    // Must not pass vacuously with every seed falling back to the
-    // interpreter.
-    EXPECT_GT(eligible, 0u) << family;
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 
 #include "program_gen.hh"
 #include "sim/machine.hh"
+#include "sim/stream.hh"
 #include "sim/trace.hh"
 #include "workloads/workloads.hh"
 
@@ -190,33 +191,34 @@ TEST(Trace, RoundTripPropertyOverGenPrograms)
 
 TEST(Trace, FastPathCapturesIdenticalTrace)
 {
-    // The epoch-stream fast path must emit the same event stream as the
-    // interpreter, record for record - the trace sink sees simulation
-    // order, so this pins event ordering, not just aggregate results.
+    // A run that lowers the program and a run served from the program
+    // cache must emit the same event stream, record for record - the
+    // trace sink sees simulation order, so this pins event ordering, not
+    // just aggregate results.
     testgen::GenOptions opt;
     opt.seed = 3;
     compiler::CompiledProgram cp =
         compiler::compileProgram(testgen::randomLegalProgram(opt));
+    epochStream(cp, MachineConfig{});
     for (SchemeKind k : {SchemeKind::SC, SchemeKind::TPI, SchemeKind::HW}) {
         MachineConfig cfg;
         cfg.scheme = k;
         cfg.procs = 4;
 
-        auto capture = [&](bool fast) {
-            MachineConfig c = cfg;
-            c.fastPath = fast;
-            Machine m(cp, c);
+        auto capture = [&](const compiler::CompiledProgram &prog) {
+            Machine m(prog, cfg);
             TraceBuffer buf;
             m.setTraceSink(&buf);
             m.run();
             return buf.take();
         };
-        std::vector<TraceRecord> legacy = capture(false);
-        std::vector<TraceRecord> fast = capture(true);
-        ASSERT_EQ(legacy.size(), fast.size()) << schemeName(k);
-        for (std::size_t i = 0; i < legacy.size(); ++i) {
-            const TraceRecord &a = legacy[i];
-            const TraceRecord &b = fast[i];
+        std::vector<TraceRecord> fresh = capture(
+            compiler::compileProgram(testgen::randomLegalProgram(opt)));
+        std::vector<TraceRecord> cached = capture(cp);
+        ASSERT_EQ(fresh.size(), cached.size()) << schemeName(k);
+        for (std::size_t i = 0; i < fresh.size(); ++i) {
+            const TraceRecord &a = fresh[i];
+            const TraceRecord &b = cached[i];
             ASSERT_EQ(a.type, b.type) << schemeName(k) << " record " << i;
             ASSERT_EQ(a.op.proc, b.op.proc) << schemeName(k) << " " << i;
             ASSERT_EQ(a.op.addr, b.op.addr) << schemeName(k) << " " << i;
