@@ -16,6 +16,8 @@ DirectoryScheme::DirectoryScheme(const MachineConfig &cfg,
 {
     hscd_assert(cfg.procs <= 64,
                 "full-map presence bits limited to 64 processors here");
+    hscd_assert(cfg.wordsPerLine() <= 64,
+                "the accessed-word mask is limited to 64 words per line");
     _caches.reserve(cfg.procs);
     for (unsigned p = 0; p < cfg.procs; ++p)
         _caches.emplace_back(cfg, Addr(memory.words()) * 4);
@@ -44,7 +46,7 @@ DirectoryScheme::writeBack(ProcId proc, Cache::Line &line)
 {
     Cache &cache = _caches[proc];
     for (unsigned w = 0; w < cache.wordsPerLine(); ++w)
-        _mem.write(line.base + Addr(w) * 4, line.stamps[w]);
+        _mem.write(line.base + Addr(w) * 4, cache.stamps(line)[w]);
     line.meta.dirty = false;
     ++_stats.writebackPackets;
     _stats.writebackWords += cache.wordsPerLine();
@@ -160,7 +162,7 @@ DirectoryScheme::fill(ProcId proc, Addr addr, Cycles now)
     line.meta.dirty = false;
     line.meta.accessedMask = 0;
     for (unsigned w = 0; w < cache.wordsPerLine(); ++w)
-        line.stamps[w] = _mem.read(base + Addr(w) * 4);
+        cache.stamps(line)[w] = _mem.read(base + Addr(w) * 4);
     _history.record(proc, base, LineEvent::Cached);
     ++_stats.readPackets;
     _stats.readWords += cache.wordsPerLine();
@@ -184,7 +186,7 @@ DirectoryScheme::access(const MemOp &op)
             ++_stats.readHits;
             res.hit = true;
             res.stall = _cfg.hitCycles;
-            res.observed = line->stamps[widx];
+            res.observed = cache.stamps(*line)[widx];
             return res;
         }
 
@@ -210,7 +212,7 @@ DirectoryScheme::access(const MemOp &op)
         res.hit = false;
         res.cls = cls;
         res.stall = latency;
-        res.observed = line.stamps[widx];
+        res.observed = cache.stamps(line)[widx];
         _stats.noteMissLatency(latency);
         return res;
     }
@@ -221,7 +223,7 @@ DirectoryScheme::access(const MemOp &op)
 
     if (line && line->meta.dirty) {
         // Write hit in M: cheapest path.
-        line->stamps[widx] = op.stamp;
+        cache.stamps(*line)[widx] = op.stamp;
         line->meta.accessedMask |= std::uint64_t{1} << widx;
         res.hit = true;
         res.stall = _cfg.hitCycles;
@@ -238,7 +240,7 @@ DirectoryScheme::access(const MemOp &op)
         e.owner = op.proc;
         e.sharers = self;
         line->meta.dirty = true;
-        line->stamps[widx] = op.stamp;
+        cache.stamps(*line)[widx] = op.stamp;
         line->meta.accessedMask |= std::uint64_t{1} << widx;
         res.hit = true;
         res.stall = finishWrite(op.proc, op.now,
@@ -277,7 +279,7 @@ DirectoryScheme::access(const MemOp &op)
     ++_stats.writeMisses;
     Cache::Line &filled = fill(op.proc, op.addr, op.now);
     filled.meta.dirty = true;
-    filled.stamps[widx] = op.stamp;
+    cache.stamps(filled)[widx] = op.stamp;
     filled.meta.accessedMask = std::uint64_t{1} << widx;
     e.state = DirEntry::State::Modified;
     e.owner = op.proc;

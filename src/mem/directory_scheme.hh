@@ -28,8 +28,8 @@ namespace mem {
 /** Per-cache-line MSI metadata. */
 struct MsiLine
 {
-    bool dirty = false;           ///< write-exclusive (M)
     std::uint64_t accessedMask = 0; ///< words touched since fill
+    bool dirty = false;           ///< write-exclusive (M)
 };
 
 /** Directory entry for one memory line. */

@@ -171,6 +171,9 @@ MachineConfig::validate() const
     if (scheme == SchemeKind::HW && procs > 64)
         fatal("scheme=hw keeps 64 presence bits per line; procs must be "
               "<= 64, got %d", procs);
+    if (scheme == SchemeKind::HW && wordsPerLine() > 64)
+        fatal("scheme=hw keeps a 64-bit accessed-word mask per line; "
+              "line_bytes must be <= 256, got %d", lineBytes);
     if (writeBufferAsCache && writeBufferCacheWords == 0)
         fatal("a write buffer organized as a cache needs at least one "
               "word");

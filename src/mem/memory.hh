@@ -6,16 +6,16 @@
  * monotone "value stamp" so coherence can be checked exactly: a read that
  * observes an older stamp than the last write ordered before it has seen
  * stale data. MainMemory holds the stamp each word last received through
- * the memory system (write-through stores or write-backs).
+ * the memory system (write-through stores or write-backs). Its words
+ * start zeroed (common/zeroed.hh): stamp 0 is "never written".
  */
 
 #ifndef HSCD_MEM_MEMORY_HH
 #define HSCD_MEM_MEMORY_HH
 
-#include <vector>
-
 #include "common/log.hh"
 #include "common/types.hh"
+#include "common/zeroed.hh"
 
 namespace hscd {
 namespace mem {
@@ -27,7 +27,7 @@ class MainMemory
 {
   public:
     explicit MainMemory(Addr bytes)
-        : _words(bytes / 4 + 1, 0)
+        : _words(bytes / 4 + 1)
     {}
 
     // Hot loop: every simulated reference lands here at least once, so
@@ -54,7 +54,7 @@ class MainMemory
     std::size_t words() const { return _words.size(); }
 
   private:
-    std::vector<ValueStamp> _words;
+    ZeroedArray<ValueStamp> _words;
 };
 
 } // namespace mem

@@ -31,7 +31,7 @@ ScScheme::fill(ProcId proc, Addr addr, Cycles now)
     line.base = base;
     line.lastUse = now;
     for (unsigned w = 0; w < cache.wordsPerLine(); ++w)
-        line.stamps[w] = _mem.read(base + Addr(w) * 4);
+        cache.stamps(line)[w] = _mem.read(base + Addr(w) * 4);
     _history.record(proc, base, LineEvent::Cached);
     ++_stats.readPackets;
     _stats.readWords += cache.wordsPerLine();
@@ -55,7 +55,7 @@ ScScheme::access(const MemOp &op)
             ++_stats.writeMisses;
             line = &fill(op.proc, op.addr, op.now);
         }
-        line->stamps[widx] = op.stamp;
+        cache.stamps(*line)[widx] = op.stamp;
         _mem.write(op.addr, op.stamp);
         Cycles extra = 0;
         if (!_wbuf[op.proc].noteWrite(op.addr)) {
@@ -77,7 +77,7 @@ ScScheme::access(const MemOp &op)
         Cache::Line *line = cache.lookup(op.addr, op.now);
         MissClass cls;
         if (line) {
-            cls = line->stamps[widx] == _mem.read(op.addr)
+            cls = cache.stamps(*line)[widx] == _mem.read(op.addr)
                       ? MissClass::Conservative
                       : MissClass::TrueShare;
             line->valid = false; // block invalidate
@@ -91,7 +91,7 @@ ScScheme::access(const MemOp &op)
         res.cls = cls;
         res.stall = lineFetchLatency() +
                     reliableSend(op.proc, op.now, "marked refetch");
-        res.observed = fresh.stamps[widx];
+        res.observed = cache.stamps(fresh)[widx];
         _stats.noteMissLatency(res.stall);
         return res;
     }
@@ -110,7 +110,7 @@ ScScheme::access(const MemOp &op)
         ++_stats.readHits;
         res.hit = true;
         res.stall = _cfg.hitCycles;
-        res.observed = hitLine->stamps[widx];
+        res.observed = cache.stamps(*hitLine)[widx];
         return res;
     }
 
@@ -122,7 +122,7 @@ ScScheme::access(const MemOp &op)
     res.cls = cls;
     res.stall = lineFetchLatency() +
                 reliableSend(op.proc, op.now, "line fetch");
-    res.observed = line.stamps[widx];
+    res.observed = cache.stamps(line)[widx];
     _stats.noteMissLatency(res.stall);
     return res;
 }

@@ -44,21 +44,23 @@ TpiScheme::fill(ProcId proc, Addr addr, Cycles now)
     line.valid = true;
     line.base = base;
     line.lastUse = now;
+    ValueStamp *stamps = cache.stamps(line);
+    TpiWord *words = cache.words(line);
     for (unsigned w = 0; w < cache.wordsPerLine(); ++w) {
-        line.stamps[w] = _mem.read(base + Addr(w) * 4);
+        stamps[w] = _mem.read(base + Addr(w) * 4);
         // Side-filled words may still be written by a concurrent task of
         // the current epoch, so they are only vouched for up to EC - 1.
         // In epoch 0 there is no representable EC - 1: those words stay
         // invalid, exactly as tags come up invalid at boot.
         if (w == widx) {
-            line.words[w].valid = true;
-            line.words[w].tt = _epoch;
+            words[w].valid = true;
+            words[w].tt = _epoch;
         } else if (_epoch > 0) {
-            line.words[w].valid = true;
-            line.words[w].tt = _epoch - 1;
+            words[w].valid = true;
+            words[w].tt = _epoch - 1;
         } else {
-            line.words[w].valid = false;
-            line.words[w].tt = 0;
+            words[w].valid = false;
+            words[w].tt = 0;
         }
     }
     if (_sink)
@@ -76,7 +78,7 @@ void
 TpiScheme::tagEvent(ProcId proc, const Cache::Line &line, unsigned w,
                     TagCause cause, bool gone)
 {
-    const TpiWord &word = line.words[w];
+    const TpiWord &word = _caches[proc].words(line)[w];
     _sink->onTag({proc, line.base + Addr(w) * 4, _epoch, word.tt,
                   !gone && word.valid, cause});
 }
@@ -93,7 +95,7 @@ TpiScheme::maybeCorruptTag(ProcId proc, Cache::Line *line)
     // value-stamp oracle / shadow-epoch detector must then flag.
     const std::uint64_t bits = _fault->draw(fault::Site::MemTagFlip);
     const unsigned widx = bits % _cfg.wordsPerLine();
-    TpiWord &w = line->words[widx];
+    TpiWord &w = _caches[proc].words(*line)[widx];
     const unsigned bit = (bits >> 32) % (_cfg.timetagBits + 1);
     if (bit == _cfg.timetagBits)
         w.valid = !w.valid;
@@ -114,7 +116,7 @@ TpiScheme::miss(const MemOp &op, MissClass cls, unsigned widx)
     res.cls = cls;
     res.stall = lineFetchLatency() +
                 reliableSend(op.proc, op.now, "line fetch");
-    res.observed = line.stamps[widx];
+    res.observed = _caches[op.proc].stamps(line)[widx];
     _stats.noteMissLatency(res.stall);
     return res;
 }
@@ -134,20 +136,21 @@ TpiScheme::access(const MemOp &op)
             ++_stats.writeMisses;
             line = &fill(op.proc, op.addr, op.now);
         }
-        line->stamps[widx] = op.stamp;
+        cache.stamps(*line)[widx] = op.stamp;
         // A lock-protected write may be followed by another lock owner's
         // write to the same word later this epoch: the copy can only be
         // vouched for up to the previous epoch (or not at all in epoch 0,
         // where no older tag value exists).
+        TpiWord &word = cache.words(*line)[widx];
         if (!op.critical) {
-            line->words[widx].tt = _epoch;
-            line->words[widx].valid = true;
+            word.tt = _epoch;
+            word.valid = true;
         } else if (_epoch > 0) {
-            line->words[widx].tt = _epoch - 1;
-            line->words[widx].valid = true;
+            word.tt = _epoch - 1;
+            word.valid = true;
         } else {
-            line->words[widx].tt = 0;
-            line->words[widx].valid = false;
+            word.tt = 0;
+            word.valid = false;
         }
         if (_sink)
             tagEvent(op.proc, *line, widx,
@@ -171,14 +174,17 @@ TpiScheme::access(const MemOp &op)
     ++_stats.reads;
     Cache::Line *line = cache.lookup(op.addr, op.now);
     maybeCorruptTag(op.proc, line);
+    // The demanded word's tag state and value, when its line is present.
+    TpiWord *word = line ? &cache.words(*line)[widx] : nullptr;
+    ValueStamp *stamp = line ? &cache.stamps(*line)[widx] : nullptr;
 
     switch (op.mark) {
       case MarkKind::Normal: {
-        if (line && line->words[widx].valid) {
+        if (word && word->valid) {
             ++_stats.readHits;
             res.hit = true;
             res.stall = _cfg.hitCycles;
-            res.observed = line->stamps[widx];
+            res.observed = *stamp;
             return res;
         }
         MissClass cls = line ? MissClass::TagReset // word lost to a reset
@@ -194,12 +200,10 @@ TpiScheme::access(const MemOp &op)
                         ? std::min<EpochId>(op.distance, 2 * _phase - 1)
                         : 0;
         EpochId floor = _epoch >= d ? _epoch - d : 0;
-        if (line && line->words[widx].valid &&
-            line->words[widx].tt >= floor)
-        {
+        if (word && word->valid && word->tt >= floor) {
             // Proven fresh: promote so later Time-Reads keep hitting.
             if (_cfg.tpiPromoteOnHit) {
-                line->words[widx].tt = _epoch;
+                word->tt = _epoch;
                 if (_sink)
                     tagEvent(op.proc, *line, widx, TagCause::Promote);
             }
@@ -207,12 +211,12 @@ TpiScheme::access(const MemOp &op)
             ++_stats.timeReadHits;
             res.hit = true;
             res.stall = _cfg.hitCycles;
-            res.observed = line->stamps[widx];
+            res.observed = *stamp;
             return res;
         }
         MissClass cls;
-        if (line && line->words[widx].valid) {
-            cls = line->stamps[widx] == _mem.read(op.addr)
+        if (word && word->valid) {
+            cls = *stamp == _mem.read(op.addr)
                       ? MissClass::Conservative
                       : MissClass::TrueShare;
         } else if (line) {
@@ -227,8 +231,8 @@ TpiScheme::access(const MemOp &op)
         ++_stats.bypassReads;
         ++_stats.readMisses;
         MissClass cls;
-        if (line && line->words[widx].valid) {
-            cls = line->stamps[widx] == _mem.read(op.addr)
+        if (word && word->valid) {
+            cls = *stamp == _mem.read(op.addr)
                       ? MissClass::Conservative
                       : MissClass::TrueShare;
         } else {
@@ -245,8 +249,8 @@ TpiScheme::access(const MemOp &op)
         res.observed = _mem.read(op.addr);
         // Refresh the cached copy's value but not its timetag: the word
         // may be rewritten by another lock owner later this epoch.
-        if (line)
-            line->stamps[widx] = res.observed;
+        if (stamp)
+            *stamp = res.observed;
         _stats.noteMissLatency(res.stall);
         return res;
       }
@@ -284,17 +288,18 @@ TpiScheme::epochBoundary(EpochId new_epoch)
     if (new_epoch % _phase == 0 && new_epoch >= _phase) {
         EpochId cutoff = new_epoch - _phase;
         for (unsigned p = 0; p < _cfg.procs; ++p) {
-            const unsigned wpl = _caches[p].wordsPerLine();
-            _caches[p].forEachLine([&](Cache::Line &line) {
+            Cache &cache = _caches[p];
+            const unsigned wpl = cache.wordsPerLine();
+            cache.forEachLine([&](Cache::Line &line) {
+                TpiWord *words = cache.words(line);
                 if (_sink)
                     for (unsigned wi = 0; wi < wpl; ++wi)
-                        if (line.words[wi].valid &&
-                            line.words[wi].tt < cutoff)
+                        if (words[wi].valid && words[wi].tt < cutoff)
                             tagEvent(p, line, wi, TagCause::PhaseReset,
                                      true);
                 bool any_valid = false;
                 for (unsigned wi = 0; wi < wpl; ++wi) {
-                    TpiWord &w = line.words[wi];
+                    TpiWord &w = words[wi];
                     if (w.valid && w.tt < cutoff)
                         w.valid = false;
                     any_valid |= w.valid;

@@ -52,12 +52,13 @@ VcScheme::fill(ProcId proc, const MemOp &op)
     line.valid = true;
     line.base = base;
     line.lastUse = op.now;
-    line.meta.arrayId = op.arrayId;
     std::uint64_t version = cvnSlot(op.arrayId);
+    ValueStamp *stamps = cache.stamps(line);
+    VcWord *words = cache.words(line);
     for (unsigned w = 0; w < cache.wordsPerLine(); ++w) {
-        line.stamps[w] = _mem.read(base + Addr(w) * 4);
-        line.words[w].valid = true;
-        line.words[w].bvn = version;
+        stamps[w] = _mem.read(base + Addr(w) * 4);
+        words[w].valid = true;
+        words[w].bvn = version;
     }
     _history.record(proc, base, LineEvent::Cached);
     ++_stats.readPackets;
@@ -77,7 +78,7 @@ VcScheme::miss(const MemOp &op, MissClass cls, unsigned widx)
     res.cls = cls;
     res.stall = lineFetchLatency() +
                 reliableSend(op.proc, op.now, "line fetch");
-    res.observed = line.stamps[widx];
+    res.observed = _caches[op.proc].stamps(line)[widx];
     _stats.noteMissLatency(res.stall);
     return res;
 }
@@ -99,12 +100,13 @@ VcScheme::access(const MemOp &op)
             ++_stats.writeMisses;
             line = &fill(op.proc, op);
         }
-        line->stamps[widx] = op.stamp;
-        line->words[widx].valid = true;
+        cache.stamps(*line)[widx] = op.stamp;
+        VcWord &word = cache.words(*line)[widx];
+        word.valid = true;
         // The writer's copy survives the next version bump - unless the
         // write is lock-/sync-ordered, where a later lock owner may
         // produce a newer value within the same version.
-        line->words[widx].bvn = op.critical ? version : version + 1;
+        word.bvn = op.critical ? version : version + 1;
         _mem.write(op.addr, op.stamp);
         Cycles extra = 0;
         if (!_wbuf[op.proc].noteWrite(op.addr)) {
@@ -121,13 +123,16 @@ VcScheme::access(const MemOp &op)
 
     ++_stats.reads;
     Cache::Line *line = cache.lookup(op.addr, op.now);
+    // The demanded word's version and value, when its line is present.
+    VcWord *word = line ? &cache.words(*line)[widx] : nullptr;
+    ValueStamp *stamp = line ? &cache.stamps(*line)[widx] : nullptr;
 
     if (op.mark == MarkKind::Bypass) {
         ++_stats.bypassReads;
         ++_stats.readMisses;
         MissClass cls;
-        if (line && line->words[widx].valid) {
-            cls = line->stamps[widx] == _mem.read(op.addr)
+        if (word && word->valid) {
+            cls = *stamp == _mem.read(op.addr)
                       ? MissClass::Conservative
                       : MissClass::TrueShare;
         } else {
@@ -142,8 +147,8 @@ VcScheme::access(const MemOp &op)
         res.stall = wordFetchLatency() +
                     reliableSend(op.proc, op.now, "bypass word fetch");
         res.observed = _mem.read(op.addr);
-        if (line)
-            line->stamps[widx] = res.observed;
+        if (stamp)
+            *stamp = res.observed;
         _stats.noteMissLatency(res.stall);
         return res;
     }
@@ -152,21 +157,19 @@ VcScheme::access(const MemOp &op)
     // same load; validity is the per-variable version comparison.
     if (op.mark == MarkKind::TimeRead)
         ++_stats.timeReads;
-    if (line && line->words[widx].valid &&
-        line->words[widx].bvn >= version)
-    {
+    if (word && word->valid && word->bvn >= version) {
         ++_stats.readHits;
         if (op.mark == MarkKind::TimeRead)
             ++_stats.timeReadHits;
         res.hit = true;
         res.stall = _cfg.hitCycles;
-        res.observed = line->stamps[widx];
+        res.observed = *stamp;
         return res;
     }
 
     MissClass cls;
-    if (line && line->words[widx].valid) {
-        cls = line->stamps[widx] == _mem.read(op.addr)
+    if (word && word->valid) {
+        cls = *stamp == _mem.read(op.addr)
                   ? MissClass::Conservative
                   : MissClass::TrueShare;
     } else {

@@ -44,12 +44,6 @@ struct VcWord
     bool valid = false;
 };
 
-/** Per-line VC state: the owning array (lines never span arrays). */
-struct VcLine
-{
-    std::uint32_t arrayId = static_cast<std::uint32_t>(-1);
-};
-
 class VcScheme final : public CoherenceScheme
 {
   public:
@@ -65,7 +59,7 @@ class VcScheme final : public CoherenceScheme
     std::uint64_t cvn(std::uint32_t array) const;
 
   private:
-    using Cache = CacheArray<VcWord, VcLine>;
+    using Cache = CacheArray<VcWord>;
 
     Cache::Line &fill(ProcId proc, const MemOp &op);
     AccessResult miss(const MemOp &op, MissClass cls, unsigned widx);

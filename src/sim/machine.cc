@@ -12,6 +12,7 @@
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/strutil.hh"
+#include "common/zeroed.hh"
 #include "mem/base_scheme.hh"
 #include "mem/directory_scheme.hh"
 #include "mem/sc_scheme.hh"
@@ -133,7 +134,7 @@ class Executor
         : _m(m), _cfg(m._cfg), _prog(m._cp.program),
           _marking(m._cp.marking), _scheme(*m._scheme),
           _trace(m._trace),
-          _lastStamp(m._memory.words(), 0),
+          _lastStamp(m._memory.words()),
           _procTime(m._cfg.procs, 0),
           _busy(m._cfg.procs, 0),
           _epochAccess(m._memory.words()),
@@ -141,8 +142,8 @@ class Executor
           _rng(m._cfg.migrationSeed)
     {
         if (_cfg.shadowEpochCheck) {
-            _shadowWriterProc.assign(m._memory.words(), 0);
-            _shadowWriterEpoch.assign(m._memory.words(), 0);
+            _shadowWriterProc = ZeroedArray<ProcId>(m._memory.words());
+            _shadowWriterEpoch = ZeroedArray<EpochId>(m._memory.words());
         }
         _facts.resize(_prog.refCount());
         for (hir::RefId id = 0; id < _prog.refCount(); ++id) {
@@ -775,14 +776,6 @@ class Executor
         _spansEmitted = true;
     }
 
-    struct AccessRec
-    {
-        std::int64_t task = 0;
-        std::uint64_t gen = 0;  ///< epoch generation tag (0 = never)
-        bool wrote = false;
-        bool critical = false;
-    };
-
     Machine &_m;
     const MachineConfig &_cfg;
     const hir::Program &_prog;
@@ -794,10 +787,15 @@ class Executor
     /** The current epoch's processor spans were reported (parallel). */
     bool _spansEmitted = false;
 
-    std::vector<ValueStamp> _lastStamp;
+    /**
+     * The value-stamp oracle and the legality and shadow-epoch checks
+     * keep one entry per data word, obtained zeroed (common/zeroed.hh):
+     * stamp 0 is "never written", generation 0 "never touched".
+     */
+    ZeroedArray<ValueStamp> _lastStamp;
     /** Shadow-epoch detector state (empty unless shadowEpochCheck). */
-    std::vector<ProcId> _shadowWriterProc;
-    std::vector<EpochId> _shadowWriterEpoch;
+    ZeroedArray<ProcId> _shadowWriterProc;
+    ZeroedArray<EpochId> _shadowWriterEpoch;
     ValueStamp _stampCounter = 0;
     std::vector<Cycles> _procTime;
     /** Processors ready to issue in a parallel epoch, earliest first. */
@@ -812,7 +810,7 @@ class Executor
      * runs once per simulated reference, and bumping the generation at
      * each boundary replaces the per-epoch clear.
      */
-    std::vector<AccessRec> _epochAccess;
+    ZeroedArray<AccessRec> _epochAccess;
     std::uint64_t _accessGen = 1;
     std::vector<char> _inCritical;
     std::set<std::int64_t> _serialPosted;

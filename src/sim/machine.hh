@@ -23,6 +23,19 @@ namespace sim {
 
 using mem::TraceSink;
 
+/**
+ * The executor's per-word DOALL legality record for the current epoch
+ * (Executor::checkLegality). Kept in zeroed storage: the all-zero record
+ * is generation 0, "not touched this run".
+ */
+struct AccessRec
+{
+    std::int64_t task = 0;
+    std::uint64_t gen = 0;  ///< epoch generation tag (0 = never)
+    bool wrote = false;
+    bool critical = false;
+};
+
 class Machine
 {
   public:

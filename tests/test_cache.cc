@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
+#include "common/zeroed.hh"
 #include "mem/cache.hh"
+#include "mem/directory_scheme.hh"
+#include "mem/line_history.hh"
+#include "mem/tpi_scheme.hh"
+#include "mem/vc_scheme.hh"
+#include "sim/machine.hh"
 
 using namespace hscd;
 using namespace hscd::mem;
@@ -131,7 +138,7 @@ TEST(CacheArray, PerWordMetadataSized)
 {
     struct Tag
     {
-        int v = 7;
+        int v = 0;
     };
     MachineConfig cfg = smallConfig();
     cfg.lineBytes = 32;
@@ -139,13 +146,225 @@ TEST(CacheArray, PerWordMetadataSized)
     CacheArray<Tag> c(cfg);
     auto &l = c.victim(0x100, 1);
     ASSERT_EQ(c.wordsPerLine(), 8u);
-    // Every line's word metadata is default-initialized and writable
-    // across the whole line (the flat backing store is sized for it).
-    EXPECT_EQ(l.words[3].v, 7);
-    l.words[7].v = 11;
-    l.stamps[7] = 42;
-    EXPECT_EQ(l.words[7].v, 11);
-    EXPECT_EQ(l.stamps[7], 42u);
+    // Every line's word metadata starts at its all-zero reset state and
+    // is writable across the whole line (the frame's stride is sized for
+    // it) without touching the neighbouring frame.
+    EXPECT_EQ(c.words(l)[3].v, 0);
+    c.words(l)[7].v = 11;
+    c.stamps(l)[7] = 42;
+    EXPECT_EQ(c.words(l)[7].v, 11);
+    EXPECT_EQ(c.stamps(l)[7], 42u);
+    auto &next = c.victim(0x120, 1);
+    EXPECT_NE(&next, &l);
+    EXPECT_EQ(c.words(next)[0].v, 0);
+    EXPECT_EQ(c.stamps(next)[0], 0u);
+}
+
+/**
+ * Only the sets a data range can reach are allocated:
+ * min(ceil(data / line), sets) x assoc frames, for direct-mapped and
+ * set-associative geometries; no bound allocates every set.
+ */
+TEST(CacheArray, FootprintSized)
+{
+    for (unsigned assoc : {1u, 4u}) {
+        MachineConfig cfg;
+        cfg.cacheBytes = 64 * 1024;
+        cfg.lineBytes = 16;
+        cfg.assoc = assoc;
+        const std::size_t sets = cfg.sets();
+        EXPECT_EQ(CacheArray<>(cfg).lineCount(), sets * assoc);
+        EXPECT_EQ(CacheArray<>(cfg, 1000).lineCount(), 63u * assoc)
+            << "ceil(1000 / 16) = 63 sets, not the next power of two";
+        EXPECT_EQ(CacheArray<>(cfg, 1008).lineCount(), 63u * assoc);
+        EXPECT_EQ(CacheArray<>(cfg, 1009).lineCount(), 64u * assoc);
+        EXPECT_EQ(CacheArray<TpiWord>(cfg, 16).lineCount(), 1u * assoc);
+        EXPECT_EQ(CacheArray<>(cfg, 16 * sets).lineCount(), sets * assoc);
+        EXPECT_EQ(CacheArray<>(cfg, 1 << 20).lineCount(), sets * assoc)
+            << "data larger than the cache allocates every set";
+    }
+}
+
+namespace {
+
+/**
+ * Drive a footprint-capped and an uncapped array of the same geometry
+ * through one random sequence of in-range fills and probes; they must
+ * agree access for access: hit or miss, the victim (invalid, or the
+ * line it evicts), and the value stamps a hit reads back.
+ */
+template <typename WordMeta>
+void
+expectCappedMatchesUncapped(const MachineConfig &cfg, Addr data_bytes,
+                            std::uint64_t seed)
+{
+    CacheArray<WordMeta> capped(cfg, data_bytes);
+    CacheArray<WordMeta> full(cfg);
+    ASSERT_LE(capped.lineCount(), full.lineCount());
+    Rng rng(seed);
+    const unsigned wpl = cfg.wordsPerLine();
+    for (Cycles now = 1; now <= 4000; ++now) {
+        const Addr addr = Addr(rng.below(std::uint32_t(data_bytes))) & ~3;
+        ASSERT_EQ(capped.setOf(addr), full.setOf(addr));
+        auto *a = capped.lookup(addr, now);
+        auto *b = full.lookup(addr, now);
+        ASSERT_EQ(a == nullptr, b == nullptr) << "addr " << addr;
+        if (a) {
+            for (unsigned w = 0; w < wpl; ++w)
+                ASSERT_EQ(capped.stamps(*a)[w], full.stamps(*b)[w]);
+            continue;
+        }
+        auto &va = capped.victim(addr, now);
+        auto &vb = full.victim(addr, now);
+        ASSERT_EQ(va.valid, vb.valid) << "addr " << addr;
+        if (va.valid) {
+            ASSERT_EQ(va.base, vb.base) << "addr " << addr;
+        }
+        for (auto *l : {&va, &vb}) {
+            l->valid = true;
+            l->base = capped.lineAddr(addr);
+            l->lastUse = now;
+        }
+        for (unsigned w = 0; w < wpl; ++w) {
+            capped.stamps(va)[w] = now * 64 + w;
+            full.stamps(vb)[w] = now * 64 + w;
+        }
+    }
+}
+
+} // namespace
+
+TEST(CacheArray, CappedMatchesUncappedFrameForFrame)
+{
+    struct Case
+    {
+        unsigned cacheBytes, lineBytes, assoc;
+        Addr dataBytes;
+    };
+    // Data smaller than the cache (a non-power-of-two set count), about
+    // its size, and larger, direct-mapped and associative.
+    const Case cases[] = {
+        {4096, 16, 1, 1000},  {4096, 16, 1, 4100}, {4096, 16, 1, 20000},
+        {4096, 16, 4, 1000},  {4096, 16, 4, 3000}, {4096, 32, 2, 50000},
+        {2048, 64, 2, 1500},  {1024, 16, 8, 800},
+    };
+    std::uint64_t seed = 1;
+    for (const Case &k : cases) {
+        MachineConfig cfg;
+        cfg.cacheBytes = k.cacheBytes;
+        cfg.lineBytes = k.lineBytes;
+        cfg.assoc = k.assoc;
+        SCOPED_TRACE(testing::Message()
+                     << k.cacheBytes << "B " << k.assoc << "-way, "
+                     << k.lineBytes << "B lines, " << k.dataBytes
+                     << "B data");
+        expectCappedMatchesUncapped<NoMeta>(cfg, k.dataBytes, seed++);
+        expectCappedMatchesUncapped<TpiWord>(cfg, k.dataBytes, seed++);
+    }
+}
+
+/**
+ * Every piece of state that starts as zero pages reads as its reset
+ * state: a fresh frame of each scheme's cache, a LineHistory entry, a
+ * main-memory word and the executor's legality record.
+ */
+TEST(CacheArray, FreshStateReadsAsReset)
+{
+    MachineConfig cfg = smallConfig(2);
+    const Addr data = 4096;
+    CacheArray<TpiWord> tpi(cfg, data);
+    CacheArray<VcWord> vc(cfg, data);
+    CacheArray<NoMeta, MsiLine> hw(cfg, data);
+    for (Addr a = 0; a < data; a += cfg.lineBytes) {
+        auto &t = tpi.victim(a, 1);
+        EXPECT_FALSE(t.valid);
+        EXPECT_EQ(t.base, 0u);
+        EXPECT_EQ(t.lastUse, 0u);
+        auto &v = vc.victim(a, 1);
+        auto &h = hw.victim(a, 1);
+        EXPECT_FALSE(v.valid);
+        EXPECT_FALSE(h.valid);
+        EXPECT_EQ(h.meta.dirty, MsiLine{}.dirty);
+        EXPECT_EQ(h.meta.accessedMask, MsiLine{}.accessedMask);
+        for (unsigned w = 0; w < tpi.wordsPerLine(); ++w) {
+            EXPECT_EQ(tpi.words(t)[w].tt, TpiWord{}.tt);
+            EXPECT_EQ(tpi.words(t)[w].valid, TpiWord{}.valid);
+            EXPECT_EQ(vc.words(v)[w].bvn, VcWord{}.bvn);
+            EXPECT_EQ(vc.words(v)[w].valid, VcWord{}.valid);
+            EXPECT_EQ(tpi.stamps(t)[w], 0u);
+            EXPECT_EQ(vc.stamps(v)[w], 0u);
+            EXPECT_EQ(hw.stamps(h)[w], 0u);
+        }
+    }
+
+    LineHistory history(4, data, cfg.lineBytes);
+    for (ProcId p = 0; p < 4; ++p) {
+        EXPECT_EQ(history.state(p, 0), LineEvent::NeverCached);
+        EXPECT_EQ(history.state(p, data - 1), LineEvent::NeverCached);
+        EXPECT_EQ(history.classifyAbsent(p, data), MissClass::Cold);
+    }
+
+    MainMemory memory(data);
+    EXPECT_EQ(memory.read(0), 0u);
+    EXPECT_EQ(memory.read(data), 0u);
+
+    ZeroedArray<sim::AccessRec> recs(16);
+    const sim::AccessRec reset{};
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        EXPECT_EQ(recs[i].gen, reset.gen) << "generation 0 means never";
+        EXPECT_EQ(recs[i].task, reset.task);
+        EXPECT_EQ(recs[i].wrote, reset.wrote);
+        EXPECT_EQ(recs[i].critical, reset.critical);
+    }
+}
+
+/**
+ * One flat procs x lines table: rows must not bleed into each other at
+ * processor boundaries, and the last data line has its own entry.
+ */
+TEST(LineHistory, FlatIndexingAtBoundaries)
+{
+    const unsigned procs = 3;
+    const Addr data = 1000;
+    LineHistory h(procs, data, 16);
+    const Addr last = data / 16 * 16; // first byte of the last line
+    // Adjacent in the flat table: (p, last line) and (p + 1, line 0).
+    h.record(0, last, LineEvent::Evicted);
+    h.record(1, 0, LineEvent::InvalidatedTrue);
+    h.record(1, last + 15, LineEvent::InvalidatedTag);
+    h.record(2, 0, LineEvent::Cached);
+    h.record(2, data - 1, LineEvent::InvalidatedFalse);
+    EXPECT_EQ(h.state(0, 0), LineEvent::NeverCached);
+    EXPECT_EQ(h.state(0, last), LineEvent::Evicted);
+    EXPECT_EQ(h.state(1, 3), LineEvent::InvalidatedTrue);
+    EXPECT_EQ(h.state(1, last), LineEvent::InvalidatedTag);
+    EXPECT_EQ(h.state(2, 0), LineEvent::Cached);
+    EXPECT_EQ(h.state(2, data - 1), LineEvent::InvalidatedFalse);
+    EXPECT_EQ(h.state(2, last), LineEvent::InvalidatedFalse)
+        << "the last data byte lies in the last line";
+    EXPECT_EQ(h.state(2, last - 16), LineEvent::NeverCached);
+    EXPECT_EQ(h.classifyAbsent(0, last), MissClass::Replacement);
+    EXPECT_EQ(h.classifyAbsent(1, last), MissClass::TagReset);
+    EXPECT_EQ(h.classifyAbsent(2, data - 1), MissClass::FalseShare);
+    EXPECT_EQ(h.classifyAbsent(0, 16), MissClass::Cold);
+}
+
+/** Zeroed arrays start at zero, move their storage, and may be empty. */
+TEST(ZeroedArray, StartsZeroAndMoves)
+{
+    ZeroedArray<std::uint64_t> a(1000);
+    ASSERT_EQ(a.size(), 1000u);
+    for (std::size_t i = 0; i < a.size(); ++i)
+        ASSERT_EQ(a[i], 0u);
+    a[999] = 7;
+    ZeroedArray<std::uint64_t> b(std::move(a));
+    EXPECT_EQ(b.size(), 1000u);
+    EXPECT_EQ(b[999], 7u);
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_EQ(a.data(), nullptr);
+    ZeroedArray<std::uint64_t> empty(0);
+    EXPECT_EQ(empty.size(), 0u);
+    EXPECT_EQ(empty.data(), nullptr);
 }
 
 /**

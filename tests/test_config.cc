@@ -130,6 +130,23 @@ TEST(MachineConfigValidate, HwOver64ProcsIsFatal)
     EXPECT_NO_THROW(c.validate());
 }
 
+/**
+ * HW's false-sharing classification keeps one accessed bit per word in
+ * a 64-bit mask: lines over 64 words (256 bytes) are refused.
+ */
+TEST(MachineConfigValidate, HwOver64WordsPerLineIsFatal)
+{
+    MachineConfig c;
+    c.scheme = SchemeKind::HW;
+    c.cacheBytes = 64 * 1024;
+    c.lineBytes = 256;
+    EXPECT_NO_THROW(c.validate());
+    c.lineBytes = 512;
+    EXPECT_THROW(c.validate(), FatalError);
+    c.scheme = SchemeKind::TPI;
+    EXPECT_NO_THROW(c.validate());
+}
+
 /** A write buffer organized as a cache needs at least one slot. */
 TEST(MachineConfigValidate, ZeroWordWriteBufferCacheIsFatal)
 {
