@@ -17,6 +17,8 @@ abortKindName(AbortKind k)
         return "watchdog";
       case AbortKind::Deadlock:
         return "deadlock";
+      case AbortKind::ClockLimit:
+        return "clock";
     }
     panic("bad AbortKind %d", static_cast<int>(k));
 }

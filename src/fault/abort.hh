@@ -26,6 +26,7 @@ enum class AbortKind : std::uint8_t
     Protocol,  ///< Reliable delivery exhausted its retry budget.
     Watchdog,  ///< No forward progress for watchdogStallOps operations.
     Deadlock,  ///< Processors parked on flags that can never post.
+    ClockLimit, ///< A clock passed the executor's ready-heap time limit.
 };
 
 const char *abortKindName(AbortKind k);

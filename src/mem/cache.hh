@@ -42,16 +42,19 @@ struct NoMeta
  * Only the sets the data can reach exist: the set index is the line
  * number masked by the configured (power-of-two) set count, so an
  * address below data_bytes never indexes a set at or beyond
- * min(ceil(data_bytes / lineBytes), sets). Those sets are grouped into
- * page-sized chunks, and a chunk's frames are allocated, already zeroed
- * (common/zeroed.hh), by the first victim() in it; lookup() in a chunk
- * nothing has filled is a miss without touching memory. The all-zero
- * frame is an invalid line with zeroed metadata, so WordMeta and
- * LineMeta must be trivially copyable and reset to all zero bits. A
- * Machine is built per simulated run with P caches, and each processor
- * fills a small part of its cache: construction, memory and teardown
- * grow with the frames a run fills, not with P times the cache size,
- * whatever the allocator does with freed blocks.
+ * min(ceil(data_bytes / lineBytes), sets). Each of those sets' ways is
+ * one entry of a zeroed frame table; a null entry is a way nothing has
+ * filled, and lookup() misses on it without touching a frame. The first
+ * victim() on a null way takes the next frame, already zeroed
+ * (common/zeroed.hh), from page-sized blocks handed out in fill order, so
+ * the frames a processor fills sit packed together whichever sets they
+ * map to. A block is never moved or freed before the cache, so a Line
+ * reference stays valid for the cache's lifetime. The all-zero frame is
+ * an invalid line with zeroed metadata, so WordMeta and LineMeta must be
+ * trivially copyable and reset to all zero bits. A Machine is built per
+ * simulated run with P caches, and each processor fills a small part of
+ * its cache: construction, memory and teardown grow with the frames a
+ * run fills, not with P times the cache size.
  */
 template <typename WordMeta = NoMeta, typename LineMeta = NoMeta>
 class CacheArray
@@ -81,8 +84,8 @@ class CacheArray
           _wordOffset(_stampOffset + cfg.wordsPerLine() * sizeof(ValueStamp)),
           _stride(roundUp(_wordOffset + wordBytes(cfg.wordsPerLine()),
                           kAlign)),
-          _chunkShift(chunkShift(_assoc * _stride)),
-          _chunks(divCeil(_sets, std::size_t{1} << _chunkShift))
+          _framesPerBlock(std::max<std::size_t>(1, kBlockBytes / _stride)),
+          _blockUsed(_framesPerBlock), _ways(_sets * _assoc)
     {
         hscd_assert(isPowerOf2(_lineBytes) && _lineBytes >= 4,
                     "line size must be a power of two >= 4");
@@ -137,15 +140,13 @@ class CacheArray
     lookup(Addr addr, Cycles now)
     {
         Addr base = lineAddr(addr);
-        Line *set = filledSet(setOf(base));
-        if (!set)
-            return nullptr;
+        Line *const *set = ways(setOf(base));
         for (unsigned w = 0; w < _assoc; ++w) {
-            Line &l = way(set, w);
-            if (l.valid && l.base == base) {
-                if (now > l.lastUse)
-                    l.lastUse = now;
-                return &l;
+            Line *l = set[w];
+            if (l && l->valid && l->base == base) {
+                if (now > l->lastUse)
+                    l->lastUse = now;
+                return l;
             }
         }
         return nullptr;
@@ -155,32 +156,30 @@ class CacheArray
     peek(Addr addr) const
     {
         Addr base = lineAddr(addr);
-        Line *set = filledSet(setOf(base));
-        if (!set)
-            return nullptr;
+        const Line *const *set = ways(setOf(base));
         for (unsigned w = 0; w < _assoc; ++w) {
-            const Line &l = way(set, w);
-            if (l.valid && l.base == base)
-                return &l;
+            const Line *l = set[w];
+            if (l && l->valid && l->base == base)
+                return l;
         }
         return nullptr;
     }
 
     /**
      * Choose a victim frame for @p addr (LRU among the set; invalid frames
-     * first). The caller inspects the returned line (valid => eviction)
-     * and then initializes it.
+     * first, a never-filled way getting a fresh zeroed frame). The caller
+     * inspects the returned line (valid => eviction) and then initializes
+     * it.
      */
     Line &
     victim(Addr addr, Cycles now)
     {
-        const std::size_t set_index = setOf(lineAddr(addr));
-        Line *set = filledSet(set_index);
-        if (!set)
-            set = bindChunk(set_index);
+        Line **set = ways(setOf(lineAddr(addr)));
         Line *best = nullptr;
         for (unsigned w = 0; w < _assoc; ++w) {
-            Line &l = way(set, w);
+            if (!set[w])
+                set[w] = takeFrame();
+            Line &l = *set[w];
             if (!l.valid)
                 return l;
             if (!best || l.lastUse < best->lastUse)
@@ -205,17 +204,17 @@ class CacheArray
         });
     }
 
-    /** Visit every valid line. */
+    /**
+     * Visit every valid line, set by set and way by way within a set,
+     * whatever order the frames were filled in.
+     */
     template <typename Fn>
     void
     forEachLine(Fn &&fn)
     {
-        for (std::size_t c = 0; c < _chunks.size(); ++c) {
-            std::byte *chunk = _chunks[c].data();
-            for (std::size_t i = 0; chunk && i < chunkFrames(c); ++i)
-                if (Line &l = frameAt(chunk, i); l.valid)
-                    fn(l);
-        }
+        for (std::size_t i = 0; i < _ways.size(); ++i)
+            if (Line *l = _ways[i]; l && l->valid)
+                fn(*l);
     }
 
     /** Visit every valid line, read-only (post-mortem snapshots). */
@@ -230,13 +229,22 @@ class CacheArray
     /** Frames the cache can hold: reachable sets times associativity. */
     std::size_t lineCount() const { return _sets * _assoc; }
 
+    /** Frames taken from the pool: the (set, way)s ever filled. */
+    std::size_t
+    framesInUse() const
+    {
+        return _blocks.empty()
+                   ? 0
+                   : (_blocks.size() - 1) * _framesPerBlock + _blockUsed;
+    }
+
   private:
     static constexpr std::size_t kAlign =
         std::max({alignof(Line), alignof(ValueStamp), alignof(WordMeta)});
     static_assert(kAlign <= alignof(std::max_align_t),
                   "calloc must align every frame");
-    /** Bytes of frames one chunk aims at (about a page). */
-    static constexpr std::size_t kChunkBytes = 4096;
+    /** Bytes of frames one pool block aims at (about a page). */
+    static constexpr std::size_t kBlockBytes = 4096;
 
     static std::size_t
     wordBytes(unsigned words_per_line)
@@ -256,59 +264,30 @@ class CacheArray
                                      sets);
     }
 
-    /** log2 of the sets per chunk: a power of two, at least one set. */
-    static unsigned
-    chunkShift(std::size_t set_bytes)
-    {
-        return set_bytes >= kChunkBytes ? 0
-                                        : floorLog2(kChunkBytes / set_bytes);
-    }
-
-    /** Frames in chunk @p c (the last chunk may be partial). */
-    std::size_t
-    chunkFrames(std::size_t c) const
-    {
-        const std::size_t first = c << _chunkShift;
-        const std::size_t sets =
-            std::min(_sets - first, std::size_t{1} << _chunkShift);
-        return sets * _assoc;
-    }
-
-    Line &
-    frameAt(std::byte *chunk, std::size_t i) const
-    {
-        return *reinterpret_cast<Line *>(chunk + i * _stride);
-    }
-
-    /** First frame of set @p s, or null if its chunk was never filled. */
-    Line *
-    filledSet(std::size_t s) const
+    /** The frame-table entries of set @p s, one per way. */
+    Line **
+    ways(std::size_t s)
     {
         hscd_dassert(s < _sets, "set %d beyond the cache's %d sets", s,
                      _sets);
-        auto *chunk =
-            const_cast<std::byte *>(_chunks[s >> _chunkShift].data());
-        if (!chunk)
-            return nullptr;
-        const std::size_t in_chunk = s & ((std::size_t{1} << _chunkShift) - 1);
-        return &frameAt(chunk, in_chunk * _assoc);
+        return _ways.data() + s * _assoc;
+    }
+    const Line *const *
+    ways(std::size_t s) const
+    {
+        return const_cast<CacheArray *>(this)->ways(s);
     }
 
-    /** Allocate set @p s's chunk, zeroed; returns the set's first frame. */
+    /** The next zeroed frame of the pool, opening a block if needed. */
     Line *
-    bindChunk(std::size_t s)
+    takeFrame()
     {
-        const std::size_t c = s >> _chunkShift;
-        _chunks[c] = ZeroedArray<std::byte>(chunkFrames(c) * _stride);
-        return filledSet(s);
-    }
-
-    /** Way @p w of the set whose first frame is @p set. */
-    Line &
-    way(Line *set, unsigned w) const
-    {
-        return *reinterpret_cast<Line *>(reinterpret_cast<std::byte *>(set) +
-                                         w * _stride);
+        if (_blockUsed == _framesPerBlock) {
+            _blocks.emplace_back(_framesPerBlock * _stride);
+            _blockUsed = 0;
+        }
+        return reinterpret_cast<Line *>(_blocks.back().data() +
+                                        _blockUsed++ * _stride);
     }
 
     // Line sizes are powers of two (MachineConfig::validate), so the
@@ -321,9 +300,12 @@ class CacheArray
     std::size_t _stampOffset;  ///< frame-relative byte offsets
     std::size_t _wordOffset;
     std::size_t _stride;       ///< bytes per frame
-    unsigned _chunkShift;      ///< log2(sets per chunk)
-    /** Each chunk's frames; empty until a victim() first lands in it. */
-    std::vector<ZeroedArray<std::byte>> _chunks;
+    std::size_t _framesPerBlock;
+    std::size_t _blockUsed;    ///< frames taken from the last block
+    /** Frame of each (set, way), set-major; null until first filled. */
+    ZeroedArray<Line *> _ways;
+    /** The frame pool, in fill order; blocks never move. */
+    std::vector<ZeroedArray<std::byte>> _blocks;
 };
 
 } // namespace mem

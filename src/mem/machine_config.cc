@@ -160,8 +160,8 @@ MachineConfig::fromParams(const Params &p)
 void
 MachineConfig::validate() const
 {
-    if (procs == 0 || procs > 4096)
-        fatal("procs must be in [1, 4096], got %d", procs);
+    if (procs == 0 || procs > kMaxProcs)
+        fatal("procs must be in [1, %d], got %d", kMaxProcs, procs);
     if (!isPowerOf2(lineBytes) || lineBytes < 4)
         fatal("line_bytes must be a power of two >= 4, got %d", lineBytes);
     if (!isPowerOf2(cacheBytes) || cacheBytes < lineBytes)

@@ -46,6 +46,12 @@ enum class SchedPolicy
 
 struct MachineConfig
 {
+    /**
+     * validate()'s processor limit. The executor's ready heap packs a
+     * processor id into log2(kMaxProcs) bits of its keys.
+     */
+    static constexpr unsigned kMaxProcs = 4096;
+
     unsigned procs = 16;
     std::uint64_t cacheBytes = 64 * 1024;
     unsigned lineBytes = 16;          ///< 4 32-bit words

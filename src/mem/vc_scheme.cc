@@ -21,20 +21,20 @@ VcScheme::VcScheme(const MachineConfig &cfg, MainMemory &memory,
     }
 }
 
-std::uint64_t &
-VcScheme::cvnSlot(std::uint32_t array)
+VcScheme::ArrayVersion &
+VcScheme::arraySlot(std::uint32_t array)
 {
     hscd_assert(array != static_cast<std::uint32_t>(-1),
                 "VC needs the owning array of every reference");
-    if (array >= _cvn.size())
-        _cvn.resize(array + 1, 0);
-    return _cvn[array];
+    if (array >= _arrays.size())
+        _arrays.resize(array + 1);
+    return _arrays[array];
 }
 
 std::uint64_t
 VcScheme::cvn(std::uint32_t array) const
 {
-    return array < _cvn.size() ? _cvn[array] : 0;
+    return array < _arrays.size() ? _arrays[array].cvn : 0;
 }
 
 VcScheme::Cache::Line &
@@ -52,7 +52,7 @@ VcScheme::fill(ProcId proc, const MemOp &op)
     line.valid = true;
     line.base = base;
     line.lastUse = op.now;
-    std::uint64_t version = cvnSlot(op.arrayId);
+    std::uint64_t version = arraySlot(op.arrayId).cvn;
     ValueStamp *stamps = cache.stamps(line);
     VcWord *words = cache.words(line);
     for (unsigned w = 0; w < cache.wordsPerLine(); ++w) {
@@ -89,11 +89,15 @@ VcScheme::access(const MemOp &op)
     AccessResult res;
     Cache &cache = _caches[op.proc];
     unsigned widx = cache.wordIndex(op.addr);
-    std::uint64_t version = cvnSlot(op.arrayId);
+    ArrayVersion &array = arraySlot(op.arrayId);
+    const std::uint64_t version = array.cvn;
 
     if (op.write) {
         ++_stats.writes;
-        _writtenArrays.insert(op.arrayId);
+        if (!array.written) {
+            array.written = true;
+            _writtenArrays.push_back(op.arrayId);
+        }
         Cache::Line *line = cache.lookup(op.addr, op.now);
         res.hit = line != nullptr;
         if (!line) {
@@ -184,8 +188,10 @@ VcScheme::epochBoundary(EpochId new_epoch)
     CoherenceScheme::epochBoundary(new_epoch);
     for (WriteBuffer &wb : _wbuf)
         wb.drain();
-    for (std::uint32_t a : _writtenArrays)
-        ++cvnSlot(a);
+    for (std::uint32_t a : _writtenArrays) {
+        ++_arrays[a].cvn;
+        _arrays[a].written = false;
+    }
     _writtenArrays.clear();
     return 0;
 }

@@ -26,7 +26,6 @@
 #ifndef HSCD_MEM_VC_SCHEME_HH
 #define HSCD_MEM_VC_SCHEME_HH
 
-#include <set>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -61,17 +60,24 @@ class VcScheme final : public CoherenceScheme
   private:
     using Cache = CacheArray<VcWord>;
 
+    /** One array's version state (identical on every processor). */
+    struct ArrayVersion
+    {
+        std::uint64_t cvn = 0;
+        bool written = false; ///< written during the current epoch
+    };
+
     Cache::Line &fill(ProcId proc, const MemOp &op);
     AccessResult miss(const MemOp &op, MissClass cls, unsigned widx);
-    std::uint64_t &cvnSlot(std::uint32_t array);
+    ArrayVersion &arraySlot(std::uint32_t array);
 
     std::vector<Cache> _caches;
     std::vector<WriteBuffer> _wbuf;
     LineHistory _history;
-    /** CVN table, grown on demand (identical on every processor). */
-    mutable std::vector<std::uint64_t> _cvn;
-    /** Arrays written during the current epoch. */
-    std::set<std::uint32_t> _writtenArrays;
+    /** Version table, indexed by array id and grown on demand. */
+    std::vector<ArrayVersion> _arrays;
+    /** Arrays whose CVN the next boundary bumps, each listed once. */
+    std::vector<std::uint32_t> _writtenArrays;
 };
 
 } // namespace mem

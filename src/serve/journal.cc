@@ -178,7 +178,7 @@ decodeResult(TokenReader &in, sim::RunResult &r)
     }
     // A kind past the last enumerator is corruption, not an abort.
     const std::uint64_t kind = in.u64();
-    if (kind > static_cast<std::uint64_t>(fault::AbortKind::Deadlock))
+    if (kind > static_cast<std::uint64_t>(fault::AbortKind::ClockLimit))
         return false;
     r.abort.kind = static_cast<fault::AbortKind>(kind);
     r.abort.reason = in.str();

@@ -134,10 +134,9 @@ class Executor
         : _m(m), _cfg(m._cfg), _prog(m._cp.program),
           _marking(m._cp.marking), _scheme(*m._scheme),
           _trace(m._trace),
-          _lastStamp(m._memory.words()),
           _procTime(m._cfg.procs, 0),
           _busy(m._cfg.procs, 0),
-          _epochAccess(m._memory.words()),
+          _words(m._memory.words()),
           _inCritical(m._cfg.procs, 0),
           _rng(m._cfg.migrationSeed)
     {
@@ -171,6 +170,8 @@ class Executor
             // point of death, and the abort record (with its post-mortem
             // snapshot) rides along in the RunResult instead of the run
             // spinning forever or dying on an assert.
+            if (ab.info.kind == fault::AbortKind::ClockLimit)
+                ab.info.epoch = _epoch; // the ready heap knows no epoch
             finish();
             if (_trace)
                 _trace->onAbort(ab.info, _epoch);
@@ -443,19 +444,22 @@ class Executor
             _res.cycles > _parallelWall ? _res.cycles - _parallelWall : 0;
     }
 
-    /** DOALL legality: cross-task same-word conflicts are data races. */
-    void
+    /**
+     * DOALL legality: cross-task same-word conflicts are data races.
+     * Returns the word's record, whose stamp the oracle reads next.
+     */
+    AccessRec &
     checkLegality(Addr addr, std::int64_t task, bool write, bool critical)
     {
-        hscd_dassert(addr / 4 < _epochAccess.size(),
+        hscd_dassert(addr / 4 < _words.size(),
                      "access record for address %#x out of range", addr);
-        AccessRec &rec = _epochAccess[addr / 4];
+        AccessRec &rec = _words[addr / 4];
         if (rec.gen != _accessGen) {
             rec.gen = _accessGen;
             rec.task = task;
             rec.wrote = write;
             rec.critical = critical;
-            return;
+            return rec;
         }
         // Post/wait epochs may pass data between tasks legally; ordering
         // correctness is still checked by the value-stamp oracle.
@@ -466,6 +470,7 @@ class Executor
         rec.critical &= critical;
         if (rec.task != task)
             rec.task = task; // track the latest toucher
+        return rec;
     }
 
     template <class Scheme>
@@ -478,7 +483,7 @@ class Executor
         const RefFacts &f = _facts[op.ref];
         const Addr addr = static_cast<Addr>(op.aux);
         bool critical = f.markCritical || _inCritical[proc] != 0;
-        checkLegality(addr, task, f.write, critical);
+        AccessRec &rec = checkLegality(addr, task, f.write, critical);
 
         MemOp mop;
         mop.proc = proc;
@@ -492,7 +497,7 @@ class Executor
         mop.now = _procTime[proc];
         if (f.write) {
             mop.stamp = ++_stampCounter;
-            _lastStamp[addr / 4] = mop.stamp;
+            rec.stamp = mop.stamp;
             if (_cfg.shadowEpochCheck) {
                 _shadowWriterProc[addr / 4] = proc;
                 _shadowWriterEpoch[addr / 4] = _epoch;
@@ -510,7 +515,7 @@ class Executor
             _trace->onOutcome(mop, res, _epoch);
 
         if (!f.write) {
-            ValueStamp expected = _lastStamp[addr / 4];
+            const ValueStamp expected = rec.stamp;
             if (res.observed != expected) {
                 ++_res.oracleViolations;
                 if (_res.firstViolations.size() < 8) {
@@ -787,12 +792,6 @@ class Executor
     /** The current epoch's processor spans were reported (parallel). */
     bool _spansEmitted = false;
 
-    /**
-     * The value-stamp oracle and the legality and shadow-epoch checks
-     * keep one entry per data word, obtained zeroed (common/zeroed.hh):
-     * stamp 0 is "never written", generation 0 "never touched".
-     */
-    ZeroedArray<ValueStamp> _lastStamp;
     /** Shadow-epoch detector state (empty unless shadowEpochCheck). */
     ZeroedArray<ProcId> _shadowWriterProc;
     ZeroedArray<EpochId> _shadowWriterEpoch;
@@ -805,12 +804,13 @@ class Executor
     std::vector<Cycles> _busy;
     Cycles _parallelWall = 0;
     /**
-     * Per-epoch access records, flat-indexed by word with a generation
-     * tag instead of a hash map keyed by address: the legality check
-     * runs once per simulated reference, and bumping the generation at
-     * each boundary replaces the per-epoch clear.
+     * The oracle's and the legality check's state, one AccessRec per
+     * data word, obtained zeroed (common/zeroed.hh). Flat-indexed by
+     * word with a generation tag instead of a hash map keyed by address:
+     * the check runs once per simulated reference, and bumping the
+     * generation at each boundary replaces the per-epoch clear.
      */
-    ZeroedArray<AccessRec> _epochAccess;
+    ZeroedArray<AccessRec> _words;
     std::uint64_t _accessGen = 1;
     std::vector<char> _inCritical;
     std::set<std::int64_t> _serialPosted;

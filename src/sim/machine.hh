@@ -24,12 +24,15 @@ namespace sim {
 using mem::TraceSink;
 
 /**
- * The executor's per-word DOALL legality record for the current epoch
- * (Executor::checkLegality). Kept in zeroed storage: the all-zero record
- * is generation 0, "not touched this run".
+ * The executor's per-word record: the value-stamp oracle's last written
+ * stamp and the current epoch's DOALL legality state
+ * (Executor::checkLegality), fused so a reference reads and writes one
+ * record. Kept in zeroed storage: the all-zero record is stamp 0, "never
+ * written", and generation 0, "not touched this run".
  */
 struct AccessRec
 {
+    mem::ValueStamp stamp = 0; ///< last value written to the word
     std::int64_t task = 0;
     std::uint64_t gen = 0;  ///< epoch generation tag (0 = never)
     bool wrote = false;

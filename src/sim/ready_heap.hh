@@ -13,6 +13,10 @@
  * std::pair<Cycles, ProcId> under std::greater. Each processor is queued
  * at most once, so keys are unique and the pop order is fully determined
  * by the key order: any correct heap pops the same sequence.
+ *
+ * A key packs both into one 64-bit integer, so times must stay below
+ * kTimeLimit (2^52 cycles): queueing a later time ends the run with a
+ * structured fault::RunAbort instead of mis-ordering the processors.
  */
 
 #ifndef HSCD_SIM_READY_HEAP_HH
@@ -23,14 +27,25 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/strutil.hh"
 #include "common/types.hh"
+#include "fault/abort.hh"
+#include "mem/machine_config.hh"
 
 namespace hscd {
 namespace sim {
 
 class ReadyHeap
 {
+    /** Low key bits hold the processor id. */
+    static constexpr unsigned kProcBits = 12;
+    static_assert(MachineConfig::kMaxProcs == 1u << kProcBits,
+                  "a key's processor field holds every valid processor id");
+
   public:
+    /** First time a key cannot hold. */
+    static constexpr Cycles kTimeLimit = Cycles(1) << (64 - kProcBits);
+
     struct Entry
     {
         Cycles time = 0;
@@ -86,19 +101,40 @@ class ReadyHeap
 
   private:
     /**
-     * (time, proc) as one 128-bit integer, time in the high half: key
+     * (time, proc) as one 64-bit integer, time in the high 52 bits: key
      * order is the lexicographic pair order, and a compare is a single
-     * branch-free integer comparison.
+     * integer comparison.
      */
-    using Key = unsigned __int128;
+    using Key = std::uint64_t;
 
     static Key
     keyOf(Cycles time, ProcId proc)
     {
-        return (Key(time) << 64) | proc;
+        hscd_dassert(proc < MachineConfig::kMaxProcs,
+                     "processor %d beyond the key's field", proc);
+        if (time >= kTimeLimit) [[unlikely]]
+            clockPastLimit(time, proc);
+        return (time << kProcBits) | proc;
     }
-    static Cycles timeOf(Key k) { return static_cast<Cycles>(k >> 64); }
-    static ProcId procOf(Key k) { return static_cast<ProcId>(k); }
+    static Cycles timeOf(Key k) { return k >> kProcBits; }
+    static ProcId
+    procOf(Key k)
+    {
+        return static_cast<ProcId>(k & ((Key(1) << kProcBits) - 1));
+    }
+
+    [[noreturn, gnu::cold, gnu::noinline]] static void
+    clockPastLimit(Cycles time, ProcId proc)
+    {
+        fault::AbortInfo info;
+        info.kind = fault::AbortKind::ClockLimit;
+        info.reason = csprintf("processor %d's clock %d passed the ready "
+                               "heap's 2^52-cycle limit",
+                               proc, time);
+        info.cycle = time;
+        info.proc = proc;
+        throw fault::RunAbort(std::move(info));
+    }
 
     /** Place @p k at the root's hole and sift it down. */
     void

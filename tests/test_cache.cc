@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hh"
 #include "common/zeroed.hh"
 #include "mem/cache.hh"
@@ -266,7 +268,8 @@ TEST(CacheArray, CappedMatchesUncappedFrameForFrame)
 /**
  * Every piece of state that starts as zero pages reads as its reset
  * state: a fresh frame of each scheme's cache, a LineHistory entry, a
- * main-memory word and the executor's legality record.
+ * main-memory word and the executor's per-word record (oracle stamp and
+ * legality state).
  */
 TEST(CacheArray, FreshStateReadsAsReset)
 {
@@ -311,10 +314,134 @@ TEST(CacheArray, FreshStateReadsAsReset)
     ZeroedArray<sim::AccessRec> recs(16);
     const sim::AccessRec reset{};
     for (std::size_t i = 0; i < recs.size(); ++i) {
+        EXPECT_EQ(recs[i].stamp, reset.stamp) << "stamp 0 means never written";
         EXPECT_EQ(recs[i].gen, reset.gen) << "generation 0 means never";
         EXPECT_EQ(recs[i].task, reset.task);
         EXPECT_EQ(recs[i].wrote, reset.wrote);
         EXPECT_EQ(recs[i].critical, reset.critical);
+    }
+}
+
+/**
+ * The frame pool hands out a frame only when victim() first fills a
+ * (set, way): lookups, peeks and refills of a frame take none, and the
+ * count grows by one per newly filled way, across pool blocks.
+ */
+TEST(CacheArray, FramesOnlyForFilledWays)
+{
+    for (unsigned assoc : {1u, 2u}) {
+        MachineConfig cfg;
+        cfg.cacheBytes = 16 * 1024; // 1024 lines of 16B
+        cfg.lineBytes = 16;
+        cfg.assoc = assoc;
+        CacheArray<TpiWord> c(cfg);
+        const std::size_t sets = cfg.sets();
+        EXPECT_EQ(c.framesInUse(), 0u);
+        for (Addr a = 0; a < 64 * 1024; a += 16) {
+            EXPECT_EQ(c.lookup(a, 1), nullptr);
+            EXPECT_EQ(c.peek(a), nullptr);
+        }
+        EXPECT_EQ(c.framesInUse(), 0u) << "a miss takes no frame";
+
+        // Every third set, once: one frame each, however many blocks.
+        std::size_t filled = 0;
+        for (std::size_t s = 0; s < sets; s += 3) {
+            auto &l = c.victim(Addr(s) * 16, 1);
+            EXPECT_FALSE(l.valid);
+            EXPECT_EQ(c.framesInUse(), ++filled);
+            // A victim() that finds the fresh frame still invalid reuses
+            // it instead of taking another.
+            EXPECT_EQ(&c.victim(Addr(s) * 16, 2), &l);
+            EXPECT_EQ(c.framesInUse(), filled);
+            l.valid = true;
+            l.base = Addr(s) * 16;
+        }
+        // A conflicting line fills the second way, or replaces the only
+        // one in place.
+        const Addr conflict = Addr(sets) * 16;
+        auto &v = c.victim(conflict, 3);
+        EXPECT_EQ(v.valid, assoc == 1);
+        EXPECT_EQ(c.framesInUse(), filled + (assoc == 2 ? 1 : 0));
+        EXPECT_EQ(c.lineCount(), sets * assoc);
+    }
+}
+
+/**
+ * forEachLine walks set by set and way by way, however the fills were
+ * ordered: TPI's phase reset and flushes report their tag events in
+ * that order.
+ */
+TEST(CacheArray, ForEachLineVisitsInSetOrderWhateverTheFillOrder)
+{
+    for (unsigned assoc : {1u, 2u}) {
+        MachineConfig cfg;
+        cfg.cacheBytes = 4096; // 256 lines of 16B
+        cfg.lineBytes = 16;
+        cfg.assoc = assoc;
+        const std::size_t sets = cfg.sets();
+        // assoc lines per set: base s, then s + sets lines, ...
+        std::vector<Addr> lines(sets * assoc);
+        for (std::size_t i = 0; i < lines.size(); ++i)
+            lines[i] = Addr(i) * 16;
+
+        std::vector<Addr> reversed(lines.rbegin(), lines.rend());
+        std::vector<Addr> shuffled = lines;
+        Rng rng(7 + assoc);
+        for (std::size_t i = shuffled.size(); i > 1; --i)
+            std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+
+        for (const std::vector<Addr> *order : {&reversed, &shuffled}) {
+            CacheArray<> c(cfg);
+            std::vector<std::vector<Addr>> per_set(sets);
+            for (Addr base : *order) {
+                auto &l = c.victim(base, 1);
+                ASSERT_FALSE(l.valid) << "the set has a free way";
+                l.valid = true;
+                l.base = base;
+                per_set[c.setOf(base)].push_back(base); // next way
+            }
+            std::vector<Addr> want;
+            for (const std::vector<Addr> &ways : per_set)
+                want.insert(want.end(), ways.begin(), ways.end());
+            std::vector<Addr> got;
+            c.forEachLine([&](const auto &l) { got.push_back(l.base); });
+            EXPECT_EQ(got, want) << assoc << "-way, "
+                                 << (order == &reversed ? "reverse"
+                                                        : "random")
+                                 << " fill order";
+        }
+    }
+}
+
+/**
+ * A Line reference stays valid for the cache's lifetime: later fills
+ * open new pool blocks without moving the frames already handed out.
+ */
+TEST(CacheArray, LinesStayPutAcrossNewBlocks)
+{
+    MachineConfig cfg;
+    cfg.cacheBytes = 64 * 1024;
+    cfg.lineBytes = 16;
+    CacheArray<TpiWord> c(cfg);
+    // A frame is at least 56 bytes, so 1000 fills open well over ten
+    // 4 KB blocks.
+    const unsigned n = 1000;
+    std::vector<CacheArray<TpiWord>::Line *> handed_out;
+    for (unsigned i = 0; i < n; ++i) {
+        const Addr a = Addr(i) * 16;
+        auto &l = c.victim(a, 1);
+        l.valid = true;
+        l.base = a;
+        c.stamps(l)[i % 4] = 1000 + i;
+        c.words(l)[i % 4].tt = i;
+        handed_out.push_back(&l);
+    }
+    EXPECT_EQ(c.framesInUse(), n);
+    for (unsigned i = 0; i < n; ++i) {
+        auto *l = c.lookup(Addr(i) * 16, 2);
+        ASSERT_EQ(l, handed_out[i]) << "line " << i << " moved";
+        EXPECT_EQ(c.stamps(*l)[i % 4], 1000u + i);
+        EXPECT_EQ(c.words(*l)[i % 4].tt, i);
     }
 }
 

@@ -64,9 +64,10 @@ TEST(HarnessCache, ConcurrentMixedKeysHammer)
                     CompiledProgramPtr cp =
                         compiledBenchmark(names[key], 1,
                                           /*affinity=*/false);
-                    if (pointers[t][key])
+                    if (pointers[t][key]) {
                         ASSERT_EQ(pointers[t][key].get(), cp.get())
                             << "cache entry moved for " << names[key];
+                    }
                     pointers[t][key] = std::move(cp);
                 }
             }

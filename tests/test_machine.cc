@@ -4,6 +4,7 @@
 
 #include "hir/builder.hh"
 #include "sim/machine.hh"
+#include "sim/ready_heap.hh"
 
 using namespace hscd;
 using namespace hscd::hir;
@@ -414,5 +415,36 @@ TEST(Machine, InvalidConfigThrowsBeforeBuildingParts)
         MachineConfig cfg = cfgFor(k);
         cfg.lineBytes = 0;
         EXPECT_THROW(Machine(cp, cfg), FatalError) << schemeName(k);
+    }
+}
+
+/**
+ * The merge loop orders processors by keys that hold times below 2^52
+ * cycles. A clock pushed past that limit (here by a huge barrier cost)
+ * ends the run as a structured abort at the first parallel epoch; a
+ * large clock within the limit runs to completion.
+ */
+TEST(Machine, ClockPastTheReadyHeapLimitAbortsStructured)
+{
+    compiler::CompiledProgram cp = jacobiLike(16, 2);
+    for (SchemeKind k : {SchemeKind::TPI, SchemeKind::HW}) {
+        MachineConfig cfg = cfgFor(k);
+        cfg.barrierCycles = ReadyHeap::kTimeLimit;
+        const RunResult r = simulate(cp, cfg);
+        ASSERT_TRUE(r.aborted()) << schemeName(k);
+        EXPECT_EQ(r.abort.kind, fault::AbortKind::ClockLimit);
+        EXPECT_GE(r.abort.cycle, ReadyHeap::kTimeLimit);
+        EXPECT_LT(r.abort.proc, cfg.procs);
+        EXPECT_EQ(r.abort.epoch, 1u) << "the first DOALL's epoch";
+        EXPECT_EQ(r.parallelEpochs, 1u);
+
+        MachineConfig within = cfgFor(k);
+        within.barrierCycles = Cycles(1) << 40;
+        const RunResult ok = simulate(cp, within);
+        const RunResult base = simulate(cp, cfgFor(k));
+        EXPECT_FALSE(ok.aborted()) << schemeName(k);
+        EXPECT_GT(ok.cycles, Cycles(1) << 40);
+        EXPECT_EQ(ok.reads, base.reads);
+        EXPECT_EQ(ok.oracleViolations, 0u);
     }
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Differential test of the executor's ready heap against the
- * std::priority_queue ordering it replaced.
+ * std::priority_queue ordering it replaced, and of its packed keys'
+ * limits.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "fault/abort.hh"
+#include "mem/machine_config.hh"
 #include "sim/ready_heap.hh"
 
 using namespace hscd;
@@ -97,4 +100,73 @@ TEST(ReadyHeap, ReplaceTopRunAheadMatchesPopPush)
         ref.emplace(t + stall, p);
     }
     EXPECT_EQ(got, want);
+}
+
+/**
+ * Keys at the edges of both packed fields: the largest processor id and
+ * times just below the limit still order exactly as (time, proc) pairs.
+ */
+TEST(ReadyHeap, KeysAtTheBoundOrderAsPairs)
+{
+    static_assert(ReadyHeap::kTimeLimit == Cycles(1) << 52);
+    const Cycles top = ReadyHeap::kTimeLimit - 1;
+    const ProcId last = MachineConfig::kMaxProcs - 1;
+    const Entry entries[] = {
+        {top, last}, {top, 0},        {top - 1, last}, {0, last},
+        {top, 17},   {top - 4096, 1}, {1, 0},          {top - 1, 0},
+    };
+    ReadyHeap heap;
+    Reference ref;
+    for (const auto &[t, p] : entries) {
+        heap.push(t, p);
+        ref.emplace(t, p);
+    }
+    // Re-key the earliest processor to the last representable time.
+    const ProcId first = ref.top().second;
+    heap.replaceTop(top);
+    ref.pop();
+    ref.emplace(top, first);
+    while (!ref.empty()) {
+        ASSERT_EQ(heap.top().time, ref.top().first);
+        ASSERT_EQ(heap.top().proc, ref.top().second);
+        heap.pop();
+        ref.pop();
+    }
+    EXPECT_TRUE(heap.empty());
+}
+
+/**
+ * A time the key cannot hold ends the run as a structured abort, before
+ * the heap changes: never a silently mis-ordered processor.
+ */
+TEST(ReadyHeap, TimeAtTheLimitAbortsUnchanged)
+{
+    ReadyHeap heap;
+    heap.push(5, 3);
+    heap.push(ReadyHeap::kTimeLimit - 1, 4095);
+    for (Cycles t : {ReadyHeap::kTimeLimit, ReadyHeap::kTimeLimit + 1,
+                     ~Cycles(0)})
+    {
+        try {
+            heap.push(t, 9);
+            ADD_FAILURE() << "push at " << t << " accepted";
+        } catch (const fault::RunAbort &ab) {
+            EXPECT_EQ(ab.info.kind, fault::AbortKind::ClockLimit);
+            EXPECT_EQ(ab.info.cycle, t);
+            EXPECT_EQ(ab.info.proc, 9u);
+        }
+        try {
+            heap.replaceTop(t);
+            ADD_FAILURE() << "replaceTop at " << t << " accepted";
+        } catch (const fault::RunAbort &ab) {
+            EXPECT_EQ(ab.info.kind, fault::AbortKind::ClockLimit);
+            EXPECT_EQ(ab.info.proc, 3u);
+        }
+    }
+    ASSERT_EQ(heap.size(), 2u);
+    EXPECT_EQ(heap.top().time, 5u);
+    EXPECT_EQ(heap.top().proc, 3u);
+    heap.pop();
+    EXPECT_EQ(heap.top().time, ReadyHeap::kTimeLimit - 1);
+    EXPECT_EQ(heap.top().proc, 4095u);
 }

@@ -208,7 +208,7 @@ TEST(ServeJournal, ResultTokensRoundTripBitExactly)
 
 TEST(ServeJournal, OutOfRangeAbortKindIsATornRecord)
 {
-    // A kind past AbortKind::Deadlock must fail to decode, so resume
+    // A kind past AbortKind::ClockLimit must fail to decode, so resume
     // re-runs the cell instead of restoring a result that later panics
     // in abortKindName (9) or silently reads as a clean run (256).
     sim::RunResult r = fakeCell(CampaignSpec(), 3);
@@ -219,7 +219,7 @@ TEST(ServeJournal, OutOfRangeAbortKindIsATornRecord)
     const std::string good = os.str();
     const std::size_t at = good.find(" 2 marker ");
     ASSERT_NE(at, std::string::npos) << good;
-    for (const char *kind : {"4", "9", "256"}) {
+    for (const char *kind : {"5", "9", "256"}) {
         const std::string bad =
             good.substr(0, at + 1) + kind + good.substr(at + 2);
         TokenReader tr(bad);

@@ -149,8 +149,9 @@ TEST(SynthGolden, Seed1HashesAndMissKinds)
 {
     const std::vector<std::string> fams = synthFamilies();
     const bool print = std::getenv("HSCD_PRINT_GOLDEN") != nullptr;
-    if (!print)
+    if (!print) {
         ASSERT_EQ(fams.size(), std::size(kGolden));
+    }
 
     for (std::size_t i = 0; i < fams.size(); ++i) {
         const std::string &family = fams[i];

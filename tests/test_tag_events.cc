@@ -182,8 +182,10 @@ TEST(TpiTagEvents, PredictEveryRead)
             << what << ": attaching the sink changed the run";
         if (c.cfg.fault.enabled() &&
             c.cfg.fault.siteEnabled(fault::Site::MemTagFlip))
+        {
             EXPECT_TRUE(p.causes.count(mem::TagCause::FaultFlip))
                 << what << ": no tag fault fired";
+        }
         seen.insert(p.causes.begin(), p.causes.end());
     }
     for (mem::TagCause cause :
