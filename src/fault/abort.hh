@@ -24,9 +24,9 @@ enum class AbortKind : std::uint8_t
 {
     None,      ///< Run completed normally.
     Protocol,  ///< Reliable delivery exhausted its retry budget.
-    Watchdog,  ///< No forward progress for watchdogStallOps operations.
+    Watchdog,  ///< No forward progress for watchdogStallOps merge steps.
     Deadlock,  ///< Processors parked on flags that can never post.
-    ClockLimit, ///< A clock passed the executor's ready-heap time limit.
+    ClockLimit, ///< A clock passed the executor's ready-queue time limit.
 };
 
 const char *abortKindName(AbortKind k);

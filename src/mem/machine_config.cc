@@ -123,7 +123,9 @@ MachineConfig::params()
         .define("fault_retries", "4",
                 "retransmissions before a protocol abort")
         .define("watchdog_ops", "4194304",
-                "ops without progress before a watchdog abort, 0 = off");
+                "merge steps without progress before a watchdog abort "
+                "(a step is one reference with the Computes folded into "
+                "it, or one other op), 0 = off");
     return p;
 }
 

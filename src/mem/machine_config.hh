@@ -47,7 +47,7 @@ enum class SchedPolicy
 struct MachineConfig
 {
     /**
-     * validate()'s processor limit. The executor's ready heap packs a
+     * validate()'s processor limit. The executor's ready queue packs a
      * processor id into log2(kMaxProcs) bits of its keys.
      */
     static constexpr unsigned kMaxProcs = 4096;
@@ -130,9 +130,10 @@ struct MachineConfig
      *  abort); backoff doubles after each attempt. */
     unsigned faultMaxRetries = 4;
     /**
-     * Watchdog: abort with a post-mortem snapshot if the executor
-     * processes this many operations without any processor's clock
-     * advancing (livelock / deadlock detector). 0 disables.
+     * Watchdog: abort with a post-mortem snapshot if a parallel epoch
+     * takes this many merge steps without any processor's clock
+     * advancing (livelock / deadlock detector). A step is one reference
+     * with the Computes folded into it, or one other op. 0 disables.
      */
     std::uint64_t watchdogStallOps = 1ull << 22;
 

@@ -171,7 +171,7 @@ class Executor
             // snapshot) rides along in the RunResult instead of the run
             // spinning forever or dying on an assert.
             if (ab.info.kind == fault::AbortKind::ClockLimit)
-                ab.info.epoch = _epoch; // the ready heap knows no epoch
+                ab.info.epoch = _epoch; // the ready queue knows no epoch
             finish();
             if (_trace)
                 _trace->onAbort(ab.info, _epoch);
@@ -588,7 +588,7 @@ class Executor
 
     /**
      * One lock, post/wait, call-boundary or end op of processor @p p,
-     * already popped from the ready heap; re-queues p and any processor
+     * already popped from the ready queue; re-queues p and any processor
      * the op wakes.
      */
     void
@@ -711,7 +711,7 @@ class Executor
             _ready.push(_procTime[p], p);
         }
 
-        // Watchdog: if this many consecutive operations complete without
+        // Watchdog: if this many consecutive merge steps complete without
         // any processor's clock moving, the epoch is livelocked (e.g. a
         // zero-cost self-scheduling refill loop) and the run dies with a
         // post-mortem instead of spinning.
@@ -720,14 +720,19 @@ class Executor
 
         while (!_ready.empty()) {
             const ProcId p = _ready.top().proc;
+            OpCursor &cursor = cursors[p];
             const Cycles t_before = _procTime[p];
-            const StreamOp op = cursors[p].next();
-            if (op.kind == StreamOp::Kind::Ref) {
-                // Only p re-queues: one sift-down instead of pop + push.
-                issueRef(scheme, p, op, cursors[p].iter());
-                _ready.replaceTop(_procTime[p]);
-            } else if (op.kind == StreamOp::Kind::Compute) {
-                _procTime[p] += static_cast<Cycles>(op.aux);
+            const StreamOp op = cursor.next();
+            if (op.kind == StreamOp::Kind::Ref ||
+                op.kind == StreamOp::Kind::Compute) {
+                if (op.kind == StreamOp::Kind::Ref)
+                    issueRef(scheme, p, op, cursor.iter());
+                else
+                    _procTime[p] += static_cast<Cycles>(op.aux);
+                // The Computes that follow move only p's clock, so p
+                // issues nothing else before its next op either way:
+                // they fold into this step, and p re-queues once.
+                _procTime[p] += cursor.takeComputes();
                 _ready.replaceTop(_procTime[p]);
             } else {
                 // The rare ops may wake other processors, so p leaves

@@ -181,6 +181,22 @@ class OpCursor
         return *_cur++;
     }
 
+    /**
+     * Consume the Computes that follow the op last returned, up to the
+     * first other op or the end of the run (a tight loop's next trip
+     * included), and return their summed cycles. They stay inside the
+     * current iteration, so iter() does not change.
+     */
+    Cycles
+    takeComputes()
+    {
+        Cycles cycles = 0;
+        while ((_cur != _end || loopBack()) &&
+               _cur->kind == StreamOp::Kind::Compute)
+            cycles += static_cast<Cycles>(_cur++->aux);
+        return cycles;
+    }
+
     /** Iteration of the op last returned (-1 in the master). */
     std::int64_t iter() const { return _iter; }
 

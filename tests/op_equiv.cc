@@ -1,5 +1,7 @@
 #include "op_equiv.hh"
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -71,7 +73,134 @@ show(const StreamOp &l)
     return os.str();
 }
 
+/** An op the executor orders: a Ref, a rare op or an End. */
+struct Issued
+{
+    StreamOp::Kind kind;
+    std::int64_t aux;
+    hir::RefId ref;
+    std::int64_t iter;
+
+    bool operator==(const Issued &) const = default;
+};
+
+/** What one processor issued, and its Compute cycles per iteration. */
+struct Trace
+{
+    std::vector<Issued> issued;
+    std::map<std::int64_t, Cycles> computes; ///< non-zero sums only
+    std::size_t folds = 0; ///< non-zero takeComputes() results
+
+    void
+    compute(std::int64_t iter, Cycles cycles)
+    {
+        if (cycles != 0)
+            computes[iter] += cycles;
+    }
+};
+
+/**
+ * Run @p shares on @p c; with @p fold, take the Computes after two of
+ * every three Refs and Computes in the same step.
+ */
+Trace
+runShares(OpCursor &c, const std::vector<sim::IterShare> &shares, bool fold)
+{
+    Trace t;
+    unsigned steps = 0;
+    for (const sim::IterShare &share : shares) {
+        c.assign(share);
+        while (true) {
+            const StreamOp op = c.next();
+            if (op.kind == StreamOp::Kind::Compute)
+                t.compute(c.iter(), static_cast<Cycles>(op.aux));
+            else
+                t.issued.push_back({op.kind, op.aux, op.ref, c.iter()});
+            if (op.kind == StreamOp::Kind::End)
+                break;
+            if (fold && ++steps % 3 != 0 &&
+                (op.kind == StreamOp::Kind::Ref ||
+                 op.kind == StreamOp::Kind::Compute)) {
+                const Cycles cycles = c.takeComputes();
+                t.compute(c.iter(), cycles);
+                t.folds += cycles != 0;
+            }
+        }
+    }
+    return t;
+}
+
+/**
+ * Processor @p p's shares of @p n iterations: its Block chunk or Cyclic
+ * stride as the executor's initialShare gives them, or under Dynamic
+ * every @p procs-th chunk of two, dealt round-robin.
+ */
+std::vector<sim::IterShare>
+sharesOf(SchedPolicy sched, std::size_t n, unsigned procs, unsigned p)
+{
+    switch (sched) {
+      case SchedPolicy::Block: {
+        const std::size_t chunk = (n + procs - 1) / procs;
+        const std::size_t b = std::min(n, p * chunk);
+        return {{b, std::min(n, b + chunk), 1}};
+      }
+      case SchedPolicy::Cyclic:
+        return {{p, n, procs}};
+      case SchedPolicy::Dynamic: {
+        constexpr std::size_t kChunk = 2;
+        std::vector<sim::IterShare> shares;
+        for (std::size_t b = p * kChunk; b < n; b += procs * kChunk)
+            shares.push_back({b, std::min(n, b + kChunk), 1});
+        return shares;
+      }
+    }
+    return {};
+}
+
 } // namespace
+
+::testing::AssertionResult
+computeFoldingMatchesNext(const compiler::CompiledProgram &cp,
+                          SchedPolicy sched, unsigned procs,
+                          std::size_t *folded)
+{
+    const std::shared_ptr<const sim::StreamProgram> sp =
+        sim::epochStream(cp, MachineConfig{});
+    OpCursor master(*sp);
+    master.startMaster();
+    OpCursor plain(*sp), folding(*sp);
+    std::size_t epoch = 0;
+    for (StreamOp op = master.next(); op.kind != StreamOp::Kind::End;
+         op = master.next())
+    {
+        if (op.kind != StreamOp::Kind::BeginDoall)
+            continue;
+        const std::size_t n = master.doallTrips();
+        for (unsigned p = 0; p < procs; ++p) {
+            const std::vector<sim::IterShare> shares =
+                sharesOf(sched, n, procs, p);
+            plain.enterEpoch(master);
+            folding.enterEpoch(master);
+            const Trace want = runShares(plain, shares, false);
+            const Trace got = runShares(folding, shares, true);
+            if (got.issued != want.issued)
+                return ::testing::AssertionFailure()
+                       << "DOALL " << epoch << " processor " << p
+                       << ": folding changed the issued ops ("
+                       << got.issued.size() << " against "
+                       << want.issued.size() << ")";
+            if (got.computes != want.computes)
+                return ::testing::AssertionFailure()
+                       << "DOALL " << epoch << " processor " << p
+                       << ": folding changed an iteration's Compute "
+                          "cycles";
+            if (folded)
+                *folded += got.folds;
+        }
+        ++epoch;
+    }
+    return ::testing::AssertionSuccess();
+}
 
 ::testing::AssertionResult
 opsMatchReference(const compiler::CompiledProgram &cp, std::size_t *compared)

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "compiler/analysis.hh"
+#include "mem/machine_config.hh"
 
 namespace hscd {
 namespace testref {
@@ -29,6 +30,23 @@ namespace testref {
 ::testing::AssertionResult
 opsMatchReference(const compiler::CompiledProgram &cp,
                   std::size_t *compared = nullptr);
+
+/**
+ * Hold OpCursor::takeComputes to next() alone on @p cp's lowered
+ * program. At every DOALL instance the master reaches, each processor of
+ * a @p procs-way machine runs its shares under @p sched on two cursors:
+ * one op by op, and one that calls takeComputes() after a Ref or
+ * Compute as the executor's merge loop does. The second skips every
+ * third such call, so folded and unfolded steps mix. Both must yield
+ * the same Refs, rare ops and iteration ids, and the same summed Compute
+ * cycles per iteration. Dynamic deals its chunks round-robin, so every
+ * processor runs several shares on one cursor. @p folded, when given,
+ * is increased by the folding cursor's non-zero takeComputes() results.
+ */
+::testing::AssertionResult
+computeFoldingMatchesNext(const compiler::CompiledProgram &cp,
+                          SchedPolicy sched, unsigned procs,
+                          std::size_t *folded = nullptr);
 
 } // namespace testref
 } // namespace hscd

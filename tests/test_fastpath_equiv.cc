@@ -151,6 +151,40 @@ TEST(FastpathEquiv, FuzzCorpus)
 }
 
 /**
+ * The merge loop folds the Computes after a Ref or Compute into that
+ * step (OpCursor::takeComputes); the cursor must still yield every
+ * other op, and the same Compute cycles per iteration, under every
+ * schedule's shares. The paper workloads and the 50-seed corpus.
+ */
+TEST(FastpathEquiv, ComputeFoldingMatchesNext)
+{
+    constexpr SchedPolicy kScheds[] = {SchedPolicy::Block,
+                                       SchedPolicy::Cyclic,
+                                       SchedPolicy::Dynamic};
+    std::vector<std::pair<std::string, compiler::CompiledProgram>> progs;
+    for (const std::string &name : workloads::benchmarkNames())
+        progs.emplace_back(name, compiler::compileProgram(
+                                     workloads::buildBenchmark(name, 1)));
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        testgen::GenOptions opt;
+        opt.seed = seed;
+        progs.emplace_back("gen:" + std::to_string(seed),
+                           compiler::compileProgram(
+                               testgen::randomLegalProgram(opt)));
+    }
+    for (const auto &[name, cp] : progs) {
+        std::size_t folded = 0;
+        for (SchedPolicy sched : kScheds)
+            EXPECT_TRUE(
+                testref::computeFoldingMatchesNext(cp, sched, 4, &folded))
+                << name << " " << schedName(sched);
+        if (name.rfind("gen:", 0) != 0) {
+            EXPECT_GT(folded, 0u) << name << " folds no Compute";
+        }
+    }
+}
+
+/**
  * Config dimensions that feed the issue path: a run on a program whose
  * lowered form is cached and reused by earlier runs equals a run that
  * lowers a fresh compile of the same program.

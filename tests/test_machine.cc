@@ -448,3 +448,41 @@ TEST(Machine, ClockPastTheReadyHeapLimitAbortsStructured)
         EXPECT_EQ(ok.oracleViolations, 0u);
     }
 }
+
+/**
+ * A Dynamic DOALL whose body costs nothing makes no processor's clock
+ * move: every merge step (a zero-cycle Compute, then the End that
+ * refills the share) leaves time where it was. The watchdog ends such an
+ * epoch as a structured abort with a post-mortem; switched off, the
+ * same epoch runs to completion.
+ */
+TEST(Machine, WatchdogAbortsANoProgressEpoch)
+{
+    ProgramBuilder b;
+    b.array("A", {4});
+    b.proc("MAIN", [&] {
+        b.write("A", {b.c(0)});
+        b.doall("i", 0, 255, [&] { b.compute(0); });
+        b.read("A", {b.c(0)});
+    });
+    compiler::CompiledProgram cp = compiler::compileProgram(b.build());
+
+    MachineConfig cfg = cfgFor(SchemeKind::TPI);
+    cfg.sched = SchedPolicy::Dynamic;
+    cfg.dynamicChunk = 1;
+    cfg.watchdogStallOps = 16;
+    const RunResult r = simulate(cp, cfg);
+    ASSERT_TRUE(r.aborted());
+    EXPECT_EQ(r.abort.kind, fault::AbortKind::Watchdog);
+    EXPECT_FALSE(r.abort.snapshot.empty());
+    EXPECT_EQ(r.abort.epoch, 1u) << "the DOALL's epoch";
+    EXPECT_LT(r.abort.proc, cfg.procs);
+    EXPECT_EQ(r.parallelEpochs, 1u);
+
+    cfg.watchdogStallOps = 0;
+    const RunResult done = simulate(cp, cfg);
+    EXPECT_FALSE(done.aborted()) << done.summary();
+    EXPECT_EQ(done.parallelEpochs, 1u);
+    EXPECT_EQ(done.tasks, 256u);
+    EXPECT_EQ(done.oracleViolations, 0u);
+}
