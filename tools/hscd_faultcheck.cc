@@ -521,7 +521,10 @@ class ServerHandle
     /**
      * Connect to <stateDir>/sock, retrying while the server boots.
      * A freshly-recovering server may compact journals first, so the
-     * window is generous.
+     * window is generous. The retry interval is 1 ms: a restarted
+     * server runs its recovered cells before it listens, so every
+     * millisecond asleep here is campaign progress the kill schedule
+     * cannot see.
      */
     bool connect(double timeoutMs = 10000)
     {
@@ -537,7 +540,7 @@ class ServerHandle
                 _ch = std::make_unique<serve::LineChannel>(std::move(fd));
                 return true;
             }
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
         std::fprintf(stderr, "connect %s: %s\n", sock.c_str(),
                      error.c_str());
@@ -727,7 +730,12 @@ run(int argc, char **argv)
     // --- Phase 2: the same campaign under kill -9 fire ----------------
     // Kill k fires once journaled progress crosses (k+1)/(kills+1) of
     // the campaign; resubmission after each restart is idempotent
-    // (accepted before the .req landed, dedup after).
+    // (accepted before the .req landed, dedup after). A restarted
+    // server runs its recovered cells before it listens, so a restart
+    // polls before it resubmits: when recovery alone has carried the
+    // campaign past the next kill's threshold, that kill fires at once
+    // instead of after a resubmission's worth of cells. The life that
+    // finishes the campaign always resubmits.
     std::string chaosBytes;
     std::uint64_t restored = 0;
     {
@@ -739,14 +747,18 @@ run(int argc, char **argv)
             ServerHandle server;
             if (!server.spawn(opt, dir) || !server.connect())
                 return harnessFail("cannot (re)start chaos server");
-            if (!submit(server, spec, id))
-                return harnessFail("chaos submit refused");
             const std::size_t threshold =
                 killed < opt.kills
                     ? (spec.cells.size() * (killed + 1)) /
                           (opt.kills + 1)
                     : spec.cells.size() + 1; // past the last kill: finish
-            while (true) {
+            // The first life has no id yet: it submits before polling.
+            st = id.empty() ? PollState{} : poll(server, id);
+            const bool killNow =
+                st.ok && !st.complete && st.done >= threshold;
+            if (!killNow && !submit(server, spec, id))
+                return harnessFail("chaos submit refused");
+            while (!killNow) {
                 st = poll(server, id);
                 if (!st.ok)
                     return harnessFail("chaos poll failed");
