@@ -41,26 +41,15 @@ printHeader(std::ostream &os, const std::string &experiment,
 
 namespace {
 
-// Compile cache: LRU-bounded so a resident campaign server can stay up
-// for weeks without the program cache growing monotonically. Entries
-// hand out shared_ptrs, so eviction can never dangle a program a
-// concurrent run is still simulating - the last holder frees it.
+// Compile cache: insert-once, so a program lives as long as the process
+// and every caller for a key shares it.
 struct CompileCache
 {
     using Key = std::tuple<std::string, int, bool>;
-    struct Entry
-    {
-        CompiledProgramPtr program;
-        std::uint64_t lastUse = 0;
-    };
 
     std::mutex mtx;
-    std::map<Key, Entry> entries;
-    std::uint64_t clock = 0;
-    std::size_t budget = kDefaultBudget;
+    std::map<Key, CompiledProgramPtr> entries;
     CompiledCacheStats stats;
-
-    static constexpr std::size_t kDefaultBudget = 64;
 };
 
 CompileCache &
@@ -81,9 +70,8 @@ compiledBenchmark(const std::string &name, int scale, bool affinity)
         std::lock_guard<std::mutex> lk(cc.mtx);
         auto it = cc.entries.find(key);
         if (it != cc.entries.end()) {
-            it->second.lastUse = ++cc.clock;
             ++cc.stats.hits;
-            return it->second.program;
+            return it->second;
         }
     }
 
@@ -97,29 +85,13 @@ compiledBenchmark(const std::string &name, int scale, bool affinity)
                                  opts));
 
     std::lock_guard<std::mutex> lk(cc.mtx);
-    auto [it, inserted] = cc.entries.try_emplace(std::move(key));
-    if (inserted) {
-        it->second.program = std::move(cp);
+    auto [it, inserted] =
+        cc.entries.try_emplace(std::move(key), std::move(cp));
+    if (inserted)
         ++cc.stats.builds;
-        // Evict least-recently-used entries beyond the budget (never
-        // the one just inserted). In-flight holders keep their program
-        // alive through their shared_ptr.
-        while (cc.entries.size() > cc.budget) {
-            auto victim = cc.entries.end();
-            for (auto e = cc.entries.begin(); e != cc.entries.end(); ++e)
-                if (e != it && (victim == cc.entries.end() ||
-                                e->second.lastUse < victim->second.lastUse))
-                    victim = e;
-            if (victim == cc.entries.end())
-                break;
-            cc.entries.erase(victim);
-            ++cc.stats.evictions;
-        }
-    } else {
+    else
         ++cc.stats.hits; // lost a racing compile of the same key
-    }
-    it->second.lastUse = ++cc.clock;
-    return it->second.program;
+    return it->second;
 }
 
 CompiledCacheStats
@@ -127,35 +99,13 @@ compiledCacheStats()
 {
     CompileCache &cc = compileCache();
     std::lock_guard<std::mutex> lk(cc.mtx);
-    CompiledCacheStats s = cc.stats;
-    s.resident = cc.entries.size();
-    s.budget = cc.budget;
-    return s;
-}
-
-void
-setCompiledCacheBudget(std::size_t maxPrograms)
-{
-    CompileCache &cc = compileCache();
-    std::lock_guard<std::mutex> lk(cc.mtx);
-    cc.budget = maxPrograms ? maxPrograms
-                            : CompileCache::kDefaultBudget;
-    while (cc.entries.size() > cc.budget) {
-        auto victim = cc.entries.begin();
-        for (auto e = cc.entries.begin(); e != cc.entries.end(); ++e)
-            if (e->second.lastUse < victim->second.lastUse)
-                victim = e;
-        cc.entries.erase(victim);
-        ++cc.stats.evictions;
-    }
+    return cc.stats;
 }
 
 sim::RunResult
 runBenchmark(const std::string &name, const MachineConfig &cfg, int scale,
              bool affinity)
 {
-    // The shared_ptr pins the program (and its stream cache) for the
-    // duration of the run, even if the LRU evicts it meanwhile.
     const CompiledProgramPtr cp = compiledBenchmark(name, scale, affinity);
     return sim::simulate(*cp, cfg);
 }

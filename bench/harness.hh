@@ -33,31 +33,20 @@ using CompiledProgramPtr = std::shared_ptr<const compiler::CompiledProgram>;
 /**
  * Compile (and cache) a named Perfect-Club-like benchmark. @p affinity
  * selects the serial-affinity compilation mode. Thread-safe: sweep
- * workers may first-touch concurrently. The cache is LRU-bounded (see
- * setCompiledCacheBudget) so a long-lived campaign server cannot grow
- * without bound; the returned shared_ptr keeps a program alive across
- * eviction, so holders are never dangled.
+ * workers may first-touch concurrently. The cache is insert-once: every
+ * caller for a key gets the same program for the life of the process.
  */
 CompiledProgramPtr compiledBenchmark(const std::string &name,
                                      int scale = 2, bool affinity = true);
 
-/** Monotonic counters + occupancy of the compile cache (for /stats). */
+/** Monotonic counters of the compile cache. */
 struct CompiledCacheStats
 {
-    std::uint64_t hits = 0;      ///< served from cache
-    std::uint64_t builds = 0;    ///< compiled fresh (misses)
-    std::uint64_t evictions = 0; ///< LRU evictions past the budget
-    std::size_t resident = 0;    ///< programs currently cached
-    std::size_t budget = 0;      ///< current budget (entries)
+    std::uint64_t hits = 0;   ///< served from cache
+    std::uint64_t builds = 0; ///< compiled fresh (misses)
 };
 
 CompiledCacheStats compiledCacheStats();
-
-/**
- * Bound the compile cache to @p maxPrograms entries (least recently
- * used evicted first). The default budget is 64; 0 restores it.
- */
-void setCompiledCacheBudget(std::size_t maxPrograms);
 
 /**
  * Run one benchmark under one configuration. Thread-safe and

@@ -13,10 +13,10 @@
 
 #include <csignal>
 
+#include "campaign/journal.hh"
 #include "common/log.hh"
 #include "common/parallel.hh"
 #include "common/strutil.hh"
-#include "serve/journal.hh"
 #include "verify/diagnostic.hh"
 
 namespace hscd {
@@ -72,9 +72,7 @@ usage(const char *argv0, int code)
 
 using obs::jsonEscape;
 
-// The checkpoint is a serve::CellJournal, the campaign server's journal
-// with its own magic: the server refuses sweep checkpoints as foreign
-// and vice versa.
+// The checkpoint is a campaign::CellJournal under the sweep's magic.
 constexpr const char *kJournalMagic = "hscd-sweep-journal v2";
 
 // SIGTERM/SIGINT -> verify::ExitCode contract for the sweep CLIs: the
@@ -267,16 +265,16 @@ Sweep::Outcome
 Sweep::runGuarded(std::size_t i) const
 {
     if (_opts.timeoutMs <= 0)
-        return {serve::guardedCall(_cells[i].runCell)};
+        return {campaign::guardedCall(_cells[i].runCell)};
 
     // Per-cell isolation: run the cell on its own thread and abandon it
     // when the budget expires. The abandoned thread is detached - it
     // keeps only the task's shared state alive and its eventual result
     // is discarded. (C++ offers no portable preemptive cancellation; the
     // simulator-side watchdog bounds how long the orphan can spin.)
-    std::packaged_task<serve::CellOutcome()> task(
-        [fn = _cells[i].runCell] { return serve::guardedCall(fn); });
-    std::future<serve::CellOutcome> outcome = task.get_future();
+    std::packaged_task<campaign::CellOutcome()> task(
+        [fn = _cells[i].runCell] { return campaign::guardedCall(fn); });
+    std::future<campaign::CellOutcome> outcome = task.get_future();
     std::thread worker(std::move(task));
     if (outcome.wait_for(std::chrono::duration<double, std::milli>(
             _opts.timeoutMs)) == std::future_status::ready) {
@@ -363,12 +361,12 @@ Sweep::run()
             keys.emplace(c.benchmark, c.scale, c.affinity).second)
             compiledBenchmark(c.benchmark, c.scale, c.affinity);
 
-    std::optional<serve::CellJournal> journal;
+    std::optional<campaign::CellJournal> journal;
     if (!_opts.checkpointPath.empty()) {
         const std::uint64_t identity = journalIdentity();
         journal.emplace(_opts.checkpointPath, kJournalMagic, identity,
                         _cells.size());
-        using State = serve::CellJournal::State;
+        using State = campaign::CellJournal::State;
         const State st = _opts.resume ? journal->restore() : State::Fresh;
         if (st == State::NotAJournal)
             fatal("'%s' is not a sweep checkpoint journal",
@@ -560,7 +558,7 @@ Sweep::writeJson() const
             f << "      \"affinity\": " << (c.affinity ? "true" : "false")
               << ",\n";
         }
-        serve::writeResultCellJson(f, r, _results[i].error);
+        campaign::writeResultCellJson(f, r, _results[i].error);
         f << "\n    }" << (i + 1 < _cells.size() ? "," : "") << "\n";
     }
     f << "  ]\n}\n";

@@ -39,12 +39,12 @@
 #include <string>
 #include <vector>
 
+#include "campaign/journal.hh"
 #include "fault/plan.hh"
 #include "harness.hh"
 #include "obs/metrics.hh"
 #include "obs/provenance.hh"
 #include "obs/timeline.hh"
-#include "serve/journal.hh"
 #include "sim/result.hh"
 
 namespace hscd {
@@ -163,7 +163,7 @@ class Sweep
     };
 
     /** Per-cell outcome: a result, or a harness error explaining why. */
-    struct Outcome : serve::CellOutcome
+    struct Outcome : campaign::CellOutcome
     {
         /**
          * True for cells skipped by a signal or --deadline-ms: never

@@ -7,8 +7,8 @@
  * are read off these counters. Both lists are X-macros, the idiom of
  * obs/metrics.hh. RunResult's members, SchemeStats' members,
  * RunResult::fingerprint(), the journal codec
- * (serve::encodeResult / decodeResult), the per-cell JSON
- * (serve::writeResultCellJson) and sim::harvest's copy out of the
+ * (campaign::encodeResult / decodeResult), the per-cell JSON
+ * (campaign::writeResultCellJson) and sim::harvest's copy out of the
  * scheme all expand from them, so adding a counter is one line here.
  *
  * Order is part of the contract: fingerprints, journal records and the

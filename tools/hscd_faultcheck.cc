@@ -26,22 +26,12 @@
  * 2 usage error, 3 silent corruption detected, 5 harness error.
  */
 
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "common/log.hh"
 #include "common/parallel.hh"
@@ -49,9 +39,6 @@
 #include "fault/plan.hh"
 #include "obs/provenance.hh"
 #include "program_gen.hh"
-#include "serve/json.hh"
-#include "serve/net.hh"
-#include "serve/protocol.hh"
 #include "sim/machine.hh"
 #include "verify/diagnostic.hh"
 #include "workloads/synth.hh"
@@ -338,541 +325,11 @@ writeJsonReport(const CliOptions &opt,
     os << csprintf("  \"verdict\": \"%s\"\n}\n", verdict);
 }
 
-// --- --server: the kill -9 chaos harness for hscd_serve ---------------
-//
-// Proves the durable-queue contract end to end: a campaign whose server
-// is SIGKILLed and restarted repeatedly must produce an aggregate
-// byte-identical (modulo the provenance "jobs" field) to an
-// uninterrupted run's, with zero silent corruptions, and submissions
-// past the admission bound must come back as structured shed errors.
-
-namespace chaos {
-
-struct ChaosOptions
-{
-    std::string serverBin; ///< default: <dir of argv[0]>/hscd_serve
-    std::string stateRoot; ///< default: mkdtemp under TMPDIR
-    std::size_t cells = 500;
-    unsigned kills = 5;
-    unsigned jobs = 2;
-    int scale = 1;
-    std::string faultSpec; ///< optional fault axis for the campaign
-    std::vector<std::string> workloads; ///< cell specs to rotate over
-    std::vector<std::string> schemes = {"sc", "tpi", "hw"};
-    bool keep = false; ///< keep the state root (debugging)
-};
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s --server [options]\n"
-        "\n"
-        "Chaos-tests the resident campaign server: runs one campaign\n"
-        "to completion on an untouched server (the reference), then\n"
-        "re-runs it while SIGKILLing and restarting the server\n"
-        "mid-campaign, and requires the recovered aggregate to be\n"
-        "byte-identical. Also checks that over-bound submissions are\n"
-        "shed as structured errors, never dropped silently.\n"
-        "\n"
-        "Options:\n"
-        "  --server-bin PATH  hscd_serve binary (default: next to %s)\n"
-        "  --state-dir DIR    working root (default: a fresh tempdir,\n"
-        "                     removed on success, kept on failure)\n"
-        "  --cells N          campaign size (default 500)\n"
-        "  --kills N          SIGKILL/restart cycles (default 5)\n"
-        "  --jobs N           server worker threads (default 2)\n"
-        "  --scale N          workload problem scale (default 1)\n"
-        "  --fault SPEC       fault plan for the campaign (default off)\n"
-        "  --workloads L,L    cell specs to rotate over (benchmarks,\n"
-        "                     synth:<f>:<s>, trace:<file>; default: the\n"
-        "                     six benchmarks plus two synth families)\n"
-        "  --schemes L,L      schemes to rotate over (default sc,tpi,hw)\n"
-        "  --keep             keep the state root even on success\n"
-        "\n"
-        "Exit: 0 clean, 2 usage, 3 corruption/contract violation,\n"
-        "5 harness error.\n",
-        argv0, argv0);
-}
-
-ChaosOptions
-parseChaosArgs(int argc, char **argv)
-{
-    ChaosOptions opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: %s requires an argument\n",
-                             argv[0], flag);
-                std::exit(verify::ExitUsage);
-            }
-            return argv[++i];
-        };
-        auto number = [&](const char *flag) {
-            const std::string v = value(flag);
-            char *end = nullptr;
-            double d = std::strtod(v.c_str(), &end);
-            if (end == v.c_str() || *end != '\0' || d < 0) {
-                std::fprintf(stderr, "%s: bad %s value '%s'\n", argv[0],
-                             flag, v.c_str());
-                std::exit(verify::ExitUsage);
-            }
-            return d;
-        };
-        if (a == "--server") {
-            // mode marker, already consumed by main()
-        } else if (a == "--help" || a == "-h") {
-            usage(argv[0]);
-            std::exit(verify::ExitSuccess);
-        } else if (a == "--server-bin") {
-            opt.serverBin = value("--server-bin");
-        } else if (a == "--state-dir") {
-            opt.stateRoot = value("--state-dir");
-        } else if (a == "--cells") {
-            opt.cells = static_cast<std::size_t>(number("--cells"));
-        } else if (a == "--kills") {
-            opt.kills = static_cast<unsigned>(number("--kills"));
-        } else if (a == "--jobs") {
-            opt.jobs = static_cast<unsigned>(number("--jobs"));
-        } else if (a == "--scale") {
-            opt.scale = static_cast<int>(number("--scale"));
-        } else if (a == "--fault") {
-            opt.faultSpec = value("--fault");
-        } else if (a == "--workloads") {
-            for (const std::string &tok : split(value("--workloads"), ','))
-                opt.workloads.push_back(trim(tok));
-        } else if (a == "--schemes") {
-            opt.schemes.clear();
-            for (const std::string &tok : split(value("--schemes"), ','))
-                opt.schemes.push_back(trim(tok));
-        } else if (a == "--keep") {
-            opt.keep = true;
-        } else {
-            std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                         a.c_str());
-            usage(argv[0]);
-            std::exit(verify::ExitUsage);
-        }
-    }
-    if (opt.serverBin.empty()) {
-        std::string self = argv[0];
-        const std::size_t slash = self.rfind('/');
-        opt.serverBin = (slash == std::string::npos
-                             ? std::string(".")
-                             : self.substr(0, slash)) +
-                        "/hscd_serve";
-    }
-    if (opt.workloads.empty())
-        opt.workloads = {"adm",  "flo52",  "ocean",
-                         "qcd2", "spec77", "trfd",
-                         "synth:stencil:3", "synth:migratory:7"};
-    if (opt.cells == 0 || opt.kills == 0 || opt.schemes.empty()) {
-        std::fprintf(stderr, "%s: --cells, --kills and --schemes must "
-                             "be non-zero\n", argv[0]);
-        std::exit(verify::ExitUsage);
-    }
-    return opt;
-}
-
-/** A running hscd_serve child plus the client channel to it. */
-class ServerHandle
-{
-  public:
-    ~ServerHandle() { stop(SIGKILL); }
-
-    /** fork/exec the server; stdout+stderr append to server.log. */
-    bool spawn(const ChaosOptions &opt, const std::string &stateDir,
-               const std::vector<std::string> &extraArgs = {})
-    {
-        _stateDir = stateDir;
-        std::vector<std::string> args = {opt.serverBin, "--state-dir",
-                                         stateDir, "--jobs",
-                                         csprintf("%d", int(opt.jobs))};
-        args.insert(args.end(), extraArgs.begin(), extraArgs.end());
-        std::vector<char *> cargs;
-        cargs.reserve(args.size() + 1);
-        for (std::string &s : args)
-            cargs.push_back(s.data());
-        cargs.push_back(nullptr);
-
-        const pid_t pid = ::fork();
-        if (pid < 0) {
-            std::perror("fork");
-            return false;
-        }
-        if (pid == 0) {
-            const std::string log = stateDir + "/server.log";
-            const int fd = ::open(log.c_str(),
-                                  O_WRONLY | O_CREAT | O_APPEND, 0644);
-            if (fd >= 0) {
-                ::dup2(fd, 1);
-                ::dup2(fd, 2);
-                ::close(fd);
-            }
-            ::execv(cargs[0], cargs.data());
-            std::perror("execv");
-            std::_Exit(127);
-        }
-        _pid = pid;
-        return true;
-    }
-
-    /**
-     * Connect to <stateDir>/sock, retrying while the server boots.
-     * A freshly-recovering server may compact journals first, so the
-     * window is generous. The retry interval is 1 ms: a restarted
-     * server runs its recovered cells before it listens, so every
-     * millisecond asleep here is campaign progress the kill schedule
-     * cannot see.
-     */
-    bool connect(double timeoutMs = 10000)
-    {
-        const std::string sock = _stateDir + "/sock";
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double, std::milli>(timeoutMs));
-        std::string error;
-        while (std::chrono::steady_clock::now() < deadline) {
-            serve::Fd fd = serve::connectUnix(sock, error);
-            if (fd.valid()) {
-                _ch = std::make_unique<serve::LineChannel>(std::move(fd));
-                return true;
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        std::fprintf(stderr, "connect %s: %s\n", sock.c_str(),
-                     error.c_str());
-        return false;
-    }
-
-    /** One request line -> one parsed response. */
-    bool rpc(const std::string &req, serve::JsonValue &resp)
-    {
-        std::string line;
-        if (!_ch || !_ch->writeLine(req) || !_ch->readLine(line))
-            return false;
-        std::string error;
-        return serve::parseJson(line, resp, error);
-    }
-
-    /** Signal the child and reap it. Returns the wait status. */
-    int stop(int sig)
-    {
-        if (_pid <= 0)
-            return 0;
-        _ch.reset();
-        ::kill(_pid, sig);
-        int status = 0;
-        ::waitpid(_pid, &status, 0);
-        _pid = -1;
-        return status;
-    }
-
-    pid_t pid() const { return _pid; }
-
-  private:
-    std::string _stateDir;
-    pid_t _pid = -1;
-    std::unique_ptr<serve::LineChannel> _ch;
-};
-
-std::string
-slurpFile(const std::string &path)
-{
-    std::ifstream f(path);
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    return ss.str();
-}
-
-/** Blank the provenance "jobs" line - the one field allowed to vary. */
-std::string
-maskJobs(std::string s)
-{
-    const std::string key = "\"jobs\":";
-    const std::size_t at = s.find(key);
-    if (at == std::string::npos)
-        return s;
-    const std::size_t eol = s.find('\n', at);
-    s.replace(at, eol - at, key + " <masked>");
-    return s;
-}
-
-/** The mixed campaign both runs execute. */
-serve::CampaignSpec
-buildCampaign(const ChaosOptions &opt)
-{
-    serve::CampaignSpec spec;
-    spec.name = "chaos";
-    spec.faultSpec = opt.faultSpec;
-    spec.cells.reserve(opt.cells);
-    for (std::size_t i = 0; i < opt.cells; ++i) {
-        serve::CellSpec c;
-        c.workload = opt.workloads[i % opt.workloads.size()];
-        c.scheme = opt.schemes[(i / opt.workloads.size()) %
-                               opt.schemes.size()];
-        c.scale = opt.scale;
-        c.label = csprintf("%s/%s#%d", c.workload, c.scheme, int(i));
-        spec.cells.push_back(std::move(c));
-    }
-    return spec;
-}
-
-struct PollState
-{
-    bool ok = false;
-    bool complete = false;
-    std::size_t done = 0;
-    std::string resultPath;
-};
-
-PollState
-poll(ServerHandle &server, const std::string &idHex)
-{
-    PollState st;
-    serve::JsonValue resp;
-    if (!server.rpc(csprintf("{\"op\": \"poll\", \"id\": \"%s\"}", idHex),
-                    resp))
-        return st;
-    const serve::JsonValue *ok = resp.get("ok");
-    if (!ok || !ok->isBool() || !ok->boolean)
-        return st;
-    st.ok = true;
-    if (const serve::JsonValue *d = resp.get("done"))
-        st.done = static_cast<std::size_t>(d->number);
-    if (const serve::JsonValue *s = resp.get("status"))
-        st.complete = s->text == "complete";
-    if (const serve::JsonValue *r = resp.get("result"))
-        st.resultPath = r->text;
-    return st;
-}
-
-/** Submit; true when accepted or deduplicated, with the id in @p id. */
-bool
-submit(ServerHandle &server, const serve::CampaignSpec &spec,
-       std::string &id)
-{
-    serve::JsonValue resp;
-    if (!server.rpc(spec.toRequestJson(), resp))
-        return false;
-    const serve::JsonValue *ok = resp.get("ok");
-    const serve::JsonValue *jid = resp.get("id");
-    if (!ok || !ok->isBool() || !ok->boolean || !jid || !jid->isString())
-        return false;
-    id = jid->text;
-    return true;
-}
-
-int
-run(int argc, char **argv)
-{
-    const ChaosOptions opt = parseChaosArgs(argc, argv);
-    namespace fs = std::filesystem;
-
-    std::string root = opt.stateRoot;
-    if (root.empty()) {
-        const char *tmp = std::getenv("TMPDIR");
-        std::string templ = std::string(tmp && *tmp ? tmp : "/tmp") +
-                            "/hscd-chaos-XXXXXX";
-        std::vector<char> buf(templ.begin(), templ.end());
-        buf.push_back('\0');
-        if (!::mkdtemp(buf.data())) {
-            std::perror("mkdtemp");
-            return verify::ExitInternal;
-        }
-        root = buf.data();
-    }
-    std::error_code ec;
-    fs::create_directories(root + "/ref", ec);
-    fs::create_directories(root + "/chaos", ec);
-    fs::create_directories(root + "/shed", ec);
-
-    const serve::CampaignSpec spec = buildCampaign(opt);
-    std::printf("== hscd_faultcheck --server: %d cells "
-                "(%d workloads x %d schemes), %d kills, state in %s ==\n",
-                int(spec.cells.size()), int(opt.workloads.size()),
-                int(opt.schemes.size()), int(opt.kills), root.c_str());
-
-    auto harnessFail = [&](const char *what) {
-        std::fprintf(stderr, "FAIL (harness): %s; server log under %s\n",
-                     what, root.c_str());
-        return verify::ExitInternal;
-    };
-
-    // --- Phase 1: uninterrupted reference run -------------------------
-    std::string refBytes;
-    {
-        ServerHandle server;
-        if (!server.spawn(opt, root + "/ref") || !server.connect())
-            return harnessFail("cannot start reference server");
-        std::string id;
-        if (!submit(server, spec, id))
-            return harnessFail("reference submit refused");
-        PollState st;
-        while (!(st = poll(server, id)).complete) {
-            if (!st.ok)
-                return harnessFail("reference poll failed");
-            std::this_thread::sleep_for(std::chrono::milliseconds(25));
-        }
-        refBytes = slurpFile(st.resultPath);
-        if (refBytes.empty())
-            return harnessFail("reference aggregate missing");
-        const int status = server.stop(SIGTERM);
-        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
-            return harnessFail("reference server did not drain to 0");
-        std::printf("[chaos] reference: %d cells complete, %d aggregate "
-                    "bytes\n",
-                    int(spec.cells.size()), int(refBytes.size()));
-    }
-
-    // --- Phase 2: the same campaign under kill -9 fire ----------------
-    // Kill k fires once journaled progress crosses (k+1)/(kills+1) of
-    // the campaign; resubmission after each restart is idempotent
-    // (accepted before the .req landed, dedup after). A restarted
-    // server runs its recovered cells before it listens, so a restart
-    // polls before it resubmits: when recovery alone has carried the
-    // campaign past the next kill's threshold, that kill fires at once
-    // instead of after a resubmission's worth of cells. The life that
-    // finishes the campaign always resubmits.
-    std::string chaosBytes;
-    std::uint64_t restored = 0;
-    {
-        const std::string dir = root + "/chaos";
-        unsigned killed = 0;
-        std::string id;
-        PollState st;
-        while (true) {
-            ServerHandle server;
-            if (!server.spawn(opt, dir) || !server.connect())
-                return harnessFail("cannot (re)start chaos server");
-            const std::size_t threshold =
-                killed < opt.kills
-                    ? (spec.cells.size() * (killed + 1)) /
-                          (opt.kills + 1)
-                    : spec.cells.size() + 1; // past the last kill: finish
-            // The first life has no id yet: it submits before polling.
-            st = id.empty() ? PollState{} : poll(server, id);
-            const bool killNow =
-                st.ok && !st.complete && st.done >= threshold;
-            if (!killNow && !submit(server, spec, id))
-                return harnessFail("chaos submit refused");
-            while (!killNow) {
-                st = poll(server, id);
-                if (!st.ok)
-                    return harnessFail("chaos poll failed");
-                if (st.complete || st.done >= threshold)
-                    break;
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(5));
-            }
-            if (!st.complete && killed < opt.kills) {
-                server.stop(SIGKILL);
-                ++killed;
-                std::printf("[chaos] kill %d/%d at %d/%d journaled "
-                            "cells\n",
-                            int(killed), int(opt.kills), int(st.done),
-                            int(spec.cells.size()));
-                continue;
-            }
-            // Complete (possibly with fewer kills than asked for when
-            // the campaign outran the schedule - report honestly).
-            serve::JsonValue stats;
-            if (server.rpc("{\"op\": \"stats\"}", stats)) {
-                if (const serve::JsonValue *c = stats.get("counters"))
-                    if (const serve::JsonValue *r =
-                            c->get("cells_restored"))
-                        restored = static_cast<std::uint64_t>(r->number);
-            }
-            chaosBytes = slurpFile(st.resultPath);
-            const int status = server.stop(SIGTERM);
-            if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
-                return harnessFail("chaos server did not drain to 0");
-            if (killed < opt.kills) {
-                std::fprintf(stderr,
-                             "FAIL: campaign finished after only %d of "
-                             "%d kills - raise --cells\n",
-                             int(killed), int(opt.kills));
-                return verify::ExitViolation;
-            }
-            break;
-        }
-        std::printf("[chaos] survived %d kills; %d cells restored from "
-                    "journals across restarts\n",
-                    int(killed), int(restored));
-    }
-
-    // --- Phase 3: byte-identical aggregate ----------------------------
-    bool corrupted = false;
-    if (chaosBytes.empty()) {
-        std::fprintf(stderr, "FAIL: chaos aggregate missing\n");
-        corrupted = true;
-    } else if (maskJobs(refBytes) != maskJobs(chaosBytes)) {
-        std::fprintf(stderr,
-                     "FAIL: SILENT CORRUPTION - chaos aggregate differs "
-                     "from reference (%d vs %d bytes); see %s\n",
-                     int(chaosBytes.size()), int(refBytes.size()),
-                     root.c_str());
-        corrupted = true;
-    } else {
-        std::printf("[chaos] aggregate byte-identical to reference "
-                    "(%d bytes, jobs field masked)\n",
-                    int(refBytes.size()));
-    }
-
-    // --- Phase 4: backpressure is a structured shed, not a drop -------
-    bool shedOk = false;
-    {
-        ServerHandle server;
-        if (!server.spawn(opt, root + "/shed",
-                          {"--max-queued-cells", "10"}) ||
-            !server.connect())
-            return harnessFail("cannot start shed server");
-        serve::CampaignSpec big = buildCampaign(opt);
-        big.name = "chaos-shed"; // distinct identity from the real one
-        serve::JsonValue resp;
-        if (!server.rpc(big.toRequestJson(), resp))
-            return harnessFail("shed rpc failed");
-        const serve::JsonValue *ok = resp.get("ok");
-        const serve::JsonValue *status = resp.get("status");
-        const serve::JsonValue *retry = resp.get("retry");
-        shedOk = ok && ok->isBool() && !ok->boolean && status &&
-                 status->text == "shed" && retry && retry->isBool() &&
-                 retry->boolean;
-        if (shedOk)
-            std::printf("[chaos] over-bound submission shed with a "
-                        "structured retryable error\n");
-        else
-            std::fprintf(stderr, "FAIL: over-bound submission was not "
-                                 "shed structurally\n");
-        server.stop(SIGTERM);
-    }
-
-    if (corrupted || !shedOk) {
-        std::printf("\nverdict: contract VIOLATED (state kept in %s)\n",
-                    root.c_str());
-        return verify::ExitViolation;
-    }
-    std::printf("\nverdict: zero silent corruptions across %d kills of a "
-                "%d-cell campaign; backpressure structured\n",
-                int(opt.kills), int(spec.cells.size()));
-    if (!opt.keep && opt.stateRoot.empty())
-        fs::remove_all(root, ec);
-    return verify::ExitSuccess;
-}
-
-} // namespace chaos
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--server")
-            return chaos::run(argc, argv);
-
     const CliOptions opt = parseArgs(argc, argv);
     const std::vector<std::string> benchmarks =
         opt.workloadSpecs.empty() ? workloads::benchmarkNames()
