@@ -33,7 +33,6 @@ benchMain(int argc, char **argv)
         for (SchemeKind k : schemes)
             sweep.add(name, makeConfig(k));
     sweep.run();
-    sweep.requireAllSound();
 
     TextTable t;
     t.col("benchmark", TextTable::Align::Left);

@@ -43,7 +43,6 @@ benchMain(int argc, char **argv)
         sweep.add("TRFD/TPI/plain-wb", "TRFD", makeConfig(SchemeKind::TPI));
     std::size_t coalCell = sweep.add("TRFD/TPI/coalescing-wb", "TRFD", coal);
     sweep.run();
-    sweep.requireAllSound();
 
     TextTable t;
     t.col("benchmark", TextTable::Align::Left)

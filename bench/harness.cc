@@ -142,25 +142,46 @@ timelineNaming()
     return n;
 }
 
+CellVerdict
+soundness(const sim::RunResult &r)
+{
+    if (r.oracleViolations != 0 || r.doallViolations != 0 ||
+        r.shadowViolations != 0)
+        return {verify::ExitViolation,
+                csprintf("%d oracle / %d race / %d shadow violations - "
+                         "experiment invalid",
+                         r.oracleViolations, r.doallViolations,
+                         r.shadowViolations)};
+    if (r.aborted())
+        return {verify::ExitAbort,
+                csprintf("run aborted (%s: %s) - experiment invalid",
+                         fault::abortKindName(r.abort.kind),
+                         r.abort.reason)};
+    return {};
+}
+
 void
 requireSound(const sim::RunResult &r, const std::string &label)
 {
-    // Exit codes follow verify::ExitCode: 3 for a detected soundness
-    // violation, 4 for a structured abort - distinguishable from usage
-    // errors (2) by campaign drivers and CI.
-    if (r.oracleViolations != 0 || r.doallViolations != 0 ||
-        r.shadowViolations != 0) {
-        warn("%s: %d oracle / %d race / %d shadow violations - "
-             "experiment invalid",
-             label, r.oracleViolations, r.doallViolations,
-             r.shadowViolations);
-        std::exit(verify::ExitViolation);
+    const CellVerdict v = soundness(r);
+    if (v.code != verify::ExitSuccess) {
+        warn("%s: %s", label, v.why);
+        std::exit(v.code);
     }
-    if (r.aborted()) {
-        warn("%s: run aborted (%s: %s) - experiment invalid", label,
-             fault::abortKindName(r.abort.kind), r.abort.reason);
-        std::exit(verify::ExitAbort);
-    }
+}
+
+FaultOutcome
+classifyFaulted(const sim::RunResult &r, const sim::RunResult &ref)
+{
+    if (r.aborted())
+        return FaultOutcome::Aborted;
+    if (r.oracleViolations || r.shadowViolations || r.doallViolations)
+        return FaultOutcome::Flagged;
+    if (r.tasks != ref.tasks || r.epochs != ref.epochs ||
+        r.parallelEpochs != ref.parallelEpochs || r.reads != ref.reads ||
+        r.writes != ref.writes)
+        return FaultOutcome::Silent;
+    return r.faultsInjected ? FaultOutcome::Recovered : FaultOutcome::Clean;
 }
 
 } // namespace bench

@@ -16,6 +16,7 @@
 #include "obs/metrics.hh"
 #include "obs/timeline.hh"
 #include "sim/machine.hh"
+#include "verify/diagnostic.hh"
 
 namespace hscd {
 namespace bench {
@@ -71,14 +72,42 @@ sim::RunResult runBenchmarkObserved(const std::string &name,
 /** Default display-name mapping for Timeline::writePerfetto. */
 obs::Timeline::Naming timelineNaming();
 
+/** One cell's verdict under a gate: pass, or an exit code and why. */
+struct CellVerdict
+{
+    int code = verify::ExitSuccess;
+    std::string why; ///< "" when the cell passes
+};
+
 /**
- * Fail loudly if a run violated coherence or aborted - every experiment
- * doubles as an end-to-end check. Exits with verify::ExitViolation (3)
- * on an oracle/shadow/race violation and verify::ExitAbort (4) on a
- * structured abort, so callers can tell a detected failure from the
- * usage-error exit (2).
+ * The soundness rule every experiment doubles as an end-to-end check
+ * of: verify::ExitViolation (3) on an oracle/shadow/race violation and
+ * verify::ExitAbort (4) on a structured abort, so callers can tell a
+ * detected failure from the usage-error exit (2).
  */
+CellVerdict soundness(const sim::RunResult &r);
+
+/** Exit with soundness(r)'s code, warning with @p label, if it fails. */
 void requireSound(const sim::RunResult &r, const std::string &label);
+
+/** How a faulted run ended against its fault-free reference (R1). */
+enum class FaultOutcome
+{
+    Clean,     ///< completed the reference's work; nothing injected
+    Recovered, ///< completed the reference's work; faults absorbed
+    Aborted,   ///< structured abort (a detection)
+    Flagged,   ///< oracle/shadow/race violation (a detection)
+    Silent,    ///< completed unflagged with different work - never OK
+};
+
+/**
+ * Classify faulted run @p r against the fault-free run @p ref of the
+ * same workload and scheme. A run that completed unflagged is Silent
+ * when its tasks, epochs, parallel epochs, reads or writes differ from
+ * the reference's: the fault changed the computation unnoticed.
+ */
+FaultOutcome classifyFaulted(const sim::RunResult &r,
+                             const sim::RunResult &ref);
 
 } // namespace bench
 } // namespace hscd

@@ -471,23 +471,7 @@ Sweep::exitIfAborted() const
 }
 
 void
-Sweep::requireAllSound() const
-{
-    // A structured abort (signal / --deadline-ms) outranks soundness
-    // checking: skipped cells hold no results to verify.
-    exitIfAborted();
-    for (std::size_t i = 0; i < _results.size(); ++i) {
-        if (!_results[i].error.empty()) {
-            warn("%s: harness error: %s", _cells[i].label,
-                 _results[i].error);
-            std::exit(verify::ExitInternal);
-        }
-        requireSound(_results[i].result, _cells[i].label);
-    }
-}
-
-void
-Sweep::finish(std::ostream &os) const
+Sweep::finish(std::ostream &os, const Gate &gate) const
 {
     writeJson();
     writeObservability(os);
@@ -495,9 +479,30 @@ Sweep::finish(std::ostream &os) const
     os << csprintf("[sweep %s] %d cells, jobs=%d, %.0f ms\n",
                    _experiment, _cells.size(),
                    _opts.jobs ? _opts.jobs : hardwareJobs(), _wallMs);
-    // After the artifacts are on disk: an interrupted or over-deadline
-    // sweep exits with the structured-abort code, never 0.
+    // Every exit below comes after the artifacts are on disk. A
+    // structured abort outranks the rest: skipped cells hold no results.
     exitIfAborted();
+    bool harnessError = false;
+    for (std::size_t i = 0; i < _results.size(); ++i) {
+        if (!_results[i].error.empty()) {
+            warn("%s: harness error: %s", _cells[i].label,
+                 _results[i].error);
+            harnessError = true;
+        }
+    }
+    if (harnessError)
+        std::exit(verify::ExitInternal);
+    int code = verify::ExitSuccess;
+    for (std::size_t i = 0; i < _results.size(); ++i) {
+        const CellVerdict v = gate ? gate(i) : soundness(_results[i].result);
+        if (v.code == verify::ExitSuccess)
+            continue;
+        warn("%s: %s", _cells[i].label, v.why);
+        if (code == verify::ExitSuccess)
+            code = v.code;
+    }
+    if (code != verify::ExitSuccess)
+        std::exit(code);
 }
 
 void

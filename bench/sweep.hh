@@ -26,7 +26,11 @@
  *   for (...) sweep.add(name, cfg);      // phase 1: enqueue cells
  *   sweep.run();                         // phase 2: simulate (parallel)
  *   ... sweep[i] ...                     // phase 3: render in add order
- *   sweep.finish(std::cout);             // JSON + wall-clock line
+ *   sweep.finish(std::cout);             // JSON, wall-clock line, gate
+ *
+ * A faulted or unsound cell never hides the campaign's results: the
+ * table is rendered from whatever the cells did, finish() writes the
+ * artifacts, and only then does its gate fail the process.
  */
 
 #ifndef HSCD_BENCH_SWEEP_HH
@@ -132,17 +136,19 @@ class Sweep
     /** Harness error for cell @p i ("" when the cell ran to an end). */
     const std::string &error(std::size_t i) const;
 
-    /**
-     * requireSound() on every completed cell, labelled for blame; a
-     * harness error (exception/timeout) exits verify::ExitInternal.
-     */
-    void requireAllSound() const;
+    /** finish()'s check of cell @p i; an empty Gate is soundness(). */
+    using Gate = std::function<CellVerdict(std::size_t i)>;
 
     /**
-     * Epilogue: emit the JSON file when --json was given and print the
-     * wall-clock line (the only output allowed to vary across --jobs).
+     * Epilogue, in this order: write --json and the observability
+     * artifacts; print the wall-clock line (the only output allowed to
+     * vary across --jobs); exit verify::ExitAbort if any cell was
+     * skipped, then verify::ExitInternal on a harness error
+     * (exception/timeout); then apply @p gate to every cell, warn once
+     * per failing cell in add order, and exit with the first failing
+     * cell's code. Returns only when every cell passes.
      */
-    void finish(std::ostream &os) const;
+    void finish(std::ostream &os, const Gate &gate = {}) const;
 
     const SweepOptions &options() const { return _opts; }
 
@@ -167,9 +173,9 @@ class Sweep
     {
         /**
          * True for cells skipped by a signal or --deadline-ms: never
-         * journaled (a --resume must re-run them) and excused from
-         * soundness checks; their presence turns the process exit code
-         * into verify::ExitAbort.
+         * journaled (a --resume must re-run them) and never gated;
+         * their presence turns the process exit code into
+         * verify::ExitAbort.
          */
         bool transient = false;
     };

@@ -6,8 +6,9 @@
  * stop with a diagnosis instead of spinning or dying on an assert. Sites
  * throw RunAbort; the executor catches it at the top of the dispatch
  * loop, attaches a post-mortem snapshot, and returns a RunResult whose
- * outcome is Abort. Callers (harness, sweep, faultcheck) treat that as a
- * first-class result: detected failure, never a silently wrong answer.
+ * outcome is Abort. Callers (harness, sweep, the R1 campaign) treat that
+ * as a first-class result: detected failure, never a silently wrong
+ * answer.
  */
 
 #ifndef HSCD_FAULT_ABORT_HH

@@ -112,7 +112,7 @@ DirectoryScheme::maybeCorruptEntry(DirEntry &e)
     // Flip one presence bit. A spuriously-set bit is repaired by the
     // NACK path in invalidateSharers; a cleared bit leaves a sharer the
     // directory forgot, whose next stale hit the soundness oracles must
-    // flag (this is the "silently wrong" hazard hscd_faultcheck hunts).
+    // flag (this is the "silently wrong" hazard the R1 campaign hunts).
     e.sharers ^=
         std::uint64_t{1} << (_fault->draw(fault::Site::DirPresenceFlip) %
                              _cfg.procs);

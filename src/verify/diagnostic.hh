@@ -31,9 +31,9 @@ namespace verify {
 
 /**
  * Process exit-code contract shared by every hscd binary (lint,
- * experiment sweeps, faultcheck). Each failure class gets its own code
- * so campaign drivers and CI can tell a usage typo from a detected
- * soundness violation from a structured run abort:
+ * experiment sweeps, the R1 fault campaign). Each failure class gets
+ * its own code so campaign drivers and CI can tell a usage typo from a
+ * detected soundness violation from a structured run abort:
  *
  *   0  clean
  *   1  static diagnostics failed (lint errors, or warnings + --werror)

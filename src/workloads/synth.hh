@@ -12,10 +12,10 @@
  * fast-path-equivalence, and fault harnesses for free.
  *
  * Specs are spelled `synth:<family>:<seed>` and accepted anywhere a
- * workload name is (bench sweeps, hscd_lint, hscd_faultcheck,
- * hscd_inspect). Determinism contract: the same (family, seed, scale)
- * produces byte-identical HIR in any process, at any thread count
- * (pinned by tests/test_synth_determinism.cc).
+ * workload name is (bench sweeps, hscd_lint, hscd_inspect). Determinism
+ * contract: the same (family, seed, scale) produces byte-identical HIR
+ * in any process, at any thread count (pinned by
+ * tests/test_synth_determinism.cc).
  */
 
 #ifndef HSCD_WORKLOADS_SYNTH_HH

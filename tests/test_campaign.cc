@@ -7,7 +7,9 @@
  * the exception guard around a cell; the counter schema the codec, the
  * fingerprint and the cell JSON walk; and the sweep engine's abort
  * contract: an expired --deadline-ms and a SIGTERM mid-campaign both
- * exit with verify::ExitAbort (4) after checkpointing, never 0.
+ * exit with verify::ExitAbort (4) after checkpointing, never 0; the
+ * soundness gate finish() applies after writing the artifacts; and the
+ * fault campaign's classification on synthetic and trace workloads.
  */
 
 #include <atomic>
@@ -31,6 +33,7 @@
 #include "mem/coherence.hh"
 #include "sweep.hh"
 #include "verify/diagnostic.hh"
+#include "workloads/trace.hh"
 
 using namespace hscd;
 using namespace hscd::campaign;
@@ -352,8 +355,12 @@ TEST(GuardedCall, SweepJournalsAndRestoresThrownErrors)
         EXPECT_EQ(sweep[0], fakeCell(0));
         EXPECT_EQ(sweep.error(1), "unhandled non-standard exception");
         EXPECT_EQ(sweep.error(2), "unhandled exception");
+        // finish() writes the JSON, then exits for the harness errors.
         std::ostringstream devnull;
-        sweep.finish(devnull);
+        EXPECT_EXIT(sweep.finish(devnull),
+                    testing::ExitedWithCode(verify::ExitInternal),
+                    "non-std: harness error: unhandled non-standard "
+                    "exception.*empty-what: harness error");
     };
     sweepOnce(false, dir + "/a.json");
     EXPECT_EQ(calls.load(), 3);
@@ -365,6 +372,121 @@ TEST(GuardedCall, SweepJournalsAndRestoresThrownErrors)
     EXPECT_NE(json.find("\"error\": \"unhandled exception\""),
               std::string::npos);
     EXPECT_EQ(slurp(dir + "/b.json"), json);
+}
+
+// --- the soundness gate in finish() ------------------------------------
+
+TEST(SweepGate, FailingCellsAreReportedAfterTheArtifacts)
+{
+    // Every failing cell is warned in add order, the exit code is the
+    // first failing cell's (flagged: 3, though an aborted cell, 4,
+    // follows), and the JSON already holds every cell.
+    const std::string dir = freshDir("sweep_gate");
+    bench::SweepOptions opts;
+    opts.jobs = 1;
+    opts.jsonPath = dir + "/gate.json";
+    bench::Sweep sweep(opts, "gate");
+    sweep.addCustom("flagged-0", [] {
+        sim::RunResult r = fakeCell(0);
+        r.oracleViolations = 1;
+        return r;
+    });
+    sweep.addCustom("aborted-1", [] {
+        sim::RunResult r = fakeCell(1);
+        r.abort.kind = fault::AbortKind::Watchdog;
+        r.abort.reason = "stuck";
+        return r;
+    });
+    sweep.addCustom("flagged-2", [] {
+        sim::RunResult r = fakeCell(2);
+        r.shadowViolations = 2;
+        return r;
+    });
+    sweep.run();
+    std::ostringstream devnull;
+    EXPECT_EXIT(sweep.finish(devnull),
+                testing::ExitedWithCode(verify::ExitViolation),
+                "flagged-0: 1 oracle / 0 race / 0 shadow violations.*"
+                "aborted-1: run aborted \\(watchdog: stuck\\).*"
+                "flagged-2: 0 oracle / 0 race / 2 shadow violations");
+    const std::string json = slurp(opts.jsonPath);
+    for (const char *label : {"flagged-0", "aborted-1", "flagged-2"})
+        EXPECT_NE(json.find(csprintf("\"label\": \"%s\"", label)),
+                  std::string::npos)
+            << label;
+}
+
+TEST(FaultCampaign, SynthAndTraceCellsAreNeverSilent)
+{
+    // R1's predicate on workloads from two sources: a synthetic HIR
+    // program through Sweep::add and the checked-in trace through
+    // addCustom. Each gets a fault-free reference per scheme; then five
+    // schemes x seeds 1..5 at rate 1e-3 over every site, seed s on
+    // workload (s - 1) mod 2, each classified against its reference.
+    const std::string synth = "synth:stencil:3";
+    const workloads::TraceWorkload trace = workloads::loadTraceFile(
+        std::string(HSCD_SOURCE_DIR) + "/tests/data/sample.trace");
+    const SchemeKind schemes[] = {SchemeKind::Base, SchemeKind::SC,
+                                  SchemeKind::TPI, SchemeKind::HW,
+                                  SchemeKind::VC};
+    bench::SweepOptions opts;
+    opts.jobs = 2;
+    bench::Sweep sweep(opts, "fault-campaign");
+    auto add = [&](const std::string &label, bool isTrace,
+                   const MachineConfig &cfg) {
+        if (isTrace)
+            return sweep.addCustom(label, [&trace, cfg] {
+                return workloads::runTrace(trace, cfg);
+            });
+        return sweep.add(label, synth, cfg, /*scale=*/1);
+    };
+    auto config = [](SchemeKind k) {
+        MachineConfig c = bench::makeConfig(k);
+        c.shadowEpochCheck = true;
+        return c;
+    };
+
+    std::vector<std::size_t> refs; // scheme-major, then synth, trace
+    for (SchemeKind k : schemes)
+        for (bool isTrace : {false, true})
+            refs.push_back(add(csprintf("ref/%s/%s",
+                                        isTrace ? "trace" : "synth",
+                                        schemeName(k)),
+                               isTrace, config(k)));
+    struct Faulted
+    {
+        std::size_t cell, ref;
+    };
+    std::vector<Faulted> runs;
+    for (std::size_t s = 0; s < std::size(schemes); ++s) {
+        for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+            const bool isTrace = (seed - 1) % 2;
+            MachineConfig c = config(schemes[s]);
+            c.fault.rate = 1e-3;
+            c.fault.seed = seed;
+            c.fault.sites = fault::kSitesAll;
+            runs.push_back(
+                {add(csprintf("%s/seed=%d/%s", schemeName(schemes[s]),
+                              seed, isTrace ? "trace" : "synth"),
+                     isTrace, c),
+                 refs[2 * s + (isTrace ? 1 : 0)]});
+        }
+    }
+    sweep.run();
+
+    std::size_t counts[5] = {}; // indexed by FaultOutcome
+    for (const Faulted &f : runs) {
+        ASSERT_EQ(sweep.error(f.cell), "");
+        ASSERT_EQ(sweep.error(f.ref), "");
+        ++counts[static_cast<std::size_t>(
+            bench::classifyFaulted(sweep[f.cell], sweep[f.ref]))];
+    }
+    EXPECT_EQ(runs.size(), 25u);
+    EXPECT_EQ(counts[std::size_t(bench::FaultOutcome::Clean)], 13u);
+    EXPECT_EQ(counts[std::size_t(bench::FaultOutcome::Recovered)], 12u);
+    EXPECT_EQ(counts[std::size_t(bench::FaultOutcome::Aborted)], 0u);
+    EXPECT_EQ(counts[std::size_t(bench::FaultOutcome::Flagged)], 0u);
+    EXPECT_EQ(counts[std::size_t(bench::FaultOutcome::Silent)], 0u);
 }
 
 // --- counter schema ------------------------------------------------------

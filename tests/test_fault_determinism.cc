@@ -8,7 +8,8 @@
  * without the fault axis; the checkpoint journal restarts an
  * interrupted sweep with byte-identical final JSON; and a throwing or
  * timed-out cell becomes a structured per-cell "error" instead of
- * killing the sweep.
+ * killing the sweep (finish() writes the JSON, then exits
+ * verify::ExitInternal).
  */
 
 #include <chrono>
@@ -62,8 +63,19 @@ runFaultSweep(SweepOptions opts)
         out.push_back(sweep[i]);
     }
     if (!opts.jsonPath.empty()) {
+        // finish() writes the JSON file, then its gate exits with the
+        // first unsound cell's code: this plan gets some cells flagged.
+        int want = verify::ExitSuccess;
+        for (const sim::RunResult &r : out)
+            if (want == verify::ExitSuccess)
+                want = soundness(r).code;
         std::ostringstream devnull;
-        sweep.finish(devnull); // emits the JSON file
+        EXPECT_EXIT(
+            {
+                sweep.finish(devnull);
+                std::exit(verify::ExitSuccess);
+            },
+            testing::ExitedWithCode(want), "");
     }
     return out;
 }
@@ -314,8 +326,11 @@ TEST(FaultDeterminism, ThrowingCellBecomesStructuredError)
     EXPECT_GT(sweep[0].cycles, 0u);
     EXPECT_GT(sweep[2].cycles, 0u);
 
+    // finish() writes the JSON first, then exits for the harness error.
     std::ostringstream devnull;
-    sweep.finish(devnull);
+    EXPECT_EXIT(sweep.finish(devnull),
+                testing::ExitedWithCode(verify::ExitInternal),
+                "exploder: harness error: boom");
     const std::string j = slurp(path);
     EXPECT_NE(j.find("\"error\": \"boom: injected harness failure\""),
               std::string::npos);

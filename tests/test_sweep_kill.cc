@@ -284,12 +284,20 @@ TEST(SweepKillResume, FaultFreeCampaignIsByteIdentical)
 
 TEST(SweepKillResume, FaultedCampaignIsByteIdentical)
 {
-    // Under this plan an injected corruption reaches a cell and the
-    // oracle flags it, so F11 exits 3 before it renders its table or
-    // writes --json; the journal, the warning naming the cell and the
-    // exit status carry the comparison.
+    // Under this plan an injected corruption reaches ADM/TPI and the
+    // oracle flags it. F11 still renders its table and writes --json,
+    // then its gate warns about the cell and exits 3, so the restored
+    // cells reach every output the gate compares.
     Finished ref;
     killResumeGate("sweep_kill_faulted", {"--fault", "1e-3:7"}, 7, ref);
     EXPECT_EQ(ref.status, "exited with status 3");
+    EXPECT_NE(ref.warnings.find("ADM/TPI: "), std::string::npos);
     EXPECT_NE(ref.warnings.find("oracle"), std::string::npos);
+    EXPECT_NE(ref.table.find("TPI/HW"), std::string::npos);
+    const std::size_t at = ref.json.find("\"label\": \"ADM/TPI\"");
+    ASSERT_NE(at, std::string::npos);
+    const std::string cell =
+        ref.json.substr(at, ref.json.find("\"label\"", at + 1) - at);
+    EXPECT_NE(cell.find("\"oracle_violations\""), std::string::npos)
+        << cell;
 }
