@@ -1,6 +1,5 @@
 #include "harness.hh"
 
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -21,22 +20,6 @@ makeConfig(SchemeKind scheme)
     MachineConfig c; // defaults are the paper's Figure 8 values
     c.scheme = scheme;
     return c;
-}
-
-void
-printHeader(std::ostream &os, const std::string &experiment,
-            const std::string &what, const MachineConfig &cfg)
-{
-    os << "== " << experiment << ": " << what << " ==\n";
-    os << csprintf(
-        "config (Figure 8): %d procs | %dKB %s cache, %dB lines | "
-        "hit %d cy | base miss %d cy | %d-bit timetags | two-phase reset "
-        "%d cy | Kruskal-Snir MIN radix %d\n",
-        cfg.procs, cfg.cacheBytes / 1024,
-        cfg.assoc == 1 ? "direct-mapped"
-                       : csprintf("%d-way", cfg.assoc).c_str(),
-        cfg.lineBytes, cfg.hitCycles, cfg.baseMissCycles, cfg.timetagBits,
-        cfg.twoPhaseResetCycles, cfg.networkRadix);
 }
 
 namespace {
@@ -111,12 +94,11 @@ runBenchmark(const std::string &name, const MachineConfig &cfg, int scale,
 }
 
 sim::RunResult
-runBenchmarkObserved(const std::string &name, const MachineConfig &cfg,
-                     int scale, bool affinity, obs::Timeline *timeline,
-                     obs::MetricsRecorder *metrics)
+runObserved(const compiler::CompiledProgram &program,
+            const MachineConfig &cfg, obs::Timeline *timeline,
+            obs::MetricsRecorder *metrics)
 {
-    const CompiledProgramPtr cp = compiledBenchmark(name, scale, affinity);
-    sim::Machine m(*cp, cfg);
+    sim::Machine m(program, cfg);
     sim::RecorderSink sink(m, timeline, metrics);
     m.setTraceSink(&sink);
     return m.run();
@@ -158,16 +140,6 @@ soundness(const sim::RunResult &r)
                          fault::abortKindName(r.abort.kind),
                          r.abort.reason)};
     return {};
-}
-
-void
-requireSound(const sim::RunResult &r, const std::string &label)
-{
-    const CellVerdict v = soundness(r);
-    if (v.code != verify::ExitSuccess) {
-        warn("%s: %s", label, v.why);
-        std::exit(v.code);
-    }
 }
 
 FaultOutcome

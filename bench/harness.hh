@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared harness for the experiment binaries: Figure 8 configuration
- * header, cached benchmark compilation, and run helpers.
+ * Shared harness for the paper campaign: Figure 8 configurations,
+ * cached benchmark compilation, and run helpers.
  */
 
 #ifndef HSCD_BENCH_HARNESS_HH
@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <ostream>
 #include <string>
 
 #include "compiler/analysis.hh"
@@ -23,10 +22,6 @@ namespace bench {
 
 /** The paper's Figure 8 defaults for one scheme. */
 MachineConfig makeConfig(SchemeKind scheme);
-
-/** Print the experiment banner plus the Figure 8 configuration table. */
-void printHeader(std::ostream &os, const std::string &experiment,
-                 const std::string &what, const MachineConfig &cfg);
 
 /** Shared ownership of a compiled program (see compiledBenchmark). */
 using CompiledProgramPtr = std::shared_ptr<const compiler::CompiledProgram>;
@@ -59,15 +54,14 @@ sim::RunResult runBenchmark(const std::string &name,
                             bool affinity = true);
 
 /**
- * runBenchmark() feeding @p timeline and @p metrics (either may be null)
- * through a sim::RecorderSink. Not thread-safe with respect to the
+ * sim::simulate() feeding @p timeline and @p metrics (either may be
+ * null) through a sim::RecorderSink. Not thread-safe with respect to the
  * recorders: callers instrument one run at a time (the sweep engine
  * observes one cell).
  */
-sim::RunResult runBenchmarkObserved(const std::string &name,
-                                    const MachineConfig &cfg, int scale,
-                                    bool affinity, obs::Timeline *timeline,
-                                    obs::MetricsRecorder *metrics);
+sim::RunResult runObserved(const compiler::CompiledProgram &program,
+                           const MachineConfig &cfg, obs::Timeline *timeline,
+                           obs::MetricsRecorder *metrics);
 
 /** Default display-name mapping for Timeline::writePerfetto. */
 obs::Timeline::Naming timelineNaming();
@@ -86,9 +80,6 @@ struct CellVerdict
  * detected failure from the usage-error exit (2).
  */
 CellVerdict soundness(const sim::RunResult &r);
-
-/** Exit with soundness(r)'s code, warning with @p label, if it fails. */
-void requireSound(const sim::RunResult &r, const std::string &label);
 
 /** How a faulted run ended against its fault-free reference (R1). */
 enum class FaultOutcome
@@ -111,11 +102,5 @@ FaultOutcome classifyFaulted(const sim::RunResult &r,
 
 } // namespace bench
 } // namespace hscd
-
-/**
- * An experiment binary's body. The shared main() in bench_main.cc calls
- * it and turns a fatal() user error into verify::ExitUsage (2).
- */
-int benchMain(int argc, char **argv);
 
 #endif // HSCD_BENCH_HARNESS_HH

@@ -1,15 +1,14 @@
 #include "sweep.hh"
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <future>
 #include <iostream>
 #include <optional>
-#include <set>
 #include <thread>
-#include <tuple>
 
 #include <csignal>
 
@@ -33,39 +32,31 @@ usage(const char *argv0, int code)
         << "       [--deadline-ms N] [--checkpoint PATH] [--resume]\n"
         << "       [--trace-out PATH] [--metrics SPEC] [--metrics-out "
            "PATH]\n"
-        << "       [--cell SUBSTR]\n"
-        << "  --jobs N, -j N  run sweep cells on N threads (default: all\n"
-        << "                  hardware threads; 1 = serial). The output\n"
-        << "                  is identical at any N, modulo the trailing\n"
-        << "                  wall-clock line.\n"
+        << "       [--cell SUBSTR] [--only ID[,ID...]]\n"
+        << "  --jobs N, -j N  worker threads (default: all hardware\n"
+        << "                  threads; 1 = serial); the output is the same\n"
+        << "                  at any N but for the wall-clock line\n"
         << "  --json PATH     also write machine-readable results JSON\n"
-        << "  --fault SPEC    inject faults into every cell; SPEC is\n"
-        << "                  RATE[:SEED[:SITES]] (see fault/plan.hh).\n"
-        << "                  Each cell derives its own seed from the\n"
-        << "                  campaign seed and the cell index.\n"
-        << "  --timeout-ms N  abandon any cell still running after N ms\n"
-        << "                  (recorded as a structured per-cell error)\n"
-        << "  --deadline-ms N whole-campaign wall-clock budget: cells\n"
-        << "                  not started when it expires are skipped,\n"
-        << "                  completed cells stay checkpointed, and the\n"
-        << "                  sweep exits with the structured-abort code\n"
-        << "                  (" << int(verify::ExitAbort)
-        << ") instead of running over\n"
-        << "  --checkpoint P  journal each completed cell to P so an\n"
-        << "                  interrupted sweep can be restarted\n"
-        << "  --resume        skip cells already journaled in the\n"
-        << "                  --checkpoint file; the final output is\n"
-        << "                  byte-identical to an uninterrupted run\n"
-        << "  --trace-out P   write a Chrome/Perfetto trace_event JSON\n"
-        << "                  timeline of the observed cell to P (open\n"
-        << "                  in ui.perfetto.dev or chrome://tracing)\n"
-        << "  --metrics SPEC  sample counter snapshots of the observed\n"
-        << "                  cell; SPEC is epoch[:K] or cycles:N, with\n"
-        << "                  an optional :cap=M ring bound\n"
-        << "  --metrics-out P write the metrics series to P (default\n"
-        << "                  metrics.json)\n"
-        << "  --cell SUBSTR   observe the first cell whose label\n"
-        << "                  contains SUBSTR (default: the first cell)\n"
+        << "  --fault SPEC    inject faults into every cell: RATE[:SEED[:\n"
+        << "                  SITES]] (fault/plan.hh), seeded per cell\n"
+        << "  --timeout-ms N  abandon a cell still running after N ms\n"
+        << "                  (a structured per-cell error)\n"
+        << "  --deadline-ms N campaign budget: cells not started by then\n"
+        << "                  are skipped and the sweep exits "
+        << int(verify::ExitAbort) << "\n"
+        << "  --checkpoint P  journal each completed cell to P\n"
+        << "  --resume        skip cells journaled in the --checkpoint\n"
+        << "                  file; the output is that of an\n"
+        << "                  uninterrupted run\n"
+        << "  --trace-out P   write a Perfetto trace_event timeline of\n"
+        << "                  the observed cell to P\n"
+        << "  --metrics SPEC  sample counters of the observed cell:\n"
+        << "                  epoch[:K] or cycles:N, with :cap=M\n"
+        << "  --metrics-out P the metrics series file (metrics.json)\n"
+        << "  --cell SUBSTR   observe the first cell whose label contains\n"
+        << "                  SUBSTR (default: the first cell)\n"
+        << "  --only IDS      run only these experiments (hscd_paper\n"
+        << "                  rows, comma-separated)\n"
         << "  --help, -h      this text\n";
     std::exit(code);
 }
@@ -106,18 +97,23 @@ SweepOptions::parse(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0], verify::ExitSuccess);
-        } else if (arg == "--jobs" || arg == "-j") {
-            const std::string v = value("--jobs");
+        // A number >= 0 (a whole one if @p whole) for @p flag.
+        auto number = [&](const char *flag, bool whole) {
+            const std::string v = value(flag);
             char *end = nullptr;
-            unsigned long n = std::strtoul(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0') {
-                std::cerr << argv[0] << ": bad --jobs value '" << v
+            const double x = std::strtod(v.c_str(), &end);
+            if (end == v.c_str() || *end != '\0' || !(x >= 0) ||
+                (whole && (x != std::floor(x) || x > 1e9))) {
+                std::cerr << argv[0] << ": bad " << flag << " value '" << v
                           << "'\n";
                 usage(argv[0], verify::ExitUsage);
             }
-            opts.jobs = static_cast<unsigned>(n);
+            return x;
+        };
+        if (arg == "--help" || arg == "-h") {
+            usage(argv[0], verify::ExitSuccess);
+        } else if (arg == "--jobs" || arg == "-j") {
+            opts.jobs = static_cast<unsigned>(number("--jobs", true));
         } else if (arg == "--json") {
             opts.jsonPath = value("--json");
         } else if (arg == "--fault") {
@@ -128,25 +124,9 @@ SweepOptions::parse(int argc, char **argv)
                 usage(argv[0], verify::ExitUsage);
             }
         } else if (arg == "--timeout-ms") {
-            const std::string v = value("--timeout-ms");
-            char *end = nullptr;
-            double ms = std::strtod(v.c_str(), &end);
-            if (end == v.c_str() || *end != '\0' || ms < 0) {
-                std::cerr << argv[0] << ": bad --timeout-ms value '" << v
-                          << "'\n";
-                usage(argv[0], verify::ExitUsage);
-            }
-            opts.timeoutMs = ms;
+            opts.timeoutMs = number("--timeout-ms", false);
         } else if (arg == "--deadline-ms") {
-            const std::string v = value("--deadline-ms");
-            char *end = nullptr;
-            double ms = std::strtod(v.c_str(), &end);
-            if (end == v.c_str() || *end != '\0' || ms < 0) {
-                std::cerr << argv[0] << ": bad --deadline-ms value '"
-                          << v << "'\n";
-                usage(argv[0], verify::ExitUsage);
-            }
-            opts.deadlineMs = ms;
+            opts.deadlineMs = number("--deadline-ms", false);
         } else if (arg == "--checkpoint") {
             opts.checkpointPath = value("--checkpoint");
         } else if (arg == "--resume") {
@@ -164,6 +144,8 @@ SweepOptions::parse(int argc, char **argv)
             opts.metricsOut = value("--metrics-out");
         } else if (arg == "--cell") {
             opts.observeCell = value("--cell");
+        } else if (arg == "--only") {
+            opts.only = split(value("--only"), ',', /*keep_empty=*/true);
         } else {
             std::cerr << argv[0] << ": unknown argument '" << arg
                       << "'\n";
@@ -190,6 +172,20 @@ Sweep::Sweep(SweepOptions opts, std::string experiment)
 }
 
 std::size_t
+Sweep::beginGroup(std::string id)
+{
+    hscd_assert(!_ran, "Sweep::beginGroup() after run()");
+    _groups.push_back({std::move(id), _cells.size(), ""});
+    return _groups.size() - 1;
+}
+
+void
+Sweep::setGroupJson(std::size_t g, std::string members)
+{
+    _groups.at(g).json = std::move(members);
+}
+
+std::size_t
 Sweep::add(const std::string &benchmark, const MachineConfig &cfg,
            int scale, bool affinity)
 {
@@ -201,22 +197,44 @@ std::size_t
 Sweep::add(std::string label, const std::string &benchmark,
            const MachineConfig &cfg, int scale, bool affinity)
 {
+    Run r;
+    r.benchmark = benchmark;
+    r.scale = scale;
+    r.affinity = affinity;
+    r.program = compiledBenchmark(benchmark, scale, affinity);
+    return addRun(std::move(label), std::move(r), cfg);
+}
+
+std::size_t
+Sweep::add(std::string label, CompiledProgramPtr program,
+           const MachineConfig &cfg)
+{
+    Run r;
+    r.program = std::move(program);
+    return addRun(std::move(label), std::move(r), cfg);
+}
+
+std::size_t
+Sweep::addRun(std::string label, Run r, const MachineConfig &cfg)
+{
     hscd_assert(!_ran, "Sweep::add() after run()");
-    Cell c;
-    c.label = std::move(label);
-    c.benchmark = benchmark;
-    c.scheme = schemeName(cfg.scheme);
-    c.scale = scale;
-    c.affinity = affinity;
-    MachineConfig cell_cfg = cfg;
+    r.cfg = cfg;
     if (_opts.fault.enabled())
-        cell_cfg.fault = fault::planForCell(_opts.fault, _cells.size());
-    c.cfg = cell_cfg;
-    c.hasCfg = true;
-    c.runCell = [benchmark, cell_cfg, scale, affinity] {
-        return runBenchmark(benchmark, cell_cfg, scale, affinity);
-    };
-    _cells.push_back(std::move(c));
+        r.cfg.fault = fault::planForCell(
+            _opts.fault,
+            _cells.size() - (_groups.empty() ? 0 : _groups.back().first));
+    // The compile cache gives each (benchmark, scale, affinity) one
+    // program, so the program's address names it.
+    const auto at = reinterpret_cast<std::uintptr_t>(r.program.get());
+    auto [it, fresh] =
+        _runByKey.try_emplace(csprintf("%x/", at) + r.cfg.key(), _runs.size());
+    if (fresh) {
+        r.runCell = [program = r.program, cfg = r.cfg] {
+            return sim::simulate(*program, cfg);
+        };
+        _runs.push_back(std::move(r));
+    }
+    _cells.push_back({std::move(label), it->second});
     return _cells.size() - 1;
 }
 
@@ -224,19 +242,28 @@ std::size_t
 Sweep::addCustom(std::string label, std::function<sim::RunResult()> runCell)
 {
     hscd_assert(!_ran, "Sweep::add() after run()");
-    Cell c;
-    c.label = std::move(label);
-    c.runCell = std::move(runCell);
-    _cells.push_back(std::move(c));
+    Run r;
+    r.runCell = std::move(runCell);
+    _runs.push_back(std::move(r));
+    _cells.push_back({std::move(label), _runs.size() - 1});
     return _cells.size() - 1;
+}
+
+std::string
+Sweep::cellName(std::size_t i) const
+{
+    for (std::size_t g = _groups.size(); g-- > 0;)
+        if (_groups[g].first <= i)
+            return _groups[g].id + "/" + _cells[i].label;
+    return _cells[i].label;
 }
 
 std::uint64_t
 Sweep::journalIdentity() const
 {
     // FNV-1a over everything that determines what the cells compute, so
-    // a journal from a different sweep (or the same sweep with a
-    // different fault axis) is rejected instead of silently reused.
+    // a journal from another sweep, or from this one with other configs
+    // or fault plans, is rejected instead of silently reused.
     // Deliberately excludes jobs/timeout/json path: those may change
     // between the interrupted run and the resume.
     std::string key;
@@ -251,21 +278,25 @@ Sweep::journalIdentity() const
     mix(_experiment);
     mixU(_cells.size());
     for (const Cell &c : _cells) {
+        const Run &r = _runs[c.run];
         mix(c.label);
-        mix(c.benchmark);
-        mix(c.scheme);
-        mixU(static_cast<std::uint64_t>(c.scale));
-        mixU(c.affinity ? 1 : 0);
+        mix(r.benchmark);
+        mixU(static_cast<std::uint64_t>(r.scale));
+        mixU(r.affinity ? 1 : 0);
+        mix(r.program ? r.cfg.key() : ""); // fault plan included
     }
-    mix(_opts.fault.str());
+    for (const Group &g : _groups) {
+        mix(g.id);
+        mixU(g.first);
+    }
     return obs::fnv1a(key);
 }
 
 Sweep::Outcome
-Sweep::runGuarded(std::size_t i) const
+Sweep::runGuarded(std::size_t run) const
 {
     if (_opts.timeoutMs <= 0)
-        return {campaign::guardedCall(_cells[i].runCell)};
+        return {campaign::guardedCall(_runs[run].runCell)};
 
     // Per-cell isolation: run the cell on its own thread and abandon it
     // when the budget expires. The abandoned thread is detached - it
@@ -273,7 +304,7 @@ Sweep::runGuarded(std::size_t i) const
     // is discarded. (C++ offers no portable preemptive cancellation; the
     // simulator-side watchdog bounds how long the orphan can spin.)
     std::packaged_task<campaign::CellOutcome()> task(
-        [fn = _cells[i].runCell] { return campaign::guardedCall(fn); });
+        [fn = _runs[run].runCell] { return campaign::guardedCall(fn); });
     std::future<campaign::CellOutcome> outcome = task.get_future();
     std::thread worker(std::move(task));
     if (outcome.wait_for(std::chrono::duration<double, std::milli>(
@@ -311,7 +342,8 @@ Sweep::setupObservers()
     }
     if (_cells.empty())
         return;
-    if (!_cells[idx].hasCfg) {
+    Run &r = _runs[_cells[idx].run];
+    if (!r.program) {
         warn("cell '%s' is a custom cell; --trace-out/--metrics ignored",
              _cells[idx].label);
         return;
@@ -322,12 +354,12 @@ Sweep::setupObservers()
     if (!_opts.metricsSpec.empty())
         _metrics = std::make_unique<obs::MetricsRecorder>(
             obs::MetricsSpec::parse(_opts.metricsSpec));
-    _obsIndex = idx;
+    _obsIndex = _cells[idx].run;
+    _obsLabel = _cells[idx].label;
 
-    const Cell &c = _cells[idx];
-    _cells[idx].runCell = [c, tl = _timeline.get(), mx = _metrics.get()] {
-        return runBenchmarkObserved(c.benchmark, c.cfg, c.scale,
-                                    c.affinity, tl, mx);
+    r.runCell = [program = r.program, cfg = r.cfg, tl = _timeline.get(),
+                 mx = _metrics.get()] {
+        return runObserved(*program, cfg, tl, mx);
     };
 }
 
@@ -353,19 +385,11 @@ Sweep::run()
 
     const auto t0 = std::chrono::steady_clock::now();
 
-    // Warm the compile cache serially: each distinct program compiles
-    // exactly once instead of racing first-touch compiles on the pool.
-    std::set<std::tuple<std::string, int, bool>> keys;
-    for (const Cell &c : _cells)
-        if (!c.benchmark.empty() &&
-            keys.emplace(c.benchmark, c.scale, c.affinity).second)
-            compiledBenchmark(c.benchmark, c.scale, c.affinity);
-
     std::optional<campaign::CellJournal> journal;
     if (!_opts.checkpointPath.empty()) {
         const std::uint64_t identity = journalIdentity();
         journal.emplace(_opts.checkpointPath, kJournalMagic, identity,
-                        _cells.size());
+                        _runs.size());
         using State = campaign::CellJournal::State;
         const State st = _opts.resume ? journal->restore() : State::Fresh;
         if (st == State::NotAJournal)
@@ -377,7 +401,7 @@ Sweep::run()
                   _opts.checkpointPath, journal->foundIdentity(), identity);
         if (st == State::Resumed)
             inform("resume: %d of %d cells restored from '%s'%s",
-                   journal->restored(), _cells.size(),
+                   journal->restored(), _runs.size(),
                    _opts.checkpointPath,
                    journal->dropped()
                        ? csprintf(" (%d torn records re-run)",
@@ -389,9 +413,9 @@ Sweep::run()
         // The observed cell must actually execute to fill its
         // recorders; a journaled result can't reproduce the event
         // stream.
-        if (_obsIndex < _cells.size() && journal->has(_obsIndex))
+        if (_obsIndex < _runs.size() && journal->has(_obsIndex))
             inform("resume: re-running observed cell '%s' to record "
-                   "observability artifacts", _cells[_obsIndex].label);
+                   "observability artifacts", _obsLabel);
     }
 
     // Whole-campaign deadline: cells that have not *started* when the
@@ -405,7 +429,7 @@ Sweep::run()
                      _opts.deadlineMs));
 
     _results = parallelMap(
-        _opts.jobs, _cells.size(), [&](std::size_t i) {
+        _opts.jobs, _runs.size(), [&](std::size_t i) {
             if (journal && i != _obsIndex && journal->has(i))
                 return Outcome{journal->outcome(i)};
             if (g_sweepInterrupted) {
@@ -439,15 +463,15 @@ Sweep::run()
 const sim::RunResult &
 Sweep::operator[](std::size_t i) const
 {
-    hscd_assert(_ran && i < _results.size(), "sweep cell %d not run", i);
-    return _results[i].result;
+    hscd_assert(_ran && i < _cells.size(), "sweep cell %d not run", i);
+    return _results[_cells[i].run].result;
 }
 
 const std::string &
 Sweep::error(std::size_t i) const
 {
-    hscd_assert(_ran && i < _results.size(), "sweep cell %d not run", i);
-    return _results[i].error;
+    hscd_assert(_ran && i < _cells.size(), "sweep cell %d not run", i);
+    return _results[_cells[i].run].error;
 }
 
 void
@@ -476,28 +500,30 @@ Sweep::finish(std::ostream &os, const Gate &gate) const
     writeJson();
     writeObservability(os);
     // Deliberately the only --jobs-dependent output line.
-    os << csprintf("[sweep %s] %d cells, jobs=%d, %.0f ms\n",
+    os << csprintf("[sweep %s] %d cells%s, jobs=%d, %.0f ms\n",
                    _experiment, _cells.size(),
+                   _runs.size() < _cells.size()
+                       ? csprintf(" (%d distinct)", _runs.size())
+                       : std::string(),
                    _opts.jobs ? _opts.jobs : hardwareJobs(), _wallMs);
     // Every exit below comes after the artifacts are on disk. A
     // structured abort outranks the rest: skipped cells hold no results.
     exitIfAborted();
     bool harnessError = false;
-    for (std::size_t i = 0; i < _results.size(); ++i) {
-        if (!_results[i].error.empty()) {
-            warn("%s: harness error: %s", _cells[i].label,
-                 _results[i].error);
+    for (std::size_t i = 0; i < _cells.size(); ++i) {
+        if (!error(i).empty()) {
+            warn("%s: harness error: %s", cellName(i), error(i));
             harnessError = true;
         }
     }
     if (harnessError)
         std::exit(verify::ExitInternal);
     int code = verify::ExitSuccess;
-    for (std::size_t i = 0; i < _results.size(); ++i) {
-        const CellVerdict v = gate ? gate(i) : soundness(_results[i].result);
+    for (std::size_t i = 0; i < _cells.size(); ++i) {
+        const CellVerdict v = gate ? gate(i) : soundness((*this)[i]);
         if (v.code == verify::ExitSuccess)
             continue;
-        warn("%s: %s", _cells[i].label, v.why);
+        warn("%s: %s", cellName(i), v.why);
         if (code == verify::ExitSuccess)
             code = v.code;
     }
@@ -508,19 +534,19 @@ Sweep::finish(std::ostream &os, const Gate &gate) const
 void
 Sweep::writeObservability(std::ostream &os) const
 {
-    if (_obsIndex >= _cells.size())
+    if (_obsIndex >= _runs.size())
         return;
-    const Cell &c = _cells[_obsIndex];
+    const MachineConfig &cfg = _runs[_obsIndex].cfg;
     if (_timeline) {
         std::ofstream f(_opts.traceOut);
         if (!f)
             fatal("cannot write timeline to '%s'", _opts.traceOut);
         _timeline->writePerfetto(f, provenance("hscd-timeline"),
-                                 c.cfg.procs, _experiment + "/" + c.label,
+                                 cfg.procs, _experiment + "/" + _obsLabel,
                                  timelineNaming());
         os << csprintf("[obs %s] timeline of '%s': %d events "
                        "(%d dropped) -> %s\n",
-                       _experiment, c.label, _timeline->events().size(),
+                       _experiment, _obsLabel, _timeline->events().size(),
                        _timeline->dropped(), _opts.traceOut);
     }
     if (_metrics) {
@@ -530,7 +556,7 @@ Sweep::writeObservability(std::ostream &os) const
         _metrics->writeJson(f, provenance("hscd-metrics"));
         os << csprintf("[obs %s] metrics of '%s': %d rows "
                        "(%d dropped) -> %s\n",
-                       _experiment, c.label, _metrics->size(),
+                       _experiment, _obsLabel, _metrics->size(),
                        _metrics->dropped(), _opts.metricsOut);
     }
 }
@@ -548,25 +574,50 @@ Sweep::writeJson() const
     f << "{\n  \"provenance\": " << provenance("hscd-sweep").json(2)
       << ",\n";
     f << "  \"experiment\": \"" << jsonEscape(_experiment) << "\",\n";
-    f << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < _cells.size(); ++i) {
-        const Cell &c = _cells[i];
-        const sim::RunResult &r = _results[i].result;
-        f << "    {\n";
-        f << "      \"label\": \"" << jsonEscape(c.label) << "\",\n";
-        if (!c.benchmark.empty()) {
-            f << "      \"benchmark\": \"" << jsonEscape(c.benchmark)
-              << "\",\n";
-            f << "      \"scheme\": \"" << jsonEscape(c.scheme)
-              << "\",\n";
-            f << "      \"scale\": " << c.scale << ",\n";
-            f << "      \"affinity\": " << (c.affinity ? "true" : "false")
-              << ",\n";
-        }
-        campaign::writeResultCellJson(f, r, _results[i].error);
-        f << "\n    }" << (i + 1 < _cells.size() ? "," : "") << "\n";
+    if (_groups.empty()) {
+        f << "  \"cells\": ";
+        writeCells(f, 0, _cells.size());
+        f << "\n}\n";
+        return;
+    }
+    f << "  \"experiments\": [\n";
+    for (std::size_t g = 0; g < _groups.size(); ++g) {
+        const std::size_t end =
+            g + 1 < _groups.size() ? _groups[g + 1].first : _cells.size();
+        f << "  {\n  \"id\": \"" << jsonEscape(_groups[g].id)
+          << "\",\n  \"cells\": ";
+        writeCells(f, _groups[g].first, end);
+        if (!_groups[g].json.empty())
+            f << ",\n  " << _groups[g].json;
+        f << "\n  }" << (g + 1 < _groups.size() ? "," : "") << "\n";
     }
     f << "  ]\n}\n";
+}
+
+void
+Sweep::writeCells(std::ostream &f, std::size_t begin, std::size_t end) const
+{
+    f << "[\n";
+    for (std::size_t i = begin; i < end; ++i) {
+        const Run &run = _runs[_cells[i].run];
+        f << "    {\n";
+        f << "      \"label\": \"" << jsonEscape(_cells[i].label)
+          << "\",\n";
+        if (!run.benchmark.empty())
+            f << "      \"benchmark\": \"" << jsonEscape(run.benchmark)
+              << "\",\n";
+        if (run.program)
+            f << "      \"scheme\": \"" << schemeName(run.cfg.scheme)
+              << "\",\n";
+        if (!run.benchmark.empty()) {
+            f << "      \"scale\": " << run.scale << ",\n";
+            f << "      \"affinity\": "
+              << (run.affinity ? "true" : "false") << ",\n";
+        }
+        campaign::writeResultCellJson(f, (*this)[i], error(i));
+        f << "\n    }" << (i + 1 < end ? "," : "") << "\n";
+    }
+    f << "  ]";
 }
 
 } // namespace bench

@@ -1,8 +1,9 @@
 /**
  * @file
- * Parallel sweep engine for the experiment binaries.
+ * Parallel sweep engine for the paper campaign (hscd_paper) and
+ * simbench.
  *
- * Every figure/table binary is a (scheme x workload x config) sweep of
+ * Every figure/table is a (scheme x workload x config) sweep of
  * independent simulations. The engine runs those cells on a thread pool
  * and aggregates the results in **submission order**, so the printed
  * tables and the JSON results file are bit-identical at any --jobs
@@ -10,7 +11,7 @@
  * behavior exactly). Determinism is enforced forever by
  * tests/test_sweep_determinism.cc and tests/test_fault_determinism.cc.
  *
- * Resilience (PR 4): cells are isolated from each other. A cell that
+ * Resilience: cells are isolated from each other. A cell that
  * throws becomes a structured "error" field in the JSON instead of
  * killing the sweep; `--timeout-ms` bounds each cell's wall clock;
  * `--checkpoint PATH` journals every completed cell so an interrupted
@@ -19,14 +20,20 @@
  * plan through every cell (each cell gets an independent per-cell seed
  * derived from the campaign seed, see fault::planForCell).
  *
- * Typical binary structure:
+ * Typical campaign structure (bench/paper.cc is the one in the tree):
  *
  *   SweepOptions opts = SweepOptions::parse(argc, argv);
- *   Sweep sweep(opts, "F11");
+ *   Sweep sweep(opts, "paper");
+ *   sweep.beginGroup("F11");             // optional: one experiment
  *   for (...) sweep.add(name, cfg);      // phase 1: enqueue cells
  *   sweep.run();                         // phase 2: simulate (parallel)
  *   ... sweep[i] ...                     // phase 3: render in add order
  *   sweep.finish(std::cout);             // JSON, wall-clock line, gate
+ *
+ * add() deduplicates: cells with the same program, scale, affinity and
+ * MachineConfig::key() (fault plan included) share one run, and every
+ * index of that run reads the same result. addCustom() cells always
+ * run on their own.
  *
  * A faulted or unsound cell never hides the campaign's results: the
  * table is rendered from whatever the cells did, finish() writes the
@@ -38,6 +45,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -54,7 +62,7 @@
 namespace hscd {
 namespace bench {
 
-/** Command-line options shared by every sweep binary. */
+/** Command-line options of every sweep. */
 struct SweepOptions
 {
     /** Worker threads; 0 means hardware concurrency, 1 means serial. */
@@ -83,15 +91,18 @@ struct SweepOptions
     std::string metricsOut = "metrics.json";
     /** Label substring picking the observed cell (default: cell 0). */
     std::string observeCell;
+    /** Experiments to run (hscd_paper row ids; empty means all). */
+    std::vector<std::string> only;
 
     /**
      * Parse `--jobs/-j N`, `--json PATH`, `--fault SPEC`,
      * `--timeout-ms N`, `--deadline-ms N`, `--checkpoint PATH`,
      * `--resume`, `--trace-out PATH`, `--metrics SPEC`,
-     * `--metrics-out PATH` and `--cell SUBSTR` (plus --help); exits
-     * with verify::ExitUsage on anything unrecognized so typos never
-     * silently change a sweep. Also installs the SIGINT/SIGTERM
-     * handlers that map a graceful interrupt onto verify::ExitAbort.
+     * `--metrics-out PATH`, `--cell SUBSTR` and `--only IDS` (plus
+     * --help); exits with verify::ExitUsage on anything unrecognized so
+     * typos never silently change a sweep. Also installs the
+     * SIGINT/SIGTERM handlers that map a graceful interrupt onto
+     * verify::ExitAbort.
      */
     static SweepOptions parse(int argc, char **argv);
 };
@@ -102,18 +113,35 @@ class Sweep
     Sweep(SweepOptions opts, std::string experiment);
 
     /**
-     * Enqueue one runBenchmark() cell; returns its index. The label
-     * (default "benchmark/scheme") only feeds the JSON output. When the
-     * options carry a fault plan, the cell's config gets the derived
-     * per-cell plan before it is captured.
+     * Start a group: the cells added from here on form experiment
+     * @p id. Their fault plans derive from the cell's index within the
+     * group, --json lists each group as an entry of "experiments", and
+     * finish() names a failing cell "id/label". Returns the group's
+     * index for setGroupJson().
+     */
+    std::size_t beginGroup(std::string id);
+
+    /** Extra JSON members (`"key": value, ...`) for group @p g's entry. */
+    void setGroupJson(std::size_t g, std::string members);
+
+    /**
+     * Enqueue one runBenchmark() cell, compiling the benchmark through
+     * the compile cache if it is new; returns its index. The label
+     * (default "benchmark/scheme") names the cell in the JSON and in
+     * warnings. When the options carry a fault plan, the cell's config
+     * gets the derived per-cell plan before it is captured. A cell equal
+     * to an earlier one (see the file comment) shares its run.
      */
     std::size_t add(const std::string &benchmark, const MachineConfig &cfg,
                     int scale = 2, bool affinity = true);
     std::size_t add(std::string label, const std::string &benchmark,
                     const MachineConfig &cfg, int scale = 2,
                     bool affinity = true);
+    /** The same for a program compiled by the caller. */
+    std::size_t add(std::string label, CompiledProgramPtr program,
+                    const MachineConfig &cfg);
 
-    /** Enqueue an arbitrary simulation cell (custom program, etc.). */
+    /** Enqueue an arbitrary simulation cell; it is never shared. */
     std::size_t addCustom(std::string label,
                           std::function<sim::RunResult()> runCell);
 
@@ -126,6 +154,9 @@ class Sweep
     void run();
 
     std::size_t size() const { return _cells.size(); }
+
+    /** Distinct runs behind the cells (size() less the shared ones). */
+    std::size_t runs() const { return _runs.size(); }
 
     /**
      * Result of cell @p i (run() must have completed). For an errored
@@ -156,19 +187,31 @@ class Sweep
     obs::Provenance provenance(const std::string &schema) const;
 
   private:
-    struct Cell
+    /** One distinct simulation; cells that are equal share it. */
+    struct Run
     {
-        std::string label;
-        std::string benchmark; ///< empty for custom cells
-        std::string scheme;    ///< empty for custom cells
+        std::string benchmark; ///< empty for program and custom runs
         int scale = 0;
         bool affinity = true;
-        MachineConfig cfg;     ///< meaningful only when hasCfg
-        bool hasCfg = false;
+        CompiledProgramPtr program; ///< null for custom runs
+        MachineConfig cfg;          ///< meaningful only with a program
         std::function<sim::RunResult()> runCell;
     };
 
-    /** Per-cell outcome: a result, or a harness error explaining why. */
+    struct Cell
+    {
+        std::string label;
+        std::size_t run;
+    };
+
+    struct Group
+    {
+        std::string id;
+        std::size_t first; ///< its first cell
+        std::string json;  ///< extra members of its JSON entry
+    };
+
+    /** Per-run outcome: a result, or a harness error explaining why. */
     struct Outcome : campaign::CellOutcome
     {
         /**
@@ -180,11 +223,16 @@ class Sweep
         bool transient = false;
     };
 
-    Outcome runGuarded(std::size_t i) const;
+    std::size_t addRun(std::string label, Run run, const MachineConfig &cfg);
+    /** Cell @p i's name in warnings: its label, after its group's id. */
+    std::string cellName(std::size_t i) const;
+    Outcome runGuarded(std::size_t run) const;
     std::uint64_t journalIdentity() const;
     /** Exit verify::ExitAbort if any cell was skipped (signal/deadline). */
     void exitIfAborted() const;
     void writeJson() const;
+    void writeCells(std::ostream &f, std::size_t begin,
+                    std::size_t end) const;
     /** Attach recorders to the observed cell (run() prologue). */
     void setupObservers();
     /** Write --trace-out / metrics artifacts (finish() epilogue). */
@@ -193,11 +241,15 @@ class Sweep
     SweepOptions _opts;
     std::string _experiment;
     std::vector<Cell> _cells;
-    std::vector<Outcome> _results;
+    std::vector<Run> _runs;
+    std::map<std::string, std::size_t> _runByKey; ///< shareable runs
+    std::vector<Group> _groups;
+    std::vector<Outcome> _results; ///< per run
     /** Recorders for the observed cell (null when not requested). */
     std::unique_ptr<obs::Timeline> _timeline;
     std::unique_ptr<obs::MetricsRecorder> _metrics;
-    std::size_t _obsIndex = static_cast<std::size_t>(-1);
+    std::size_t _obsIndex = static_cast<std::size_t>(-1); ///< a run
+    std::string _obsLabel; ///< the observed cell's label
     double _wallMs = 0;
     bool _ran = false;
 };

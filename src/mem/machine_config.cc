@@ -198,4 +198,32 @@ MachineConfig::str() const
         timetagBits, schedName(sched));
 }
 
+// A field added to MachineConfig changes its size: add it to key() too,
+// or two configs that differ only in it would share one sweep run.
+static_assert(sizeof(MachineConfig) == 240,
+              "MachineConfig changed: update MachineConfig::key()");
+static_assert(sizeof(fault::FaultPlan) == 24,
+              "FaultPlan changed: update MachineConfig::key()");
+
+std::string
+MachineConfig::key() const
+{
+    std::string k;
+    auto put = [&k](const auto &... fields) {
+        (k.append(reinterpret_cast<const char *>(&fields), sizeof(fields)),
+         ...);
+    };
+    put(procs, cacheBytes, lineBytes, assoc, hitCycles, baseMissCycles,
+        wordTransferCycles, timetagBits, twoPhaseResetCycles, barrierCycles,
+        writeLatencyCycles, networkRadix, topology, maxNetworkLoad, scheme,
+        sched, dynamicChunk, lockCycles, directoryPtrs,
+        directoryOverflowCycles, dirtyMissExtraCycles, writeBufferAsCache,
+        writeBufferCacheWords, migrationRate, migrationSeed,
+        tpiPromoteOnHit, tpiUseDistance, flushAtCalls, callFlushCycles,
+        sequentialConsistency, shadowEpochCheck, fault.rate, fault.seed,
+        fault.sites, faultAckTimeoutCycles, faultMaxRetries,
+        watchdogStallOps);
+    return k;
+}
+
 } // namespace hscd

@@ -149,6 +149,13 @@ struct MachineConfig
     void validate() const;
 
     std::string str() const;
+
+    /**
+     * Every field's bytes, in declaration order: two configs simulate
+     * the same machine exactly when their keys are equal. The sweep
+     * engine runs each distinct (program, key) once.
+     */
+    std::string key() const;
 };
 
 /** Parse "base|sc|tpi|hw". */

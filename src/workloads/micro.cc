@@ -229,5 +229,66 @@ microFft(std::int64_t n, int rounds)
     return b.build();
 }
 
+hir::Program
+microSerialReuse()
+{
+    ProgramBuilder b;
+    b.array("BOOK", {256}); // serial bookkeeping state
+    b.array("FLD", {256});  // parallel field
+    b.proc("MAIN", [&] {
+        b.doserial("t", 0, 19, [&] {
+            b.doserial("k", 0, 255, [&] { b.write("BOOK", {b.v("k")}); });
+            b.doall("i", 0, 255, [&] {
+                b.read("FLD", {b.v("i")});
+                b.write("FLD", {b.v("i")});
+            });
+            b.doserial("k2", 0, 255, [&] { b.read("BOOK", {b.v("k2")}); });
+        });
+    });
+    return b.build();
+}
+
+hir::Program
+microCallSolver(std::int64_t n, int steps)
+{
+    ProgramBuilder b;
+    b.param("N", n);
+    b.array("U", {"N"});
+    b.array("V", {"N"});
+    b.array("HIST", {64});
+    b.proc("MAIN", [&] {
+        b.doserial("init", 0, n - 1, [&] { b.write("U", {b.v("init")}); });
+        b.doserial("t", 0, steps - 1, [&] {
+            b.doall("i", 1, n - 2, [&] {
+                b.call("STENCIL");
+                b.call("APPLY");
+            });
+            b.call("BOOKKEEP");
+        });
+    });
+    b.proc("STENCIL", [&] {
+        b.read("U", {b.v("i") - 1});
+        b.read("U", {b.v("i")});
+        b.read("U", {b.v("i") + 1});
+        b.compute(4);
+        b.write("V", {b.v("i")});
+    });
+    b.proc("APPLY", [&] {
+        b.read("V", {b.v("i")});
+        b.compute(2);
+    });
+    b.proc("BOOKKEEP", [&] {
+        b.doserial("h", 0, 63, [&] {
+            b.read("HIST", {b.v("h")});
+            b.write("HIST", {b.v("h")});
+        });
+        b.doall("j", 1, b.p("N") - 2, [&] {
+            b.read("V", {b.v("j")});
+            b.write("U", {b.v("j")});
+        });
+    });
+    return b.build();
+}
+
 } // namespace workloads
 } // namespace hscd

@@ -76,6 +76,19 @@ hir::Program microPipeline(std::int64_t n = 256, int rounds = 6);
 hir::Program microLu(std::int64_t n = 24);
 /** FFT-style perfect-shuffle stages over a double buffer. */
 hir::Program microFft(std::int64_t n = 256, int rounds = 6);
+/**
+ * Serial epochs with serial-to-serial reuse of a bookkeeping array only
+ * the serial task touches (S5): with the serial-affinity assumption
+ * those reads are unmarked, without it they become Time-Reads.
+ */
+hir::Program microSerialReuse();
+/**
+ * A call-structured solver (A3): each task calls a stencil and an apply
+ * procedure per iteration, with a serial bookkeeping procedure between
+ * epochs - the Fortran style the paper's interprocedural analysis
+ * targets.
+ */
+hir::Program microCallSolver(std::int64_t n = 512, int steps = 6);
 
 } // namespace workloads
 } // namespace hscd

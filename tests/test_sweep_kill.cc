@@ -1,7 +1,7 @@
 /**
  * @file
  * The kill -9 resume gate of the sweep engine, at process level. A real
- * sweep binary (bench_fig11_missrates: six workloads x five schemes) is
+ * campaign (hscd_paper --only F11: six workloads x five schemes) is
  * started with --checkpoint and SIGKILLed at seeded journal-record
  * thresholds: the first as soon as its journal appears, the last
  * several cells before the end. After each kill it is restarted with
@@ -212,7 +212,8 @@ killResumeGate(const std::string &name,
     fs::create_directories(dir, ec);
 
     auto command = [&](const std::string &stem, bool resume) {
-        std::vector<std::string> args = {HSCD_SWEEP_BIN, "--jobs", "1",
+        std::vector<std::string> args = {HSCD_SWEEP_BIN, "--only", "F11",
+                                         "--jobs", "1",
                                          "--checkpoint", stem + ".journal",
                                          "--json", stem + ".json"};
         args.insert(args.end(), extra.begin(), extra.end());

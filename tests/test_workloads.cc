@@ -127,6 +127,8 @@ TEST(Workloads, MicrokernelsCoherent)
     programs.push_back(microPipeline(64, 2));
     programs.push_back(microLu(12));
     programs.push_back(microFft(64, 2));
+    programs.push_back(microSerialReuse());
+    programs.push_back(microCallSolver(64, 2));
     for (hir::Program &p : programs) {
         compiler::CompiledProgram cp =
             compiler::compileProgram(std::move(p));
