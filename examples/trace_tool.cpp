@@ -57,9 +57,9 @@ doReplay(const std::string &path, const std::vector<std::string> &args)
     params.parseArgs(args);
     MachineConfig cfg = MachineConfig::fromParams(params);
     cfg.procs = trace.procs; // the trace fixes the processor count
-    cfg.validate();
 
-    sim::RunResult r = sim::replayTrace(trace.records, cfg, trace.dataBytes);
+    sim::Machine m(trace.records, trace.dataBytes, cfg);
+    sim::RunResult r = m.run();
     std::cout << csprintf(
         "replayed %d records on %s: reads=%d misses=%d (%.2f%%) "
         "conservative=%d false-share=%d traffic=%d words cycles=%d\n",

@@ -12,7 +12,8 @@
  *    until the pool is fully drained, including such children.
  *  - parallelMap(jobs, n, fn): evaluate fn(0..n-1) and return the
  *    results **in index order** regardless of completion order or
- *    thread count. With jobs == 1 the calls run inline on the caller,
+ *    thread count, on at most min(jobs, n) worker threads (one per
+ *    task at most). With jobs == 1 the calls run inline on the caller,
  *    reproducing serial behavior bit-for-bit (no threads are created).
  *    If any invocation throws, the exception from the **lowest index**
  *    is rethrown after all tasks finish - again matching what a serial
@@ -22,6 +23,7 @@
 #ifndef HSCD_COMMON_PARALLEL_HH
 #define HSCD_COMMON_PARALLEL_HH
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -103,7 +105,8 @@ parallelMap(unsigned jobs, std::size_t n, Fn &&fn)
 
     std::vector<std::exception_ptr> errors(n);
     {
-        ThreadPool pool(jobs);
+        ThreadPool pool(
+            static_cast<unsigned>(std::min<std::size_t>(jobs, n)));
         for (std::size_t i = 0; i < n; ++i) {
             pool.submit([&, i] {
                 try {

@@ -2,6 +2,7 @@
 
 #include "common/log.hh"
 #include "mem/memory.hh"
+#include "sim/machine.hh"
 
 namespace hscd {
 namespace mc {
@@ -221,12 +222,11 @@ CheckReport
 crossCheck(const McConfig &cfg, const std::vector<Action> &path)
 {
     EmittedRun run = emitRun(cfg, path);
-    MachineConfig mcfg = machineConfigFor(cfg);
-
     ComparingSink sink(run);
-    sim::RunResult res =
-        sim::replayTrace(run.records, mcfg, Addr(cfg.words) * 4, &sink,
-                         &run.script);
+    sim::Machine m(run.records, Addr(cfg.words) * 4, machineConfigFor(cfg));
+    m.setTraceSink(&sink);
+    m.scriptFaults(run.script);
+    const sim::RunResult res = m.run();
 
     CheckReport report;
     report.ok = sink.ok;

@@ -2,7 +2,7 @@
  * @file
  * Model-to-implementation bridge: turn an action path of the TPI model
  * into a concrete memory trace plus a scripted fault sequence, then
- * replay it through the real TpiScheme (sim::replayTrace) and compare
+ * run it on a sim::Machine with the real TpiScheme and compare
  * outcome streams — hit/miss, miss class, observed value stamp per
  * read, and the structured-abort verdict.
  *
@@ -66,7 +66,7 @@ struct CheckReport
     std::string detail;         ///< first divergence, human-readable
 };
 
-/** Replay @p path through the real TpiScheme and diff every outcome. */
+/** Run @p path on the real TpiScheme and diff every outcome. */
 CheckReport crossCheck(const McConfig &cfg,
                        const std::vector<Action> &path);
 

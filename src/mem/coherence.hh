@@ -97,8 +97,8 @@ struct TagEvent
 };
 
 /**
- * Receives events during an instrumented run (Machine::setTraceSink) or
- * a trace replay (sim::replayTrace). Declared here so the scheme can
+ * Receives events during an instrumented run of a program or a trace
+ * (Machine::setTraceSink). Declared here so the scheme can
  * report its own timetag decisions to the same sink. It is the
  * executor's only observer: the timeline and the metrics sampler are a
  * sink too (sim::RecorderSink).
@@ -136,8 +136,9 @@ class TraceSink
     virtual void onTag(const TagEvent &ev) { (void)ev; }
     /**
      * Processor @p p executed epoch @p epoch over [begin, end). A
-     * parallel epoch reports each processor that did work after its
-     * last onOutcome; a serial region reports the serial processor
+     * parallel epoch, and each epoch of a trace run, reports each
+     * processor that did work after its last onOutcome; a serial region
+     * reports the serial processor
      * before the onBoundary that closes it, or at the end of the run.
      * Default no-op.
      */

@@ -8,8 +8,9 @@
  * obs/metrics.hh. RunResult's members, SchemeStats' members,
  * RunResult::fingerprint(), the journal codec
  * (campaign::encodeResult / decodeResult), the per-cell JSON
- * (campaign::writeResultCellJson) and sim::harvest's copy out of the
- * scheme all expand from them, so adding a counter is one line here.
+ * (campaign::writeResultCellJson) and the executor's copy out of the
+ * scheme (sim/machine.cc) all expand from them, so adding a counter is
+ * one line here.
  *
  * Order is part of the contract: fingerprints, journal records and the
  * cell JSON follow it, and all three are compared byte for byte against

@@ -179,8 +179,8 @@ MachineConfig::validate() const
     if (writeBufferAsCache && writeBufferCacheWords == 0)
         fatal("a write buffer organized as a cache needs at least one "
               "word");
-    if (timetagBits < 2 || timetagBits > 32)
-        fatal("timetag_bits must be in [2, 32], got %d", timetagBits);
+    if (timetagBits < 1 || timetagBits > 32)
+        fatal("timetag_bits must be in [1, 32], got %d", timetagBits);
     if (migrationRate < 0.0 || migrationRate > 1.0)
         fatal("migration_rate must be in [0, 1]");
     if (fault.rate < 0.0 || fault.rate > 1.0)

@@ -81,7 +81,12 @@ RunResult::fingerprint() const
     return h;
 }
 
-void
+/**
+ * Fill @p r's scheme, traffic and (when @p inj is non-null) fault
+ * counters from the end state of a run; every other field is the
+ * executor's.
+ */
+static void
 harvest(RunResult &r, const mem::CoherenceScheme &scheme,
         const net::Network &network, const fault::FaultInjector *inj)
 {
@@ -125,14 +130,15 @@ RunResult::summary() const
  * processors of each parallel epoch in global time order. One path
  * serves every schedule: mergeEpoch places DOALL iterations by one rule
  * (initialShare, then refill for Dynamic), templated on the concrete
- * coherence scheme so the per-reference access call is direct.
+ * coherence scheme so the per-reference access call is direct. A trace
+ * run (runTrace) issues its records in record order through the same
+ * per-reference path and the same boundaries.
  */
 class Executor
 {
   public:
     explicit Executor(Machine &m)
-        : _m(m), _cfg(m._cfg), _prog(m._cp.program),
-          _marking(m._cp.marking), _scheme(*m._scheme),
+        : _m(m), _cfg(m._cfg), _scheme(*m._scheme),
           _trace(m._trace),
           _procTime(m._cfg.procs, 0),
           _busy(m._cfg.procs, 0),
@@ -140,14 +146,18 @@ class Executor
           _inCritical(m._cfg.procs, 0),
           _rng(m._cfg.migrationSeed)
     {
+        _ready.reserve(_cfg.procs);
         if (_cfg.shadowEpochCheck) {
             _shadowWriterProc = ZeroedArray<ProcId>(m._memory.words());
             _shadowWriterEpoch = ZeroedArray<EpochId>(m._memory.words());
         }
-        _facts.resize(_prog.refCount());
-        for (hir::RefId id = 0; id < _prog.refCount(); ++id) {
-            const hir::ArrayRefStmt &stmt = *_prog.refInfo(id).stmt;
-            const compiler::Mark &mark = _marking.mark(id);
+        if (!m._cp)
+            return; // a trace run: its records carry their own facts
+        const hir::Program &prog = m._cp->program;
+        _facts.resize(prog.refCount());
+        for (hir::RefId id = 0; id < prog.refCount(); ++id) {
+            const hir::ArrayRefStmt &stmt = *prog.refInfo(id).stmt;
+            const compiler::Mark &mark = m._cp->marking.mark(id);
             RefFacts &f = _facts[id];
             f.array = stmt.array;
             f.write = stmt.isWrite;
@@ -157,13 +167,14 @@ class Executor
                 f.distance = mark.distance;
             }
         }
-        _ready.reserve(_cfg.procs);
     }
 
     RunResult
     run()
     {
         try {
+            if (_m._records)
+                return runTrace(*_m._records);
             return dispatchByScheme();
         } catch (fault::RunAbort &ab) {
             // Structured termination: counters are harvested up to the
@@ -185,7 +196,7 @@ class Executor
     dispatchByScheme()
     {
         const std::shared_ptr<const StreamProgram> sp =
-            epochStream(_m._cp, _cfg);
+            epochStream(*_m._cp, _cfg);
         switch (_cfg.scheme) {
           case SchemeKind::Base:
             return runProgram(static_cast<mem::BaseScheme &>(_scheme), *sp);
@@ -253,6 +264,30 @@ class Executor
                 break;
             }
         }
+        finish();
+        return _res;
+    }
+
+    /**
+     * Issue @p records in record order. Each access runs on its own
+     * processor as task -1, through the scheme's virtual access call;
+     * each epoch closes like a parallel one, with a span per processor.
+     */
+    RunResult
+    runTrace(const std::vector<TraceRecord> &records)
+    {
+        for (const TraceRecord &r : records) {
+            if (r.type == TraceRecord::Type::Boundary) {
+                closeEpoch();
+                boundary();
+                continue;
+            }
+            MemOp mop = r.op;
+            issue(_scheme, mop,
+                  checkLegality(mop.addr, -1, mop.write, mop.critical),
+                  hir::invalidRef);
+        }
+        closeEpoch();
         finish();
         return _res;
     }
@@ -473,6 +508,7 @@ class Executor
         return rec;
     }
 
+    /** One reference of the program: its MemOp from the facts. */
     template <class Scheme>
     void
     issueRef(Scheme &scheme, ProcId proc, const StreamOp &op,
@@ -494,17 +530,32 @@ class Executor
         // same word later in the epoch; TPI must not vouch for such
         // writes beyond EC - 1.
         mop.critical = _inCritical[proc] != 0 || _syncEpoch;
+        if (!f.write) {
+            mop.mark = f.mark;
+            mop.distance = f.distance;
+        }
+        issue(scheme, mop, rec, op.ref);
+    }
+
+    /**
+     * Issue @p mop at its processor's clock: stamp a write, access the
+     * scheme, and check a read against the value-stamp oracle and the
+     * shadow-epoch detector. @p rec is the word's record.
+     */
+    template <class Scheme>
+    void
+    issue(Scheme &scheme, MemOp &mop, AccessRec &rec, hir::RefId ref)
+    {
+        const ProcId proc = mop.proc;
+        const Addr addr = mop.addr;
         mop.now = _procTime[proc];
-        if (f.write) {
+        if (mop.write) {
             mop.stamp = ++_stampCounter;
             rec.stamp = mop.stamp;
             if (_cfg.shadowEpochCheck) {
                 _shadowWriterProc[addr / 4] = proc;
                 _shadowWriterEpoch[addr / 4] = _epoch;
             }
-        } else {
-            mop.mark = f.mark;
-            mop.distance = f.distance;
         }
 
         if (_trace)
@@ -514,14 +565,13 @@ class Executor
         if (_trace)
             _trace->onOutcome(mop, res, _epoch);
 
-        if (!f.write) {
+        if (!mop.write) {
             const ValueStamp expected = rec.stamp;
             if (res.observed != expected) {
                 ++_res.oracleViolations;
                 if (_res.firstViolations.size() < 8) {
                     _res.firstViolations.push_back(OracleViolation{
-                        addr, op.ref, res.observed, expected, _epoch,
-                        proc});
+                        addr, ref, res.observed, expected, _epoch, proc});
                 }
             }
             // Shadow-epoch race detector: a genuine cache hit must
@@ -534,7 +584,7 @@ class Executor
                 ++_res.shadowViolations;
                 if (_res.firstShadowViolations.size() < 8) {
                     _res.firstShadowViolations.push_back(ShadowViolation{
-                        addr, op.ref, proc, _epoch,
+                        addr, ref, proc, _epoch,
                         _shadowWriterProc[addr / 4],
                         _shadowWriterEpoch[addr / 4]});
                 }
@@ -698,7 +748,6 @@ class Executor
         _syncEpoch = hasSync;
 
         const unsigned P = _cfg.procs;
-        const Cycles epoch_start = _procTime[0]; // all equal post-barrier
 
         EpochSync sync;
         sync.iterations = n;
@@ -770,16 +819,23 @@ class Executor
                         sync.lockWaiters.empty(),
                     "deadlocked critical section at epoch end");
         _syncEpoch = false;
+        closeEpoch();
+    }
 
+    /** Account and report the parallel epoch begun at _epochStartT. */
+    void
+    closeEpoch()
+    {
+        const Cycles epoch_start = _epochStartT;
         Cycles wall = 0;
-        for (unsigned p = 0; p < P; ++p) {
+        for (ProcId p = 0; p < _cfg.procs; ++p) {
             _busy[p] += _procTime[p] - epoch_start;
             wall = std::max(wall, _procTime[p] - epoch_start);
         }
         _parallelWall += wall;
 
         if (_trace) {
-            for (unsigned p = 0; p < P; ++p)
+            for (ProcId p = 0; p < _cfg.procs; ++p)
                 if (_procTime[p] > epoch_start)
                     _trace->onSpan(p, _epoch, epoch_start, _procTime[p]);
         }
@@ -788,8 +844,6 @@ class Executor
 
     Machine &_m;
     const MachineConfig &_cfg;
-    const hir::Program &_prog;
-    const compiler::Marking &_marking;
     mem::CoherenceScheme &_scheme;
     /** The run's observer (null = each hook is one null check). */
     TraceSink *const _trace;
@@ -840,18 +894,61 @@ validated(MachineConfig cfg)
 
 // The config is validated before any member is built from it: the
 // network, caches and line histories divide and shift by its fields.
-Machine::Machine(const compiler::CompiledProgram &cp, MachineConfig cfg)
-    : _cp(cp), _cfg(validated(std::move(cfg))),
-      _memory(cp.program.dataBytes()),
+Machine::Machine(Addr dataBytes, MachineConfig cfg)
+    : _cfg(validated(std::move(cfg))), _memory(dataBytes),
       _network(_cfg.procs, _cfg.networkRadix, _cfg.maxNetworkLoad,
                _cfg.topology),
       _scheme(mem::makeScheme(_cfg, _memory, _network))
 {
-    if (_cfg.fault.enabled()) {
-        _faultInjector = std::make_unique<fault::FaultInjector>(_cfg.fault);
-        _network.setFaultInjector(_faultInjector.get());
-        _scheme->setFaultInjector(_faultInjector.get());
+    if (_cfg.fault.enabled())
+        attachFaultInjector();
+}
+
+Machine::Machine(const compiler::CompiledProgram &cp, MachineConfig cfg)
+    : Machine(cp.program.dataBytes(), std::move(cfg))
+{
+    _cp = &cp;
+}
+
+Machine::Machine(const std::vector<TraceRecord> &records, Addr dataBytes,
+                 MachineConfig cfg)
+    : Machine(dataBytes, std::move(cfg))
+{
+    // The executor indexes clocks by processor and records by word, and
+    // numbers epochs itself.
+    EpochId epoch = 0;
+    for (const TraceRecord &r : records) {
+        if (r.type == TraceRecord::Type::Boundary) {
+            if (r.epoch != ++epoch)
+                fatal("trace boundary to epoch %d after epoch %d", r.epoch,
+                      epoch - 1);
+        } else if (r.op.proc >= _cfg.procs) {
+            fatal("trace access on processor %d; the machine has %d",
+                  r.op.proc, _cfg.procs);
+        } else if (r.op.addr / hir::wordBytes >= _memory.words()) {
+            fatal("trace access to address %d past the %d data bytes",
+                  r.op.addr, dataBytes);
+        }
     }
+    _records = &records;
+}
+
+void
+Machine::attachFaultInjector()
+{
+    _faultInjector = std::make_unique<fault::FaultInjector>(_cfg.fault);
+    _network.setFaultInjector(_faultInjector.get());
+    _scheme->setFaultInjector(_faultInjector.get());
+}
+
+void
+Machine::scriptFaults(const std::vector<fault::ScriptedFault> &script)
+{
+    if (script.empty())
+        return;
+    if (!_faultInjector)
+        attachFaultInjector();
+    _faultInjector->script(script);
 }
 
 Machine::~Machine() = default;

@@ -1,14 +1,16 @@
 /**
  * @file
  * The simulated multiprocessor: processors, caches, coherence scheme,
- * interconnect, memory, and the execution-driven engine that runs a
- * compiled program on them in global time order.
+ * interconnect, memory, and the one engine that drives them: it runs a
+ * compiled program in global time order, or a recorded trace in record
+ * order (sim/trace.hh).
  */
 
 #ifndef HSCD_SIM_MACHINE_HH
 #define HSCD_SIM_MACHINE_HH
 
 #include <memory>
+#include <vector>
 
 #include "compiler/analysis.hh"
 #include "fault/injector.hh"
@@ -16,6 +18,7 @@
 #include "mem/memory.hh"
 #include "network/kruskal_snir.hh"
 #include "sim/result.hh"
+#include "sim/trace.hh"
 
 namespace hscd {
 
@@ -44,6 +47,17 @@ class Machine
   public:
     /** @p cp must outlive the machine. */
     Machine(const compiler::CompiledProgram &cp, MachineConfig cfg);
+
+    /**
+     * Run @p records (which must outlive the machine) in record order
+     * over @p dataBytes of memory: each access on its processor through
+     * the serial master's per-reference path (oracle, shadow check,
+     * every TraceSink hook; writes stamped 1, 2, 3...), with no DOALL
+     * legality rule. FatalError on an access past the processors or the
+     * memory, or a boundary that does not name the next epoch.
+     */
+    Machine(const std::vector<TraceRecord> &records, Addr dataBytes,
+            MachineConfig cfg);
     ~Machine();
 
     Machine(const Machine &) = delete;
@@ -63,13 +77,18 @@ class Machine
         _scheme->setTraceSink(sink);
     }
 
-    /** Execute the whole program; callable once. */
+    /** Before run(): add @p script's firings to the fault injector,
+     *  attaching one if the plan did not (an empty script does not). */
+    void scriptFaults(const std::vector<fault::ScriptedFault> &script);
+
+    /** Execute the whole program or trace; callable once. */
     RunResult run();
 
     const MachineConfig &config() const { return _cfg; }
     const mem::CoherenceScheme &scheme() const { return *_scheme; }
     const net::Network &network() const { return _network; }
-    /** Non-null iff the config's fault plan is enabled. */
+    /** Non-null iff the config's fault plan is enabled or faults were
+     *  scripted. */
     const fault::FaultInjector *faultInjector() const
     {
         return _faultInjector.get();
@@ -78,7 +97,12 @@ class Machine
   private:
     friend class Executor;
 
-    const compiler::CompiledProgram &_cp;
+    Machine(Addr dataBytes, MachineConfig cfg);
+    void attachFaultInjector();
+
+    /** What run() executes: exactly one of the two is set. */
+    const compiler::CompiledProgram *_cp = nullptr;
+    const std::vector<TraceRecord> *_records = nullptr;
     MachineConfig _cfg;
     mem::MainMemory _memory;
     net::Network _network;

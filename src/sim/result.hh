@@ -102,15 +102,6 @@ struct RunResult
 };
 
 /**
- * Fill @p r from the end state of one run: the schema's SCHEME counters,
- * the read miss rate, the mean miss latency, network traffic and, when
- * @p inj is non-null, the fault counters. The executor and trace replay
- * both end with it; every other field stays the caller's.
- */
-void harvest(RunResult &r, const mem::CoherenceScheme &scheme,
-             const net::Network &network, const fault::FaultInjector *inj);
-
-/**
  * Copy each scheme counter into the same-named member of @p row (a
  * RunResult or an obs::MetricSample); counters @p row has no member
  * for are skipped.

@@ -1,18 +1,12 @@
 #include "sim/trace.hh"
 
-#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <string>
 
-#include <memory>
-
 #include "common/log.hh"
-#include "fault/abort.hh"
 #include "hir/program.hh"
-#include "mem/memory.hh"
-#include "network/kruskal_snir.hh"
 
 namespace hscd {
 namespace sim {
@@ -164,69 +158,6 @@ readTrace(std::istream &is)
         }
         out.records.push_back(r);
     }
-    return out;
-}
-
-RunResult
-replayTrace(const std::vector<TraceRecord> &records,
-            const MachineConfig &cfg, Addr data_bytes, TraceSink *sink,
-            const std::vector<fault::ScriptedFault> *script)
-{
-    mem::MainMemory memory(data_bytes);
-    net::Network network(cfg.procs, cfg.networkRadix, cfg.maxNetworkLoad,
-                         cfg.topology);
-    auto scheme = mem::makeScheme(cfg, memory, network);
-    scheme->setTraceSink(sink);
-
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (cfg.fault.enabled() || (script && !script->empty())) {
-        injector = std::make_unique<fault::FaultInjector>(cfg.fault);
-        if (script)
-            injector->script(*script);
-        network.setFaultInjector(injector.get());
-        scheme->setFaultInjector(injector.get());
-    }
-
-    RunResult out;
-    std::vector<Cycles> clock(cfg.procs, 0);
-    EpochId epoch = 0;
-    try {
-        for (const TraceRecord &r : records) {
-            if (r.type == TraceRecord::Type::Boundary) {
-                Cycles t = 0;
-                for (ProcId p = 0; p < cfg.procs; ++p) {
-                    t = std::max(t, clock[p]);
-                    t = std::max(t, scheme->writeDrainTime(p));
-                }
-                t += cfg.barrierCycles;
-                if (sink)
-                    sink->onBoundary(r.epoch);
-                t += scheme->epochBoundary(r.epoch);
-                epoch = r.epoch;
-                std::fill(clock.begin(), clock.end(), t);
-                network.endWindow(t);
-                ++out.epochs;
-                continue;
-            }
-            mem::MemOp op = r.op;
-            hscd_assert(op.proc < cfg.procs,
-                        "trace targets processor %d beyond the machine",
-                        op.proc);
-            op.now = clock[op.proc];
-            if (sink)
-                sink->onAccess(op);
-            mem::AccessResult res = scheme->access(op);
-            if (sink)
-                sink->onOutcome(op, res, epoch);
-            clock[op.proc] += res.stall;
-        }
-    } catch (const fault::RunAbort &abort) {
-        out.abort = abort.info;
-    }
-
-    harvest(out, *scheme, network, injector.get());
-    for (Cycles c : clock)
-        out.cycles = std::max(out.cycles, c);
     return out;
 }
 

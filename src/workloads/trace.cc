@@ -1,4 +1,4 @@
-/** @file External memory-trace parsing and replay. */
+/** @file External memory-trace parsing and trace runs. */
 
 #include "workloads/trace.hh"
 
@@ -9,6 +9,7 @@
 #include "common/log.hh"
 #include "common/strutil.hh"
 #include "hir/program.hh"
+#include "sim/machine.hh"
 
 namespace hscd {
 namespace workloads {
@@ -240,13 +241,10 @@ runTrace(const TraceWorkload &t, const MachineConfig &cfg_in,
          sim::TraceSink *sink)
 {
     MachineConfig cfg = cfg_in;
-    if (cfg.procs < t.procs)
-        cfg.procs = t.procs;
-    cfg.validate();
-    sim::RunResult out = sim::replayTrace(t.records, cfg, t.dataBytes, sink);
-    // A trace cell counts its epochs, not the boundaries between them.
-    out.epochs = t.epochs;
-    return out;
+    cfg.procs = std::max(cfg.procs, t.procs);
+    sim::Machine m(t.records, t.dataBytes, cfg);
+    m.setTraceSink(sink);
+    return m.run();
 }
 
 } // namespace workloads

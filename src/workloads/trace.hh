@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/result.hh"
 #include "sim/trace.hh"
 
 namespace hscd {
@@ -70,12 +71,12 @@ TraceWorkload loadTraceFile(const std::string &path);
 TraceWorkload loadTraceSpec(const std::string &spec);
 
 /**
- * Replay @p t under @p cfg's scheme and return sweep-compatible
- * counters. The machine is widened to the trace's processor count if
- * needed, then validated (fatal() if, say, HW cannot hold that many
+ * Run @p t on a sim::Machine under @p cfg's scheme and return
+ * sweep-compatible counters. The machine is widened to the trace's
+ * processor count if needed (fatal() if, say, HW cannot hold that many
  * processors); byte-identical output for the same (trace, cfg) at any
- * thread count. @p sink (optional) receives every record plus the
- * scheme's verdict, for hscd_inspect-style attribution.
+ * thread count. @p sink (optional) observes the run, as
+ * Machine::setTraceSink does, for hscd_inspect-style attribution.
  */
 sim::RunResult runTrace(const TraceWorkload &t, const MachineConfig &cfg,
                         sim::TraceSink *sink = nullptr);

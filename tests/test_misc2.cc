@@ -262,9 +262,17 @@ TEST(MachineConfig2, ValidationErrors)
     c = MachineConfig{};
     c.lineBytes = 24;
     EXPECT_THROW(c.validate(), FatalError);
-    c = MachineConfig{};
-    c.timetagBits = 1;
-    EXPECT_THROW(c.validate(), FatalError);
+    // Timetags are 1 to 32 bits wide (the model checker runs 1-bit TPI).
+    for (unsigned bits : {0u, 33u}) {
+        c = MachineConfig{};
+        c.timetagBits = bits;
+        EXPECT_THROW(c.validate(), FatalError) << bits << " bits";
+    }
+    for (unsigned bits : {1u, 32u}) {
+        c = MachineConfig{};
+        c.timetagBits = bits;
+        EXPECT_NO_THROW(c.validate()) << bits << " bits";
+    }
     c = MachineConfig{};
     c.migrationRate = 2.0;
     EXPECT_THROW(c.validate(), FatalError);

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -131,6 +132,27 @@ TEST(Parallel, MoreJobsThanTasks)
     std::vector<int> out =
         parallelMap(16, 3, [](std::size_t i) { return int(i) + 1; });
     EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Parallel, NoMoreThreadsThanTasks)
+{
+    // Two tasks get two workers, not the 64 asked for: the process's
+    // thread count, read while a task runs, stays far below 64.
+    const std::vector<std::size_t> threads =
+        parallelMap(64, 2, [](std::size_t) {
+            std::size_t n = 0;
+            for (const auto &e :
+                 std::filesystem::directory_iterator("/proc/self/task"))
+            {
+                (void)e;
+                ++n;
+            }
+            return n;
+        });
+    for (std::size_t n : threads) {
+        EXPECT_GT(n, 0u);
+        EXPECT_LT(n, 64u);
+    }
 }
 
 TEST(Parallel, ParallelForSideEffects)

@@ -210,7 +210,7 @@ TEST(TpiTagEvents, PredictEveryReadOnReplay)
     m.run();
 
     Predictor p(cfg);
-    const sim::RunResult r = sim::replayTrace(
-        buf.records(), cfg, cp.program.dataBytes(), &p);
-    expectPredicted(p, r, "ocean replay");
+    sim::Machine replay(buf.records(), cp.program.dataBytes(), cfg);
+    replay.setTraceSink(&p);
+    expectPredicted(p, replay.run(), "ocean replay");
 }

@@ -1,4 +1,4 @@
-/** @file Tests for trace capture, serialization, and replay. */
+/** @file Tests for trace capture, serialization, and trace runs. */
 
 #include <gtest/gtest.h>
 
@@ -38,6 +38,16 @@ capture(SchemeKind k)
     out.run = m.run();
     out.records = buf.take();
     return out;
+}
+
+/** Run @p records on a Machine; @p sink observes the run. */
+RunResult
+runRecords(const std::vector<TraceRecord> &records, Addr dataBytes,
+           const MachineConfig &cfg, TraceSink *sink = nullptr)
+{
+    Machine m(records, dataBytes, cfg);
+    m.setTraceSink(sink);
+    return m.run();
 }
 
 } // namespace
@@ -92,13 +102,14 @@ TEST(Trace, ReplayReproducesMissCounts)
          {SchemeKind::SC, SchemeKind::TPI, SchemeKind::HW})
     {
         Captured c = capture(k);
-        RunResult r = replayTrace(c.records, c.cfg, c.dataBytes);
+        RunResult r = runRecords(c.records, c.dataBytes, c.cfg);
 #define HSCD_EXPECT_SCHEME_FIELD(type, member, ...)                          \
         EXPECT_EQ(r.member, c.run.member) << schemeName(k) << " " #member;
         HSCD_RESULT_FIELDS(HSCD_COUNTER_SKIP, HSCD_EXPECT_SCHEME_FIELD)
 #undef HSCD_EXPECT_SCHEME_FIELD
         EXPECT_EQ(r.readMissRate, c.run.readMissRate) << schemeName(k);
         EXPECT_EQ(r.epochs, c.run.epochs) << schemeName(k);
+        EXPECT_EQ(r.oracleViolations, 0u) << schemeName(k);
     }
 }
 
@@ -109,19 +120,19 @@ TEST(Trace, CrossSchemeReplay)
     Captured c = capture(SchemeKind::TPI);
     MachineConfig hw = c.cfg;
     hw.scheme = SchemeKind::HW;
-    RunResult rh = replayTrace(c.records, hw, c.dataBytes);
+    RunResult rh = runRecords(c.records, c.dataBytes, hw);
     EXPECT_EQ(rh.reads, c.run.reads);
     EXPECT_GT(rh.readMisses, 0u);
 
     MachineConfig sc = c.cfg;
     sc.scheme = SchemeKind::SC;
-    RunResult rs = replayTrace(c.records, sc, c.dataBytes);
+    RunResult rs = runRecords(c.records, c.dataBytes, sc);
     EXPECT_GE(rs.readMisses, c.run.readMisses)
         << "SC cannot beat TPI on the same marked trace";
 
     MachineConfig vc = c.cfg;
     vc.scheme = SchemeKind::VC;
-    RunResult rv = replayTrace(c.records, vc, c.dataBytes);
+    RunResult rv = runRecords(c.records, c.dataBytes, vc);
     EXPECT_EQ(rv.reads, c.run.reads)
         << "traces carry the array ids the VC scheme needs";
 }
@@ -129,8 +140,10 @@ TEST(Trace, CrossSchemeReplay)
 TEST(Trace, RoundTripPropertyOverGenPrograms)
 {
     // Property: for random legal programs under every scheme, capture ->
-    // serialize -> parse -> replay behaves exactly like replaying the
-    // in-memory capture, and both reproduce the run's miss behaviour.
+    // serialize -> parse -> run behaves exactly like running the
+    // in-memory capture, both reproduce the run's miss behaviour, and a
+    // trace run re-emits the records it runs, value stamps included,
+    // with every read fresh.
     const SchemeKind schemes[] = {SchemeKind::Base, SchemeKind::SC,
                                   SchemeKind::TPI, SchemeKind::HW,
                                   SchemeKind::VC};
@@ -172,10 +185,28 @@ TEST(Trace, RoundTripPropertyOverGenPrograms)
             }
         }
 
-        // Replaying the parsed trace equals replaying the capture, and
-        // both reproduce the execution-driven run's miss counts.
-        RunResult ro = replayTrace(captured, cfg, parsed.dataBytes);
-        RunResult rp = replayTrace(parsed.records, cfg, parsed.dataBytes);
+        // Running the parsed trace equals running the capture, and both
+        // reproduce the execution-driven run's miss counts.
+        TraceBuffer again;
+        RunResult ro = runRecords(captured, parsed.dataBytes, cfg, &again);
+        RunResult rp = runRecords(parsed.records, parsed.dataBytes, cfg);
+        EXPECT_EQ(ro.oracleViolations, 0u) << "gen:" << seed;
+        EXPECT_EQ(rp.oracleViolations, 0u) << "gen:" << seed;
+        ASSERT_EQ(again.records().size(), captured.size()) << "gen:" << seed;
+        for (std::size_t i = 0; i < captured.size(); ++i) {
+            const TraceRecord &a = captured[i];
+            const TraceRecord &b = again.records()[i];
+            ASSERT_EQ(a.type, b.type) << "gen:" << seed << " record " << i;
+            ASSERT_EQ(a.op.proc, b.op.proc) << "gen:" << seed << " " << i;
+            ASSERT_EQ(a.op.addr, b.op.addr) << "gen:" << seed << " " << i;
+            ASSERT_EQ(a.op.arrayId, b.op.arrayId) << "gen:" << seed;
+            ASSERT_EQ(a.op.write, b.op.write) << "gen:" << seed << " " << i;
+            ASSERT_EQ(a.op.mark, b.op.mark) << "gen:" << seed << " " << i;
+            ASSERT_EQ(a.op.distance, b.op.distance) << "gen:" << seed;
+            ASSERT_EQ(a.op.stamp, b.op.stamp) << "gen:" << seed << " " << i;
+            ASSERT_EQ(a.op.critical, b.op.critical) << "gen:" << seed;
+            ASSERT_EQ(a.epoch, b.epoch) << "gen:" << seed << " " << i;
+        }
         EXPECT_EQ(ro.reads, rp.reads) << "gen:" << seed;
         EXPECT_EQ(ro.writes, rp.writes) << "gen:" << seed;
         EXPECT_EQ(ro.readMisses, rp.readMisses) << "gen:" << seed;
@@ -333,7 +364,7 @@ TEST(Trace, EmptyBodyIsFine)
     EXPECT_TRUE(p.records.empty());
     MachineConfig cfg;
     cfg.procs = 4;
-    RunResult r = replayTrace(p.records, cfg, p.dataBytes);
+    RunResult r = runRecords(p.records, p.dataBytes, cfg);
     EXPECT_EQ(r.reads, 0u);
     EXPECT_EQ(r.cycles, 0u);
 }
@@ -343,5 +374,16 @@ TEST(Trace, ReplayRejectsOutOfRangeProcessor)
     Captured c = capture(SchemeKind::TPI);
     MachineConfig tiny = c.cfg;
     tiny.procs = 1;
-    EXPECT_THROW(replayTrace(c.records, tiny, c.dataBytes), PanicError);
+    EXPECT_THROW(runRecords(c.records, c.dataBytes, tiny), FatalError);
+}
+
+TEST(Trace, MachineRejectsRecordsItCannotRun)
+{
+    // An access past the memory, and a boundary that skips an epoch.
+    Captured c = capture(SchemeKind::TPI);
+    EXPECT_THROW(runRecords(c.records, c.dataBytes / 2, c.cfg), FatalError);
+    std::vector<TraceRecord> skip(1);
+    skip[0].type = TraceRecord::Type::Boundary;
+    skip[0].epoch = 2;
+    EXPECT_THROW(runRecords(skip, c.dataBytes, c.cfg), FatalError);
 }

@@ -262,19 +262,35 @@ usageError(const FatalError &e)
 }
 
 /**
- * Run --workload in-process: a compiled benchmark on a Machine, or a
- * trace:<file> spec through workloads::runTrace. A config the machine
- * rejects or malformed trace input exits 2.
+ * Run the outcome stream's source on a Machine under --scheme: the
+ * --workload benchmark, compiled; a --workload trace:<file> spec through
+ * workloads::runTrace; or the --trace file on the machine its header
+ * describes. A config the machine rejects or malformed input exits 2.
  */
 Source
-runWorkload(const CliOptions &opt)
+runSource(const CliOptions &opt)
 {
     Source src;
     OutcomeLog log(src);
     MachineConfig cfg;
     cfg.scheme = opt.scheme;
     try {
-        if (workloads::isTraceSpec(opt.workload)) {
+        if (opt.workload.empty()) {
+            std::ifstream is(opt.tracePath);
+            if (!is) {
+                std::fprintf(stderr, "hscd_inspect: cannot read '%s'\n",
+                             opt.tracePath.c_str());
+                std::exit(verify::ExitInternal);
+            }
+            const sim::ParsedTrace t = sim::readTrace(is);
+            cfg.procs = t.procs;
+            sim::Machine m(t.records, t.dataBytes, cfg);
+            m.setTraceSink(&log);
+            src.run = m.run();
+            src.what = csprintf("trace %s (scheme %s, %d procs)",
+                                opt.tracePath, schemeName(cfg.scheme),
+                                cfg.procs);
+        } else if (workloads::isTraceSpec(opt.workload)) {
             const workloads::TraceWorkload t =
                 workloads::loadTraceSpec(opt.workload);
             cfg.procs = std::max(opt.procs, t.procs);
@@ -301,38 +317,6 @@ runWorkload(const CliOptions &opt)
     }
     src.lineBytes = cfg.lineBytes;
     src.scheme = cfg.scheme;
-    return src;
-}
-
-/**
- * Replay a recorded trace through the --scheme scheme on the machine its
- * header describes; malformed input or a rejected config exits 2.
- */
-Source
-loadTrace(const CliOptions &opt)
-{
-    std::ifstream is(opt.tracePath);
-    if (!is) {
-        std::fprintf(stderr, "hscd_inspect: cannot read '%s'\n",
-                     opt.tracePath.c_str());
-        std::exit(verify::ExitInternal);
-    }
-    Source src;
-    OutcomeLog log(src);
-    MachineConfig cfg;
-    cfg.scheme = opt.scheme;
-    try {
-        const sim::ParsedTrace t = sim::readTrace(is);
-        cfg.procs = t.procs;
-        cfg.validate();
-        src.run = sim::replayTrace(t.records, cfg, t.dataBytes, &log);
-    } catch (const FatalError &e) {
-        usageError(e);
-    }
-    src.lineBytes = cfg.lineBytes;
-    src.scheme = cfg.scheme;
-    src.what = csprintf("trace %s (scheme %s, %d procs)", opt.tracePath,
-                        schemeName(cfg.scheme), cfg.procs);
     return src;
 }
 
@@ -766,11 +750,7 @@ main(int argc, char **argv)
     // Build the outcome stream when any command needs one.
     const bool wantOutcomes =
         !opt.workload.empty() || !opt.tracePath.empty();
-    Source src;
-    if (!opt.workload.empty())
-        src = runWorkload(opt);
-    else if (!opt.tracePath.empty())
-        src = loadTrace(opt);
+    const Source src = wantOutcomes ? runSource(opt) : Source{};
 
     if (opt.command == "summary") {
         if (!opt.metricsPath.empty())
