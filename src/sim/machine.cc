@@ -133,6 +133,12 @@ RunResult::summary() const
  * coherence scheme so the per-reference access call is direct. A trace
  * run (runTrace) issues its records in record order through the same
  * per-reference path and the same boundaries.
+ *
+ * The per-reference helpers (issueRef, issue, checkLegality and the
+ * cursor's next/takeComputes) are forced inline into each
+ * mergeEpoch<Observed, Scheme>. Observed is chosen once per run: false
+ * when there is no trace sink and no shadow check, and then their
+ * per-reference branches fold away at compile time.
  */
 class Executor
 {
@@ -197,18 +203,22 @@ class Executor
     {
         const std::shared_ptr<const StreamProgram> sp =
             epochStream(*_m._cp, _cfg);
+        const bool observed = _trace || _cfg.shadowEpochCheck;
+        auto run = [&](auto &scheme) {
+            return observed ? runProgram<true>(scheme, *sp)
+                            : runProgram<false>(scheme, *sp);
+        };
         switch (_cfg.scheme) {
           case SchemeKind::Base:
-            return runProgram(static_cast<mem::BaseScheme &>(_scheme), *sp);
+            return run(static_cast<mem::BaseScheme &>(_scheme));
           case SchemeKind::SC:
-            return runProgram(static_cast<mem::ScScheme &>(_scheme), *sp);
+            return run(static_cast<mem::ScScheme &>(_scheme));
           case SchemeKind::TPI:
-            return runProgram(static_cast<mem::TpiScheme &>(_scheme), *sp);
+            return run(static_cast<mem::TpiScheme &>(_scheme));
           case SchemeKind::HW:
-            return runProgram(static_cast<mem::DirectoryScheme &>(_scheme),
-                              *sp);
+            return run(static_cast<mem::DirectoryScheme &>(_scheme));
           case SchemeKind::VC:
-            return runProgram(static_cast<mem::VcScheme &>(_scheme), *sp);
+            return run(static_cast<mem::VcScheme &>(_scheme));
         }
         panic("unknown scheme kind");
     }
@@ -230,7 +240,7 @@ class Executor
         bool markCritical = false;
     };
 
-    template <class Scheme>
+    template <bool Observed, class Scheme>
     RunResult
     runProgram(Scheme &scheme, const StreamProgram &sp)
     {
@@ -244,7 +254,7 @@ class Executor
         {
             switch (op.kind) {
               case StreamOp::Kind::Ref:
-                issueRef(scheme, _serialProc, op, -1);
+                issueRef<Observed>(scheme, _serialProc, op, -1);
                 break;
               case StreamOp::Kind::Barrier:
                 boundary();
@@ -253,9 +263,9 @@ class Executor
                 boundary();
                 for (OpCursor &c : cursors)
                     c.enterEpoch(master);
-                mergeEpoch(scheme, cursors, master.doallTrips(),
-                           sp.loops[static_cast<std::size_t>(op.aux)]
-                               .hasSync);
+                mergeEpoch<Observed>(
+                    scheme, cursors, master.doallTrips(),
+                    sp.loops[static_cast<std::size_t>(op.aux)].hasSync);
                 boundary();
                 migrateSerialTask();
                 break;
@@ -283,9 +293,9 @@ class Executor
                 continue;
             }
             MemOp mop = r.op;
-            issue(_scheme, mop,
-                  checkLegality(mop.addr, -1, mop.write, mop.critical),
-                  hir::invalidRef);
+            issue<true>(_scheme, mop,
+                        checkLegality(mop.addr, -1, mop.write, mop.critical),
+                        hir::invalidRef);
         }
         closeEpoch();
         finish();
@@ -483,7 +493,7 @@ class Executor
      * DOALL legality: cross-task same-word conflicts are data races.
      * Returns the word's record, whose stamp the oracle reads next.
      */
-    AccessRec &
+    [[gnu::always_inline]] AccessRec &
     checkLegality(Addr addr, std::int64_t task, bool write, bool critical)
     {
         hscd_dassert(addr / 4 < _words.size(),
@@ -509,8 +519,8 @@ class Executor
     }
 
     /** One reference of the program: its MemOp from the facts. */
-    template <class Scheme>
-    void
+    template <bool Observed, class Scheme>
+    [[gnu::always_inline]] void
     issueRef(Scheme &scheme, ProcId proc, const StreamOp &op,
              std::int64_t task)
     {
@@ -534,16 +544,17 @@ class Executor
             mop.mark = f.mark;
             mop.distance = f.distance;
         }
-        issue(scheme, mop, rec, op.ref);
+        issue<Observed>(scheme, mop, rec, op.ref);
     }
 
     /**
      * Issue @p mop at its processor's clock: stamp a write, access the
      * scheme, and check a read against the value-stamp oracle and the
-     * shadow-epoch detector. @p rec is the word's record.
+     * shadow-epoch detector. @p rec is the word's record. Unless
+     * @p Observed, the run has no trace sink and no shadow check.
      */
-    template <class Scheme>
-    void
+    template <bool Observed, class Scheme>
+    [[gnu::always_inline]] void
     issue(Scheme &scheme, MemOp &mop, AccessRec &rec, hir::RefId ref)
     {
         const ProcId proc = mop.proc;
@@ -552,17 +563,17 @@ class Executor
         if (mop.write) {
             mop.stamp = ++_stampCounter;
             rec.stamp = mop.stamp;
-            if (_cfg.shadowEpochCheck) {
+            if (Observed && _cfg.shadowEpochCheck) {
                 _shadowWriterProc[addr / 4] = proc;
                 _shadowWriterEpoch[addr / 4] = _epoch;
             }
         }
 
-        if (_trace)
+        if (Observed && _trace)
             _trace->onAccess(mop);
         mem::AccessResult res = scheme.access(mop);
         _procTime[proc] += res.stall;
-        if (_trace)
+        if (Observed && _trace)
             _trace->onOutcome(mop, res, _epoch);
 
         if (!mop.write) {
@@ -578,7 +589,7 @@ class Executor
             // observe the freshest value ever written to the word; a
             // stale hit means the compiler's mark let a cached copy
             // satisfy a read the last writer should have invalidated.
-            if (_cfg.shadowEpochCheck && res.hit &&
+            if (Observed && _cfg.shadowEpochCheck && res.hit &&
                 res.observed != expected)
             {
                 ++_res.shadowViolations;
@@ -738,7 +749,7 @@ class Executor
      * exhausted); its current iteration is the legality checker's task
      * id.
      */
-    template <class Scheme>
+    template <bool Observed, class Scheme>
     void
     mergeEpoch(Scheme &scheme, std::vector<OpCursor> &cursors, std::size_t n,
                bool hasSync)
@@ -767,32 +778,41 @@ class Executor
         const std::uint64_t watchdog = _cfg.watchdogStallOps;
         std::uint64_t stalled_ops = 0;
 
-        while (!_ready.empty()) {
-            const ProcId p = _ready.top().proc;
+        for (ProcId p = _ready.top().proc;;) {
+            hscd_dassert(p == _ready.top().proc,
+                         "processor %d issues, not the ready queue's top", p);
             OpCursor &cursor = cursors[p];
             const Cycles t_before = _procTime[p];
             const StreamOp op = cursor.next();
+            ProcId next;
             if (op.kind == StreamOp::Kind::Ref ||
                 op.kind == StreamOp::Kind::Compute) {
+                // Read before the reference goes out: the next top is
+                // one compare against it, off the tree update's path.
+                const ReadyHeap::Key runner = _ready.runnerUp(p);
                 if (op.kind == StreamOp::Kind::Ref)
-                    issueRef(scheme, p, op, cursor.iter());
+                    issueRef<Observed>(scheme, p, op, cursor.iter());
                 else
                     _procTime[p] += static_cast<Cycles>(op.aux);
                 // The Computes that follow move only p's clock, so p
                 // issues nothing else before its next op either way:
                 // they fold into this step, and p re-queues once.
                 _procTime[p] += cursor.takeComputes();
-                _ready.replaceTop(_procTime[p]);
+                next = _ready.replaceTop(p, _procTime[p], runner);
             } else {
                 // The rare ops may wake other processors, so p leaves
                 // the heap before anyone is pushed.
                 _ready.pop();
                 rareOp(op, p, sync, cursors);
+                next = _ready.empty() ? invalidProc : _ready.top().proc;
             }
             if (_procTime[p] != t_before)
                 stalled_ops = 0;
             else if (watchdog && ++stalled_ops >= watchdog)
                 watchdogAbort(p, stalled_ops, sync);
+            if (next == invalidProc)
+                break;
+            p = next;
         }
         if (sync.parked != 0) {
             if (_m._faultInjector) {
@@ -845,7 +865,10 @@ class Executor
     Machine &_m;
     const MachineConfig &_cfg;
     mem::CoherenceScheme &_scheme;
-    /** The run's observer (null = each hook is one null check). */
+    /**
+     * The run's observer (null = each per-epoch hook is one null check;
+     * the per-reference hooks are not in an unobserved run's loop).
+     */
     TraceSink *const _trace;
     Cycles _epochStartT = 0;
     /** The current epoch's processor spans were reported (parallel). */

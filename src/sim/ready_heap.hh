@@ -14,6 +14,17 @@
  * log2(P) loads do not wait on each other the way a heap's sift-down
  * compares do.
  *
+ * The executor does not wait for that update to learn who issues next.
+ * Before the top processor p's reference goes out, it reads p's
+ * runner-up (runnerUp): the least key among the siblings on p's
+ * leaf-to-root path, which is the least key of every other entry. It
+ * does not depend on p's new time, so those loads and mins overlap the
+ * reference. When the reference returns, replaceTop(p, time, runner-up)
+ * writes the path as before but names the next top from one compare: p
+ * if its new key is below the runner-up, else the runner-up's processor.
+ * The next step's loads depend on that compare only, not on the chain of
+ * mins that ends in the root's store and its re-read.
+ *
  * Entries order by time, then by processor id, exactly as
  * std::pair<Cycles, ProcId> under std::greater. Each processor is queued
  * at most once (a leaf holds one entry), so keys are unique and the pop
@@ -25,7 +36,9 @@
  * structured fault::RunAbort instead of mis-ordering the processors.
  * The largest legal key, (2^52 - 1, 4095), packs to all-ones like an
  * absent leaf, so the queue's size is a live count, never read off the
- * tree; a root of all-ones with a non-zero count is that entry.
+ * tree; a root of all-ones with a non-zero count is that entry. For the
+ * same reason an all-ones runner-up may be "no other entry" or that
+ * entry, and replaceTop then reads the updated root.
  */
 
 #ifndef HSCD_SIM_READY_HEAP_HH
@@ -55,6 +68,13 @@ class ReadyHeap
   public:
     /** First time a key cannot hold. */
     static constexpr Cycles kTimeLimit = Cycles(1) << (64 - kProcBits);
+
+    /**
+     * (time, proc) as one 64-bit integer, time in the high 52 bits: key
+     * order is the lexicographic pair order, and a compare is a single
+     * integer comparison.
+     */
+    using Key = std::uint64_t;
 
     struct Entry
     {
@@ -116,17 +136,42 @@ class ReadyHeap
     {
         hscd_dassert(_size != 0, "replaceTop() of an empty ready queue");
         const ProcId proc = procOf(_t[1]);
-        update(proc, keyOf(time, proc));
+        replaceTop(proc, time, runnerUp(proc));
+    }
+
+    /**
+     * The least key among every queued entry but @p proc's (all-ones if
+     * there is none): the siblings on proc's leaf-to-root path, none of
+     * which proc's own update writes.
+     */
+    Key
+    runnerUp(ProcId proc) const
+    {
+        const Key *t = _t.data();
+        Key runner = kAbsent;
+        for (std::size_t i = _leaves + proc; i > 1; i >>= 1)
+            runner = std::min(runner, t[i ^ 1]);
+        return runner;
+    }
+
+    /**
+     * Re-key the top entry, @p proc's, at @p time, and return the
+     * processor on top afterwards. @p runner is runnerUp(proc), read
+     * before proc's time changed.
+     */
+    ProcId
+    replaceTop(ProcId proc, Cycles time, Key runner)
+    {
+        hscd_dassert(_size != 0 && procOf(_t[1]) == proc,
+                     "replaceTop() of processor %d, not the top", proc);
+        const Key k = keyOf(time, proc);
+        update(proc, k);
+        if (runner == kAbsent) [[unlikely]]
+            return procOf(_t[1]);
+        return k < runner ? proc : procOf(runner);
     }
 
   private:
-    /**
-     * (time, proc) as one 64-bit integer, time in the high 52 bits: key
-     * order is the lexicographic pair order, and a compare is a single
-     * integer comparison.
-     */
-    using Key = std::uint64_t;
-
     /** An absent processor's leaf: it loses every comparison. */
     static constexpr Key kAbsent = ~Key(0);
 

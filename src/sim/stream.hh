@@ -170,7 +170,7 @@ class OpCursor
     void assign(IterShare share) { _share = share; }
 
     /** Next op (End when the master or the share is exhausted). */
-    StreamOp
+    [[gnu::always_inline]] StreamOp
     next()
     {
         if (_cur == _end && !loopBack()) {
@@ -187,7 +187,7 @@ class OpCursor
      * included), and return their summed cycles. They stay inside the
      * current iteration, so iter() does not change.
      */
-    Cycles
+    [[gnu::always_inline]] Cycles
     takeComputes()
     {
         Cycles cycles = 0;

@@ -215,7 +215,7 @@ parseTraceText(const std::string &text, const std::string &name)
 
     out.procs = procsDeclared ? declaredProcs : maxProc + 1;
     out.dataBytes = ((maxAddr + hir::wordBytes + 63) / 64) * 64;
-    out.epochs = epoch + 1;
+    out.epochCount = epoch + 1;
     return out;
 }
 

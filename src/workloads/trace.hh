@@ -47,7 +47,11 @@ struct TraceWorkload
     Addr dataBytes = 0;      ///< footprint (max addr, line-rounded)
     Counter reads = 0;
     Counter writes = 0;
-    EpochId epochs = 1;      ///< 1 + highest epoch number seen
+    /**
+     * Epochs in the trace, 1 + the highest epoch number seen; a run of
+     * it crosses one boundary fewer (RunResult::epochs).
+     */
+    EpochId epochCount = 1;
     std::string source;      ///< label (file path or test name)
 };
 

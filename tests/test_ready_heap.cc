@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <queue>
 #include <utility>
@@ -271,6 +272,114 @@ TEST(ReadyHeap, ParkedProcessorWakesBehindTheTop)
         ASSERT_TRUE(sameTop(heap, ref));
     }
     EXPECT_TRUE(drainsAlike(heap, ref));
+}
+
+namespace {
+
+/**
+ * The executor's step: read the top processor's runner-up, re-key it,
+ * and take the next top from replaceTop's one compare. Random steps over
+ * @p procs processors, with pops and pushes between them (the rare ops,
+ * after which the executor reads top() again); times start near
+ * @p base so the legal all-ones key, (2^52 - 1, 4095), is reachable.
+ */
+void
+runRunnerUpSequence(std::uint64_t seed, unsigned procs, unsigned ops,
+                    Cycles base, std::uint32_t time_span)
+{
+    Rng rng(seed);
+    ReadyHeap heap;
+    heap.reserve(procs);
+    Reference ref;
+    std::vector<ProcId> parked;
+    for (ProcId p = 0; p < procs; ++p)
+        parked.push_back(p);
+    const Cycles last = ReadyHeap::kTimeLimit - 1;
+    for (unsigned i = 0; i < ops; ++i) {
+        const unsigned what = rng.below(8);
+        if (ref.empty() || (what == 0 && !parked.empty())) {
+            const std::size_t pick = rng.below(parked.size());
+            const ProcId p = parked[pick];
+            parked[pick] = parked.back();
+            parked.pop_back();
+            const Cycles t = std::min(last, base + rng.below(time_span));
+            heap.push(t, p);
+            ref.emplace(t, p);
+        } else if (what == 1) {
+            parked.push_back(ref.top().second);
+            heap.pop();
+            ref.pop();
+        } else {
+            const auto [t0, p] = ref.top();
+            ASSERT_EQ(heap.top().proc, p);
+            const ReadyHeap::Key runner = heap.runnerUp(p);
+            const Cycles t = std::min(last, t0 + rng.below(time_span));
+            const ProcId next = heap.replaceTop(p, t, runner);
+            ref.pop();
+            ref.emplace(t, p);
+            ASSERT_EQ(next, ref.top().second)
+                << "seed " << seed << " P=" << procs << " op " << i;
+        }
+        ASSERT_TRUE(sameTop(heap, ref))
+            << "seed " << seed << " P=" << procs << " op " << i;
+    }
+    ASSERT_TRUE(drainsAlike(heap, ref)) << "seed " << seed << " P=" << procs;
+}
+
+} // namespace
+
+/**
+ * The runner-up compare names the same next top as the tree and as a
+ * std::priority_queue, at every width: one queued processor (an
+ * all-ones runner-up with no other entry), padded leaves, the paper's
+ * 16 processors and the largest machine, whose processor 4095 can hold
+ * the all-ones key itself.
+ */
+TEST(ReadyHeap, RunnerUpSelectsTheNextTop)
+{
+    const Cycles last = ReadyHeap::kTimeLimit - 1;
+    for (unsigned procs : {1u, 3u, 5u, 16u, 64u, 4096u}) {
+        const unsigned ops = procs == 4096 ? 20000 : 2000;
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            runRunnerUpSequence(seed * 104729 + procs, procs, ops, 0,
+                                seed % 2 ? 4 : 1024);
+            runRunnerUpSequence(seed * 1299709 + procs, procs, ops,
+                                last - 64, 16);
+        }
+    }
+
+    // A single queued processor: its runner-up is "no other entry".
+    ReadyHeap one;
+    one.reserve(16);
+    one.push(7, 9);
+    EXPECT_EQ(one.replaceTop(9, 8, one.runnerUp(9)), 9u);
+    EXPECT_EQ(one.replaceTop(9, last, one.runnerUp(9)), 9u);
+    EXPECT_EQ(one.top().time, last);
+
+    // Processor 4095 alone, re-keyed to the all-ones key.
+    const ProcId big = MachineConfig::kMaxProcs - 1;
+    ReadyHeap alone;
+    alone.push(3, big);
+    EXPECT_EQ(alone.replaceTop(big, last, alone.runnerUp(big)), big);
+    ASSERT_EQ(alone.size(), 1u);
+
+    // The all-ones key as the runner-up: the other processor stays on
+    // top below it, and passes it only by reaching it.
+    ReadyHeap pair;
+    pair.push(last, big);
+    pair.push(10, 0);
+    EXPECT_EQ(pair.replaceTop(0, 20, pair.runnerUp(0)), 0u);
+    EXPECT_EQ(pair.replaceTop(0, last, pair.runnerUp(0)), 0u);
+    pair.pop();
+    EXPECT_EQ(pair.top().proc, big);
+    EXPECT_EQ(pair.top().time, last);
+
+    // Re-keyed to the all-ones key, processor 4095 yields to the other.
+    ReadyHeap yield;
+    yield.push(1, big);
+    yield.push(2, 5);
+    EXPECT_EQ(yield.replaceTop(big, last, yield.runnerUp(big)), 5u);
+    EXPECT_EQ(yield.top().proc, 5u);
 }
 
 #ifndef NDEBUG

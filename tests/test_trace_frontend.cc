@@ -90,7 +90,7 @@ TEST(TraceParse, MinimalRoundTrip)
     EXPECT_EQ(t.procs, 2u);
     EXPECT_EQ(t.reads, 1u);
     EXPECT_EQ(t.writes, 1u);
-    EXPECT_EQ(t.epochs, 2u);
+    EXPECT_EQ(t.epochCount, 2u);
     // write, boundary, read.
     ASSERT_EQ(t.records.size(), 3u);
     EXPECT_EQ(t.records[0].type, sim::TraceRecord::Type::Access);
@@ -108,7 +108,7 @@ TEST(TraceParse, ProcsInferredFromMaxId)
 {
     TraceWorkload t = parseTraceText("0 0 w\n5 4 r\n", "m");
     EXPECT_EQ(t.procs, 6u);
-    EXPECT_EQ(t.epochs, 1u);
+    EXPECT_EQ(t.epochCount, 1u);
 }
 
 TEST(TraceParse, EpochGapEmitsEveryBoundary)
@@ -119,7 +119,7 @@ TEST(TraceParse, EpochGapEmitsEveryBoundary)
     EXPECT_EQ(t.records[1].epoch, 1u);
     EXPECT_EQ(t.records[2].epoch, 2u);
     EXPECT_EQ(t.records[3].epoch, 3u);
-    EXPECT_EQ(t.epochs, 4u);
+    EXPECT_EQ(t.epochCount, 4u);
 }
 
 TEST(TraceParse, CommentsBlanksCrlfAndCaseAccepted)
@@ -218,7 +218,7 @@ TEST(TraceReplay, SampleLoadsWithExpectedShape)
 {
     TraceWorkload t = loadTraceSpec("trace:" + samplePath());
     EXPECT_EQ(t.procs, 4u);
-    EXPECT_EQ(t.epochs, 3u);
+    EXPECT_EQ(t.epochCount, 3u);
     EXPECT_EQ(t.reads, 16u);
     EXPECT_EQ(t.writes, 21u);
     EXPECT_GE(t.dataBytes, 64u);
@@ -237,7 +237,7 @@ TEST(TraceReplay, AllSchemesRunAndDiffer)
         EXPECT_EQ(r.reads, t.reads) << schemeName(k);
         EXPECT_EQ(r.writes, t.writes) << schemeName(k);
         // Boundaries crossed, as for a program: 2 for the 3 epochs.
-        EXPECT_EQ(r.epochs, t.epochs - 1) << schemeName(k);
+        EXPECT_EQ(r.epochs, t.epochCount - 1) << schemeName(k);
         EXPECT_GT(r.cycles, 0u) << schemeName(k);
         fps.push_back(r.fingerprint());
     }

@@ -280,7 +280,7 @@ runSource(const CliOptions &opt)
             if (!is) {
                 std::fprintf(stderr, "hscd_inspect: cannot read '%s'\n",
                              opt.tracePath.c_str());
-                std::exit(verify::ExitInternal);
+                std::exit(verify::ExitUsage);
             }
             const sim::ParsedTrace t = sim::readTrace(is);
             cfg.procs = t.procs;
@@ -631,13 +631,13 @@ loadMetrics(const std::string &path, std::string *spec)
     if (!is) {
         std::fprintf(stderr, "hscd_inspect: cannot read '%s'\n",
                      path.c_str());
-        std::exit(verify::ExitInternal);
+        std::exit(verify::ExitUsage);
     }
     std::vector<obs::MetricSample> rows;
     if (!obs::readMetricsJson(is, rows, spec)) {
         std::fprintf(stderr, "hscd_inspect: '%s' is not a metrics series "
                              "(schema hscd-metrics)\n", path.c_str());
-        std::exit(verify::ExitInternal);
+        std::exit(verify::ExitUsage);
     }
     return rows;
 }
@@ -725,13 +725,13 @@ perfettoSummary(const std::string &path)
     if (!is) {
         std::fprintf(stderr, "hscd_inspect: cannot read '%s'\n",
                      path.c_str());
-        std::exit(verify::ExitInternal);
+        std::exit(verify::ExitUsage);
     }
     obs::PerfettoCounts c;
     if (!obs::readPerfettoCounts(is, c)) {
         std::fprintf(stderr, "hscd_inspect: '%s' is not one of our "
                              "Perfetto timelines\n", path.c_str());
-        std::exit(verify::ExitInternal);
+        std::exit(verify::ExitUsage);
     }
     std::printf("perfetto %s: %llu slices (epoch spans + miss services "
                 "+ reset windows), %llu/%llu flow arrows, %llu instants, "

@@ -24,8 +24,11 @@
  */
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -143,6 +146,19 @@ usage(const char *argv0)
         argv0, names.c_str());
 }
 
+/** The seed of a `gen:<seed>` target: decimal digits only, in 64 bits. */
+std::optional<std::uint64_t>
+genSeed(const std::string &target)
+{
+    const char *first = target.c_str() + 4; // past "gen:"
+    const char *last = target.c_str() + target.size();
+    std::uint64_t seed = 0;
+    const auto [end, ec] = std::from_chars(first, last, seed);
+    if (first == last || ec != std::errc() || end != last)
+        return std::nullopt;
+    return seed;
+}
+
 CliOptions
 parseArgs(int argc, char **argv)
 {
@@ -205,8 +221,15 @@ parseArgs(int argc, char **argv)
     if (opt.targets.empty())
         opt.targets = workloads::benchmarkNames();
     for (const std::string &t : opt.targets) {
-        if (t.rfind("gen:", 0) == 0)
+        if (t.rfind("gen:", 0) == 0) {
+            if (!genSeed(t)) {
+                std::fprintf(stderr, "%s: bad seed in '%s' (want "
+                             "gen:<decimal seed below 2^64>)\n", argv[0],
+                             t.c_str());
+                std::exit(verify::ExitUsage);
+            }
             continue;
+        }
         if (workloads::isSynthSpec(t)) {
             try {
                 workloads::parseSynthSpec(t);
@@ -243,7 +266,7 @@ buildTarget(const std::string &name, int scale)
 {
     if (name.rfind("gen:", 0) == 0) {
         testgen::GenOptions g;
-        g.seed = std::strtoull(name.substr(4).c_str(), nullptr, 10);
+        g.seed = *genSeed(name); // parseArgs checked it
         return testgen::randomLegalProgram(g);
     }
     return workloads::buildBenchmark(name, scale);
@@ -270,8 +293,8 @@ lintOne(const CliOptions &opt, const std::string &target)
         TargetResult r;
         r.traceNote = csprintf(
             "trace[%s]: parse ok: procs=%d reads=%d writes=%d "
-            "epochs=%d footprint=%d bytes\n",
-            t.source, t.procs, t.reads, t.writes, t.epochs,
+            "epoch_count=%d footprint=%d bytes\n",
+            t.source, t.procs, t.reads, t.writes, t.epochCount,
             t.dataBytes);
         return r;
     }
