@@ -1,18 +1,19 @@
 #include "sweep.hh"
 
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <thread>
 
 #include <csignal>
 
 #include "campaign/journal.hh"
+#include "common/config.hh"
 #include "common/log.hh"
 #include "common/parallel.hh"
 #include "common/strutil.hh"
@@ -22,44 +23,6 @@ namespace hscd {
 namespace bench {
 
 namespace {
-
-[[noreturn]] void
-usage(const char *argv0, int code)
-{
-    std::cerr
-        << "usage: " << argv0
-        << " [--jobs N] [--json PATH] [--fault SPEC] [--timeout-ms N]\n"
-        << "       [--deadline-ms N] [--checkpoint PATH] [--resume]\n"
-        << "       [--trace-out PATH] [--metrics SPEC] [--metrics-out "
-           "PATH]\n"
-        << "       [--cell SUBSTR] [--only ID[,ID...]]\n"
-        << "  --jobs N, -j N  worker threads (default: all hardware\n"
-        << "                  threads; 1 = serial); the output is the same\n"
-        << "                  at any N but for the wall-clock line\n"
-        << "  --json PATH     also write machine-readable results JSON\n"
-        << "  --fault SPEC    inject faults into every cell: RATE[:SEED[:\n"
-        << "                  SITES]] (fault/plan.hh), seeded per cell\n"
-        << "  --timeout-ms N  abandon a cell still running after N ms\n"
-        << "                  (a structured per-cell error)\n"
-        << "  --deadline-ms N campaign budget: cells not started by then\n"
-        << "                  are skipped and the sweep exits "
-        << int(verify::ExitAbort) << "\n"
-        << "  --checkpoint P  journal each completed cell to P\n"
-        << "  --resume        skip cells journaled in the --checkpoint\n"
-        << "                  file; the output is that of an\n"
-        << "                  uninterrupted run\n"
-        << "  --trace-out P   write a Perfetto trace_event timeline of\n"
-        << "                  the observed cell to P\n"
-        << "  --metrics SPEC  sample counters of the observed cell:\n"
-        << "                  epoch[:K] or cycles:N, with :cap=M\n"
-        << "  --metrics-out P the metrics series file (metrics.json)\n"
-        << "  --cell SUBSTR   observe the first cell whose label contains\n"
-        << "                  SUBSTR (default: the first cell)\n"
-        << "  --only IDS      run only these experiments (hscd_paper\n"
-        << "                  rows, comma-separated)\n"
-        << "  --help, -h      this text\n";
-    std::exit(code);
-}
 
 using obs::jsonEscape;
 
@@ -87,75 +50,73 @@ SweepOptions
 SweepOptions::parse(int argc, char **argv)
 {
     SweepOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << argv[0] << ": " << flag
-                          << " requires an argument\n";
-                usage(argv[0], verify::ExitUsage);
-            }
-            return argv[++i];
-        };
-        // A number >= 0 (a whole one if @p whole) for @p flag.
-        auto number = [&](const char *flag, bool whole) {
-            const std::string v = value(flag);
-            char *end = nullptr;
-            const double x = std::strtod(v.c_str(), &end);
-            if (end == v.c_str() || *end != '\0' || !(x >= 0) ||
-                (whole && (x != std::floor(x) || x > 1e9))) {
-                std::cerr << argv[0] << ": bad " << flag << " value '" << v
-                          << "'\n";
-                usage(argv[0], verify::ExitUsage);
-            }
-            return x;
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0], verify::ExitSuccess);
-        } else if (arg == "--jobs" || arg == "-j") {
-            opts.jobs = static_cast<unsigned>(number("--jobs", true));
-        } else if (arg == "--json") {
-            opts.jsonPath = value("--json");
-        } else if (arg == "--fault") {
-            const std::string v = value("--fault");
-            try {
-                opts.fault = fault::FaultPlan::parse(v);
-            } catch (const FatalError &) {
-                usage(argv[0], verify::ExitUsage);
-            }
-        } else if (arg == "--timeout-ms") {
-            opts.timeoutMs = number("--timeout-ms", false);
-        } else if (arg == "--deadline-ms") {
-            opts.deadlineMs = number("--deadline-ms", false);
-        } else if (arg == "--checkpoint") {
-            opts.checkpointPath = value("--checkpoint");
-        } else if (arg == "--resume") {
-            opts.resume = true;
-        } else if (arg == "--trace-out") {
-            opts.traceOut = value("--trace-out");
-        } else if (arg == "--metrics") {
-            opts.metricsSpec = value("--metrics");
-            try {
-                obs::MetricsSpec::parse(opts.metricsSpec);
-            } catch (const FatalError &) {
-                usage(argv[0], verify::ExitUsage);
-            }
-        } else if (arg == "--metrics-out") {
-            opts.metricsOut = value("--metrics-out");
-        } else if (arg == "--cell") {
-            opts.observeCell = value("--cell");
-        } else if (arg == "--only") {
-            opts.only = split(value("--only"), ',', /*keep_empty=*/true);
-        } else {
-            std::cerr << argv[0] << ": unknown argument '" << arg
-                      << "'\n";
-            usage(argv[0], verify::ExitUsage);
-        }
+    Params p;
+    p.define("jobs", std::to_string(opts.jobs),
+             "worker threads (0: all hardware threads; 1:\n"
+             "serial); the output is the same at any JOBS but\n"
+             "for the wall-clock line")
+        .define("json", "", "also write machine-readable results JSON")
+        .define("fault", "0",
+                "inject faults into every cell:\n"
+                "RATE[:SEED[:SITES]] (fault/plan.hh), seeded per\n"
+                "cell; 0: off")
+        .define("timeout-ms", "0",
+                "abandon a cell still running after this many\n"
+                "ms (a structured per-cell error); 0: never")
+        .define("deadline-ms", "0",
+                csprintf("campaign budget in ms: cells not started by\n"
+                         "then are skipped and the sweep exits %d",
+                         int(verify::ExitAbort)))
+        .define("checkpoint", "", "journal each completed cell to this file")
+        .defineFlag("resume", "skip cells journaled in the --checkpoint\n"
+                              "file; the output is that of an\n"
+                              "uninterrupted run")
+        .define("trace-out", "",
+                "write a Perfetto trace_event timeline of the\n"
+                "observed cell to this file")
+        .define("metrics", "",
+                "sample counters of the observed cell:\n"
+                "epoch[:K] or cycles:N, with :cap=M")
+        .define("metrics-out", opts.metricsOut, "the metrics series file")
+        .define("cell", "",
+                "observe the first cell whose label contains\n"
+                "this (default: the first cell)")
+        .define("only", "",
+                "run only these experiments (hscd_paper rows,\n"
+                "comma-separated)")
+        .defineFlag("help", "this text")
+        .alias("-j", "jobs")
+        .alias("-h", "help");
+    const std::vector<std::string> args = p.parseCommandLine(argc, argv);
+    if (p.getBool("help")) {
+        std::cout << "usage: " << argv[0] << " [options]\n\nOptions:\n"
+                  << p.help();
+        std::exit(verify::ExitSuccess);
     }
-    if (opts.resume && opts.checkpointPath.empty()) {
-        std::cerr << argv[0] << ": --resume requires --checkpoint\n";
-        usage(argv[0], verify::ExitUsage);
-    }
+    if (!args.empty())
+        fatal("unexpected argument '%s'", args.front());
+
+    opts.jobs = unsigned(
+        p.getUint("jobs", 0, std::numeric_limits<unsigned>::max()));
+    opts.jsonPath = p.getString("json");
+    opts.fault = fault::FaultPlan::parse(p.getString("fault"));
+    // A budget past 10^12 ms (about 31 years) would overflow the
+    // steady_clock's nanosecond count it is converted to.
+    constexpr double kMaxBudgetMs = 1e12;
+    opts.timeoutMs = p.getDouble("timeout-ms", 0, kMaxBudgetMs);
+    opts.deadlineMs = p.getDouble("deadline-ms", 0, kMaxBudgetMs);
+    opts.checkpointPath = p.getString("checkpoint");
+    opts.resume = p.getBool("resume");
+    opts.traceOut = p.getString("trace-out");
+    opts.metricsSpec = p.getString("metrics");
+    if (!opts.metricsSpec.empty())
+        obs::MetricsSpec::parse(opts.metricsSpec);
+    opts.metricsOut = p.getString("metrics-out");
+    opts.observeCell = p.getString("cell");
+    if (!p.getString("only").empty())
+        opts.only = split(p.getString("only"), ',', /*keep_empty=*/true);
+    if (opts.resume && opts.checkpointPath.empty())
+        fatal("--resume requires --checkpoint");
     // Every sweep CLI funnels through here, so this is where the
     // SIGTERM/SIGINT -> ExitAbort contract is installed.
     struct sigaction sa;

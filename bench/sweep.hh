@@ -95,13 +95,10 @@ struct SweepOptions
     std::vector<std::string> only;
 
     /**
-     * Parse `--jobs/-j N`, `--json PATH`, `--fault SPEC`,
-     * `--timeout-ms N`, `--deadline-ms N`, `--checkpoint PATH`,
-     * `--resume`, `--trace-out PATH`, `--metrics SPEC`,
-     * `--metrics-out PATH`, `--cell SUBSTR` and `--only IDS` (plus
-     * --help); exits with verify::ExitUsage on anything unrecognized so
-     * typos never silently change a sweep. Also installs the
-     * SIGINT/SIGTERM handlers that map a graceful interrupt onto
+     * Parse the sweep flags (`--help` lists them) through a Params
+     * schema: `--key V`, `--key=V`, `-j N`; a bad flag or value is
+     * fatal(), so typos never silently change a sweep. Also installs
+     * the SIGINT/SIGTERM handlers that map a graceful interrupt onto
      * verify::ExitAbort.
      */
     static SweepOptions parse(int argc, char **argv);

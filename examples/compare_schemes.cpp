@@ -8,20 +8,22 @@
 
 #include <iostream>
 
+#include "common/log.hh"
 #include "common/table.hh"
 #include "compiler/analysis.hh"
 #include "sim/machine.hh"
+#include "verify/diagnostic.hh"
 #include "workloads/workloads.hh"
 
 using namespace hscd;
 
 int
 main(int argc, char **argv)
-{
+try {
     std::string name = argc > 1 ? argv[1] : "OCEAN";
     Params params = MachineConfig::params();
-    for (int a = 2; a < argc; ++a)
-        params.parseAssignment(argv[a]);
+    if (argc > 2)
+        params.parseArgs({argv + 2, argv + argc});
 
     compiler::CompiledProgram cp =
         compiler::compileProgram(workloads::buildBenchmark(name, 2));
@@ -71,4 +73,7 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
     return 0;
+} catch (const FatalError &) {
+    // fatal() has already printed the message.
+    return verify::ExitUsage;
 }

@@ -8,11 +8,13 @@
  *                         [--symbolic]
  */
 
-#include <cstring>
 #include <iostream>
 
+#include "common/config.hh"
+#include "common/log.hh"
 #include "compiler/analysis.hh"
 #include "hir/printer.hh"
+#include "verify/diagnostic.hh"
 #include "workloads/workloads.hh"
 
 using namespace hscd;
@@ -43,15 +45,17 @@ buildByName(const std::string &name)
 
 int
 main(int argc, char **argv)
-{
-    std::string name = argc > 1 ? argv[1] : "jacobi";
+try {
+    Params p;
+    p.defineFlag("no-affinity", "no serial-processor-affinity marking")
+        .defineFlag("symbolic", "mark against declared parameter ranges");
+    const std::vector<std::string> args = p.parseCommandLine(argc, argv);
+    if (args.size() > 1)
+        fatal("unexpected argument '%s'", args[1]);
+    const std::string name = args.empty() ? "jacobi" : args.front();
     compiler::AnalysisOptions opts;
-    for (int a = 2; a < argc; ++a) {
-        if (std::strcmp(argv[a], "--no-affinity") == 0)
-            opts.assumeSerialAffinity = false;
-        if (std::strcmp(argv[a], "--symbolic") == 0)
-            opts.symbolicParams = true;
-    }
+    opts.assumeSerialAffinity = !p.getBool("no-affinity");
+    opts.symbolicParams = p.getBool("symbolic");
 
     compiler::CompiledProgram cp =
         compiler::compileProgram(buildByName(name), opts);
@@ -82,4 +86,7 @@ main(int argc, char **argv)
               << st.affinity << " affinity, " << st.timeRead
               << " time-read, " << st.bypass << " bypass\n";
     return 0;
+} catch (const FatalError &) {
+    // fatal() has already printed the message.
+    return verify::ExitUsage;
 }

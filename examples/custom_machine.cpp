@@ -63,8 +63,7 @@ main(int argc, char **argv)
     MachineConfig cfg;
     try {
         Params params = MachineConfig::params();
-        for (int a = 1; a < argc; ++a)
-            params.parseAssignment(argv[a]);
+        params.parseArgs({argv + 1, argv + argc});
         cfg = MachineConfig::fromParams(params);
     } catch (const FatalError &) {
         // fatal() has already printed the message.

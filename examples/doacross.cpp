@@ -9,20 +9,27 @@
  *   $ ./doacross [n]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "common/config.hh"
+#include "common/log.hh"
 #include "compiler/analysis.hh"
 #include "hir/builder.hh"
 #include "hir/printer.hh"
 #include "sim/machine.hh"
+#include "verify/diagnostic.hh"
 
 using namespace hscd;
 
 int
 main(int argc, char **argv)
-{
-    const std::int64_t n = argc > 1 ? std::atoll(argv[1]) : 64;
+try {
+    if (argc > 2)
+        fatal("usage: doacross [n]");
+    // Up to 2^16 tasks keeps the example's run short.
+    const std::int64_t n =
+        argc > 1 ? std::int64_t(Params::parseUint("n", argv[1], 1, 1 << 16))
+                 : 64;
 
     hir::ProgramBuilder b;
     b.param("N", n);
@@ -58,4 +65,7 @@ main(int argc, char **argv)
               << r.imbalance() << ", but every value arrives intact ("
               << r.oracleViolations << " stale reads).\n";
     return r.oracleViolations == 0 ? 0 : 1;
+} catch (const FatalError &) {
+    // fatal() has already printed the message.
+    return verify::ExitUsage;
 }

@@ -11,18 +11,19 @@
 
 #include <iostream>
 
+#include "common/log.hh"
 #include "compiler/analysis.hh"
 #include "sim/machine.hh"
+#include "verify/diagnostic.hh"
 #include "workloads/workloads.hh"
 
 using namespace hscd;
 
 int
 main(int argc, char **argv)
-{
+try {
     Params params = MachineConfig::params();
-    for (int a = 1; a < argc; ++a)
-        params.parseAssignment(argv[a]);
+    params.parseArgs({argv + 1, argv + argc});
 
     std::cout << "benchmark,scheme,cycles,epochs,reads,writes,"
                  "read_misses,miss_rate,avg_miss_latency,time_reads,"
@@ -60,4 +61,7 @@ main(int argc, char **argv)
         }
     }
     return 0;
+} catch (const FatalError &) {
+    // fatal() has already printed the message.
+    return verify::ExitUsage;
 }

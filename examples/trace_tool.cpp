@@ -87,5 +87,5 @@ main(int argc, char **argv)
     }
     std::cerr << "usage:\n  trace_tool capture <benchmark> <file>\n"
                  "  trace_tool replay <file> [key=value...]\n";
-    return 64;
+    return verify::ExitUsage;
 }

@@ -1,7 +1,6 @@
 #include "fault/plan.hh"
 
-#include <cstdlib>
-
+#include "common/config.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/strutil.hh"
@@ -68,17 +67,9 @@ FaultPlan::parse(const std::string &spec)
         fatal("bad --fault spec '%s': want RATE[:SEED[:SITES]]", spec);
 
     FaultPlan plan;
-    char *end = nullptr;
-    plan.rate = std::strtod(parts[0].c_str(), &end);
-    if (*end != '\0' || plan.rate < 0.0 || plan.rate > 1.0)
-        fatal("bad --fault rate '%s': want a probability in [0, 1]",
-              parts[0]);
-
-    if (parts.size() >= 2 && !parts[1].empty()) {
-        plan.seed = std::strtoull(parts[1].c_str(), &end, 0);
-        if (*end != '\0')
-            fatal("bad --fault seed '%s'", parts[1]);
-    }
+    plan.rate = Params::parseReal("--fault rate", parts[0], 0.0, 1.0);
+    if (parts.size() >= 2 && !parts[1].empty())
+        plan.seed = Params::parseUint("--fault seed", parts[1]);
 
     if (parts.size() >= 3) {
         plan.sites = 0;

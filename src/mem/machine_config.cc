@@ -1,5 +1,7 @@
 #include "mem/machine_config.hh"
 
+#include <limits>
+
 #include "common/bitutil.hh"
 #include "common/log.hh"
 #include "common/strutil.hh"
@@ -132,12 +134,21 @@ MachineConfig::params()
 MachineConfig
 MachineConfig::fromParams(const Params &p)
 {
+    // Every read is whole and in its field's range; validate() then
+    // checks what the values mean.
+    auto narrow = [&p](const char *key) {
+        return unsigned(
+            p.getUint(key, 0, std::numeric_limits<unsigned>::max()));
+    };
     MachineConfig c;
-    c.procs = static_cast<unsigned>(p.getUint("procs"));
-    c.cacheBytes = p.getUint("cache_kb") * 1024;
-    c.lineBytes = static_cast<unsigned>(p.getUint("line_bytes"));
-    c.assoc = static_cast<unsigned>(p.getUint("assoc"));
-    c.timetagBits = static_cast<unsigned>(p.getUint("timetag_bits"));
+    c.procs = narrow("procs");
+    c.cacheBytes =
+        p.getUint("cache_kb", 0,
+                  std::numeric_limits<std::uint64_t>::max() / 1024) *
+        1024;
+    c.lineBytes = narrow("line_bytes");
+    c.assoc = narrow("assoc");
+    c.timetagBits = narrow("timetag_bits");
     c.scheme = parseScheme(p.getString("scheme"));
     c.sched = parseSched(p.getString("sched"));
     c.baseMissCycles = p.getUint("base_miss");
@@ -145,7 +156,7 @@ MachineConfig::fromParams(const Params &p)
     c.twoPhaseResetCycles = p.getUint("two_phase_reset");
     c.barrierCycles = p.getUint("barrier");
     c.writeLatencyCycles = p.getUint("write_latency");
-    c.directoryPtrs = static_cast<unsigned>(p.getUint("dir_ptrs"));
+    c.directoryPtrs = narrow("dir_ptrs");
     c.writeBufferAsCache = p.getBool("wbuf_cache");
     c.migrationRate = p.getDouble("migration_rate");
     c.sequentialConsistency = p.getBool("seq_consistency");
@@ -153,7 +164,7 @@ MachineConfig::fromParams(const Params &p)
     c.topology = parseTopology(p.getString("network"));
     c.fault = fault::FaultPlan::parse(p.getString("fault"));
     c.faultAckTimeoutCycles = p.getUint("fault_timeout");
-    c.faultMaxRetries = static_cast<unsigned>(p.getUint("fault_retries"));
+    c.faultMaxRetries = narrow("fault_retries");
     c.watchdogStallOps = p.getUint("watchdog_ops");
     c.validate();
     return c;

@@ -1,10 +1,11 @@
 #include "obs/metrics.hh"
 
-#include <cctype>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
+#include "common/config.hh"
 #include "common/log.hh"
 #include "common/strutil.hh"
 
@@ -22,25 +23,6 @@ const char *const kFieldNames[] = {
 };
 constexpr std::size_t kNumFields =
     sizeof(kFieldNames) / sizeof(kFieldNames[0]);
-
-/** Decimal digits only; false when empty or past 2^64 - 1. */
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    std::uint64_t v = 0;
-    for (char c : s) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            return false;
-        const std::uint64_t d = std::uint64_t(c - '0');
-        if (v > (UINT64_MAX - d) / 10)
-            return false;
-        v = v * 10 + d;
-    }
-    out = v;
-    return true;
-}
 
 /** Render a double so it round-trips exactly and never uses exponents a
  *  strict reader would choke on; load fractions are small and benign. */
@@ -88,15 +70,11 @@ MetricsSpec::parse(const std::string &s)
     for (std::size_t i = 1; i < parts.size(); ++i) {
         const std::string &p = parts[i];
         if (p.rfind("cap=", 0) == 0) {
-            std::uint64_t cap = 0;
-            if (!parseU64(p.substr(4), cap) || cap == 0)
-                fatal("bad --metrics spec '%s': cap must be a positive "
-                      "integer below 2^64", s);
-            spec.cap = static_cast<std::size_t>(cap);
+            spec.cap = Params::parseUint(
+                "--metrics cap", p.substr(4), 1,
+                std::numeric_limits<std::size_t>::max());
         } else if (!sawEvery) {
-            if (!parseU64(p, spec.every) || spec.every == 0)
-                fatal("bad --metrics spec '%s': interval must be a "
-                      "positive integer below 2^64", s);
+            spec.every = Params::parseUint("--metrics interval", p, 1);
             sawEvery = true;
         } else {
             fatal("bad --metrics spec '%s': unexpected component '%s'",

@@ -2,8 +2,7 @@
 
 #include "workloads/synth.hh"
 
-#include <cstdlib>
-
+#include "common/config.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/strutil.hh"
@@ -390,13 +389,7 @@ parseSynthSpec(const std::string &spec)
         fatal("unknown synth family '%s' (expected one of %s)",
               out.family, families);
     }
-    if (seedStr.empty())
-        fatal("bad synth spec '%s': missing seed", spec);
-    for (char c : seedStr)
-        if (c < '0' || c > '9')
-            fatal("bad synth seed '%s': expected a decimal integer",
-                  seedStr);
-    out.seed = std::strtoull(seedStr.c_str(), nullptr, 10);
+    out.seed = Params::parseUint("synth seed", seedStr);
     return out;
 }
 

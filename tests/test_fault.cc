@@ -88,6 +88,14 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs)
     EXPECT_THROW(fault::FaultPlan::parse("0.1:x"), FatalError);
     EXPECT_THROW(fault::FaultPlan::parse("0.1:7:nosuchsite"), FatalError);
     EXPECT_THROW(fault::FaultPlan::parse("0.1:7:net:extra"), FatalError);
+    // Numbers are read as the command line reads them: no NaN rate, no
+    // negative or overflowing seed; a leading zero stays decimal.
+    EXPECT_THROW(fault::FaultPlan::parse("nan"), FatalError);
+    EXPECT_THROW(fault::FaultPlan::parse("0.1:-1"), FatalError);
+    EXPECT_THROW(fault::FaultPlan::parse("0.1:99999999999999999999"),
+                 FatalError);
+    EXPECT_EQ(fault::FaultPlan::parse("0.1:010").seed, 10u);
+    EXPECT_EQ(fault::FaultPlan::parse("0.1:0x10").seed, 16u);
 }
 
 TEST(FaultPlan, StrRoundTrips)

@@ -127,6 +127,9 @@ TEST(SynthDifferential, SpecParsing)
     EXPECT_THROW(parseSynthSpec("synth:migratory"), FatalError);
     EXPECT_THROW(parseSynthSpec("synth:bogus:1"), FatalError);
     EXPECT_THROW(parseSynthSpec("synth:stencil:abc"), FatalError);
+    EXPECT_THROW(parseSynthSpec("synth:stencil:-1"), FatalError);
+    EXPECT_THROW(parseSynthSpec("synth:stencil:99999999999999999999"),
+                 FatalError);
     EXPECT_THROW(parseSynthSpec("synth:"), FatalError);
     EXPECT_THROW(parseSynthSpec("gen:1"), FatalError);
     EXPECT_THROW(buildSynth("stencil", 1, 0), FatalError);

@@ -32,10 +32,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/log.hh"
 #include "common/strutil.hh"
 #include "compiler/analysis.hh"
@@ -69,120 +71,81 @@ struct CliOptions
     std::vector<std::string> args;
 };
 
-void
-usage(const char *argv0)
-{
-    std::string names;
-    for (const std::string &n : workloads::benchmarkNames())
-        names += (names.empty() ? "" : "|") + n;
-    std::printf(
-        "usage: %s [sources] <command> [args]\n"
-        "\n"
-        "Commands:\n"
-        "  summary                 totals from every given source\n"
-        "  epoch <n>               per-interval detail for epoch n\n"
-        "  line <addr>             event timeline of one cache line\n"
-        "  why-miss <proc> <addr>  attribute Time-Read misses at addr\n"
-        "  why-miss auto           explain the first attributable miss\n"
-        "\n"
-        "Sources (at least one):\n"
-        "  --metrics FILE    metrics series JSON (bench --metrics)\n"
-        "  --perfetto FILE   Perfetto timeline JSON (bench --trace-out)\n"
-        "  --trace FILE      replay a recorded text trace through\n"
-        "                    --scheme on the machine its header names\n"
-        "  --workload NAME   run NAME in-process (%s)\n"
-        "\n"
-        "Run options (--trace, --workload):\n"
-        "  --scheme S        base|sc|tpi|hw|vc (default tpi)\n"
-        "  --scale N         workload problem scale (default 1)\n"
-        "  --procs N         workload processor count (default: Figure 8)\n"
-        "\n"
-        "Other:\n"
-        "  --limit N         max events listed by `line` (default 64)\n"
-        "  --class C         why-miss auto: pick a miss of class C\n"
-        "                    (e.g. true-share, conservative)\n"
-        "  --help            this text\n",
-        argv0, names.c_str());
-}
-
 CliOptions
 parseArgs(int argc, char **argv)
 {
     CliOptions opt;
-    std::vector<std::string> positional;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: %s requires an argument\n",
-                             argv[0], flag);
-                std::exit(verify::ExitUsage);
-            }
-            return argv[++i];
-        };
-        if (a == "--help" || a == "-h") {
-            usage(argv[0]);
-            std::exit(verify::ExitSuccess);
-        } else if (a == "--metrics") {
-            opt.metricsPath = value("--metrics");
-        } else if (a == "--perfetto") {
-            opt.perfettoPath = value("--perfetto");
-        } else if (a == "--trace") {
-            opt.tracePath = value("--trace");
-        } else if (a == "--workload") {
-            opt.workload = value("--workload");
-        } else if (a == "--scheme") {
-            try {
-                opt.scheme = parseScheme(value("--scheme"));
-            } catch (const FatalError &) {
-                std::exit(verify::ExitUsage);
-            }
-        } else if (a == "--scale") {
-            opt.scale = std::atoi(value("--scale").c_str());
-        } else if (a == "--procs") {
-            opt.procs = static_cast<unsigned>(
-                std::strtoul(value("--procs").c_str(), nullptr, 10));
-        } else if (a == "--limit") {
-            opt.limit = static_cast<std::size_t>(
-                std::strtoull(value("--limit").c_str(), nullptr, 10));
-        } else if (a == "--class") {
-            opt.missClass = value("--class");
-        } else if (!a.empty() && a[0] == '-') {
-            std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                         a.c_str());
-            usage(argv[0]);
-            std::exit(verify::ExitUsage);
-        } else {
-            positional.push_back(a);
-        }
+    std::string names;
+    for (const std::string &n : workloads::benchmarkNames())
+        names += (names.empty() ? "" : "|") + n;
+    const std::string trueShare =
+        mem::missClassName(mem::MissClass::TrueShare);
+    const std::string conservative =
+        mem::missClassName(mem::MissClass::Conservative);
+    Params p;
+    p.define("metrics", "", "metrics series JSON (bench --metrics)")
+        .define("perfetto", "", "Perfetto timeline JSON (bench --trace-out)")
+        .define("trace", "",
+                "replay a recorded text trace through --scheme\n"
+                "on the machine its header names")
+        .define("workload", "",
+                "run this workload in-process\n(" + names + ")")
+        .define("scheme", "tpi",
+                "scheme of a --trace or --workload run:\n"
+                "base|sc|tpi|hw|vc")
+        .define("scale", std::to_string(opt.scale),
+                "workload problem scale")
+        .define("procs", std::to_string(opt.procs),
+                "workload processor count; 0 keeps Figure 8's")
+        .define("limit", std::to_string(opt.limit),
+                "max events listed by `line`")
+        .define("class", "",
+                "why-miss auto: pick a miss of this class\n(" + trueShare +
+                    " or " + conservative + ")")
+        .defineFlag("help", "this text")
+        .alias("-h", "help");
+    const std::vector<std::string> args = p.parseCommandLine(argc, argv);
+    if (p.getBool("help")) {
+        std::printf(
+            "usage: %s [sources] <command> [args]\n"
+            "\n"
+            "Commands:\n"
+            "  summary                 totals from every given source\n"
+            "  epoch <n>               per-interval detail for epoch n\n"
+            "  line <addr>             event timeline of one cache line\n"
+            "  why-miss <proc> <addr>  attribute Time-Read misses at addr\n"
+            "  why-miss auto           explain the first attributable miss\n"
+            "\n"
+            "Sources (at least one): --metrics, --perfetto, --trace,\n"
+            "--workload.\n"
+            "\n"
+            "Options:\n%s",
+            argv[0], p.help().c_str());
+        std::exit(verify::ExitSuccess);
     }
-    if (positional.empty()) {
-        std::fprintf(stderr, "%s: no command given\n", argv[0]);
-        usage(argv[0]);
-        std::exit(verify::ExitUsage);
-    }
-    opt.command = positional.front();
-    opt.args.assign(positional.begin() + 1, positional.end());
+    opt.metricsPath = p.getString("metrics");
+    opt.perfettoPath = p.getString("perfetto");
+    opt.tracePath = p.getString("trace");
+    opt.workload = p.getString("workload");
+    opt.scheme = parseScheme(p.getString("scheme"));
+    opt.scale = int(p.getUint("scale", 1, std::numeric_limits<int>::max()));
+    opt.procs = unsigned(
+        p.getUint("procs", 0, std::numeric_limits<unsigned>::max()));
+    opt.limit = p.getUint("limit");
+    opt.missClass = p.getString("class");
+    if (!opt.missClass.empty() && opt.missClass != trueShare &&
+        opt.missClass != conservative)
+        fatal("--class must be %s or %s (the classes why-miss auto "
+              "picks), got '%s'", trueShare, conservative, opt.missClass);
+    if (args.empty())
+        fatal("no command given (see --help)");
+    opt.command = args.front();
+    opt.args.assign(args.begin() + 1, args.end());
     if (opt.metricsPath.empty() && opt.perfettoPath.empty() &&
-        opt.tracePath.empty() && opt.workload.empty()) {
-        std::fprintf(stderr, "%s: no source given (--metrics, --perfetto, "
-                             "--trace or --workload)\n", argv[0]);
-        std::exit(verify::ExitUsage);
-    }
+        opt.tracePath.empty() && opt.workload.empty())
+        fatal("no source given (--metrics, --perfetto, --trace or "
+              "--workload)");
     return opt;
-}
-
-std::uint64_t
-parseNumber(const std::string &s, const char *what)
-{
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(s.c_str(), &end, 0);
-    if (end == s.c_str() || *end != '\0') {
-        std::fprintf(stderr, "hscd_inspect: bad %s '%s'\n", what,
-                     s.c_str());
-        std::exit(verify::ExitUsage);
-    }
-    return v;
 }
 
 // ---------------------------------------------------------------------
@@ -254,13 +217,6 @@ class OutcomeLog : public sim::TraceSink
     std::size_t _tagBegin = 0;
 };
 
-[[noreturn]] void
-usageError(const FatalError &e)
-{
-    std::fprintf(stderr, "hscd_inspect: %s\n", e.what());
-    std::exit(verify::ExitUsage);
-}
-
 /**
  * Run the outcome stream's source on a Machine under --scheme: the
  * --workload benchmark, compiled; a --workload trace:<file> spec through
@@ -274,46 +230,39 @@ runSource(const CliOptions &opt)
     OutcomeLog log(src);
     MachineConfig cfg;
     cfg.scheme = opt.scheme;
-    try {
-        if (opt.workload.empty()) {
-            std::ifstream is(opt.tracePath);
-            if (!is) {
-                std::fprintf(stderr, "hscd_inspect: cannot read '%s'\n",
-                             opt.tracePath.c_str());
-                std::exit(verify::ExitUsage);
-            }
-            const sim::ParsedTrace t = sim::readTrace(is);
-            cfg.procs = t.procs;
-            sim::Machine m(t.records, t.dataBytes, cfg);
-            m.setTraceSink(&log);
-            src.run = m.run();
-            src.what = csprintf("trace %s (scheme %s, %d procs)",
-                                opt.tracePath, schemeName(cfg.scheme),
-                                cfg.procs);
-        } else if (workloads::isTraceSpec(opt.workload)) {
-            const workloads::TraceWorkload t =
-                workloads::loadTraceSpec(opt.workload);
-            cfg.procs = std::max(opt.procs, t.procs);
-            src.run = workloads::runTrace(t, cfg, &log);
-            src.what = csprintf("trace %s (scheme %s, %d procs)",
-                                t.source, schemeName(cfg.scheme),
-                                cfg.procs);
-        } else {
-            compiler::AnalysisOptions aopts;
-            aopts.assumeSerialAffinity = true;
-            const compiler::CompiledProgram cp = compiler::compileProgram(
-                workloads::buildBenchmark(opt.workload, opt.scale), aopts);
-            if (opt.procs)
-                cfg.procs = opt.procs;
-            sim::Machine m(cp, cfg);
-            m.setTraceSink(&log);
-            src.run = m.run();
-            src.what = csprintf("workload %s (scheme %s, scale %d)",
-                                opt.workload, schemeName(cfg.scheme),
-                                opt.scale);
-        }
-    } catch (const FatalError &e) {
-        usageError(e);
+    if (opt.workload.empty()) {
+        std::ifstream is(opt.tracePath);
+        if (!is)
+            fatal("cannot read '%s'", opt.tracePath);
+        const sim::ParsedTrace t = sim::readTrace(is);
+        cfg.procs = t.procs;
+        sim::Machine m(t.records, t.dataBytes, cfg);
+        m.setTraceSink(&log);
+        src.run = m.run();
+        src.what = csprintf("trace %s (scheme %s, %d procs)",
+                            opt.tracePath, schemeName(cfg.scheme),
+                            cfg.procs);
+    } else if (workloads::isTraceSpec(opt.workload)) {
+        const workloads::TraceWorkload t =
+            workloads::loadTraceSpec(opt.workload);
+        cfg.procs = std::max(opt.procs, t.procs);
+        src.run = workloads::runTrace(t, cfg, &log);
+        src.what = csprintf("trace %s (scheme %s, %d procs)",
+                            t.source, schemeName(cfg.scheme),
+                            cfg.procs);
+    } else {
+        compiler::AnalysisOptions aopts;
+        aopts.assumeSerialAffinity = true;
+        const compiler::CompiledProgram cp = compiler::compileProgram(
+            workloads::buildBenchmark(opt.workload, opt.scale), aopts);
+        if (opt.procs)
+            cfg.procs = opt.procs;
+        sim::Machine m(cp, cfg);
+        m.setTraceSink(&log);
+        src.run = m.run();
+        src.what = csprintf("workload %s (scheme %s, scale %d)",
+                            opt.workload, schemeName(cfg.scheme),
+                            opt.scale);
     }
     src.lineBytes = cfg.lineBytes;
     src.scheme = cfg.scheme;
@@ -481,12 +430,11 @@ cmdWhyMiss(const Source &s, const CliOptions &opt)
         std::printf("why-miss auto: picked proc %u, addr %#llx\n",
                     unsigned(p), ULL(addr));
     } else if (opt.args.size() == 2) {
-        p = static_cast<ProcId>(parseNumber(opt.args[0], "proc"));
-        addr = parseNumber(opt.args[1], "addr");
+        p = static_cast<ProcId>(Params::parseUint(
+            "proc", opt.args[0], 0, std::numeric_limits<ProcId>::max()));
+        addr = Params::parseUint("addr", opt.args[1]);
     } else {
-        std::fprintf(stderr, "hscd_inspect: why-miss needs <proc> <addr> "
-                             "or 'auto'\n");
-        return verify::ExitUsage;
+        fatal("why-miss needs <proc> <addr> or 'auto'");
     }
 
     const Addr word = addr & ~Addr(3);
@@ -516,11 +464,9 @@ cmdWhyMiss(const Source &s, const CliOptions &opt)
 int
 cmdLine(const Source &s, const CliOptions &opt)
 {
-    if (opt.args.size() != 1) {
-        std::fprintf(stderr, "hscd_inspect: line needs <addr>\n");
-        return verify::ExitUsage;
-    }
-    const Addr addr = parseNumber(opt.args[0], "addr");
+    if (opt.args.size() != 1)
+        fatal("line needs <addr>");
+    const Addr addr = Params::parseUint("addr", opt.args[0]);
     const Addr lineMask = ~Addr(s.lineBytes - 1);
     const Addr base = addr & lineMask;
 
@@ -628,17 +574,11 @@ std::vector<obs::MetricSample>
 loadMetrics(const std::string &path, std::string *spec)
 {
     std::ifstream is(path);
-    if (!is) {
-        std::fprintf(stderr, "hscd_inspect: cannot read '%s'\n",
-                     path.c_str());
-        std::exit(verify::ExitUsage);
-    }
+    if (!is)
+        fatal("cannot read '%s'", path);
     std::vector<obs::MetricSample> rows;
-    if (!obs::readMetricsJson(is, rows, spec)) {
-        std::fprintf(stderr, "hscd_inspect: '%s' is not a metrics series "
-                             "(schema hscd-metrics)\n", path.c_str());
-        std::exit(verify::ExitUsage);
-    }
+    if (!obs::readMetricsJson(is, rows, spec))
+        fatal("'%s' is not a metrics series (schema hscd-metrics)", path);
     return rows;
 }
 
@@ -722,17 +662,11 @@ void
 perfettoSummary(const std::string &path)
 {
     std::ifstream is(path);
-    if (!is) {
-        std::fprintf(stderr, "hscd_inspect: cannot read '%s'\n",
-                     path.c_str());
-        std::exit(verify::ExitUsage);
-    }
+    if (!is)
+        fatal("cannot read '%s'", path);
     obs::PerfettoCounts c;
-    if (!obs::readPerfettoCounts(is, c)) {
-        std::fprintf(stderr, "hscd_inspect: '%s' is not one of our "
-                             "Perfetto timelines\n", path.c_str());
-        std::exit(verify::ExitUsage);
-    }
+    if (!obs::readPerfettoCounts(is, c))
+        fatal("'%s' is not one of our Perfetto timelines", path);
     std::printf("perfetto %s: %llu slices (epoch spans + miss services "
                 "+ reset windows), %llu/%llu flow arrows, %llu instants, "
                 "%llu track-metadata records\n", path.c_str(),
@@ -744,7 +678,7 @@ perfettoSummary(const std::string &path)
 
 int
 main(int argc, char **argv)
-{
+try {
     const CliOptions opt = parseArgs(argc, argv);
 
     // Build the outcome stream when any command needs one.
@@ -767,11 +701,9 @@ main(int argc, char **argv)
         return verify::ExitSuccess;
     }
     if (opt.command == "epoch") {
-        if (opt.args.size() != 1) {
-            std::fprintf(stderr, "hscd_inspect: epoch needs <n>\n");
-            return verify::ExitUsage;
-        }
-        const EpochId n = parseNumber(opt.args[0], "epoch");
+        if (opt.args.size() != 1)
+            fatal("epoch needs <n>");
+        const EpochId n = Params::parseUint("epoch", opt.args[0]);
         if (!opt.metricsPath.empty())
             return metricsEpoch(opt.metricsPath, n);
         if (wantOutcomes) {
@@ -779,21 +711,16 @@ main(int argc, char **argv)
             outcomeTotals(src, n, true);
             return verify::ExitSuccess;
         }
-        std::fprintf(stderr, "hscd_inspect: epoch needs --metrics, "
-                             "--workload or --trace\n");
-        return verify::ExitUsage;
+        fatal("epoch needs --metrics, --workload or --trace");
     }
     if (opt.command == "line" || opt.command == "why-miss") {
-        if (!wantOutcomes) {
-            std::fprintf(stderr, "hscd_inspect: %s needs --workload or "
-                                 "--trace\n", opt.command.c_str());
-            return verify::ExitUsage;
-        }
+        if (!wantOutcomes)
+            fatal("%s needs --workload or --trace", opt.command);
         return opt.command == "line" ? cmdLine(src, opt)
                                      : cmdWhyMiss(src, opt);
     }
-    std::fprintf(stderr, "hscd_inspect: unknown command '%s'\n",
-                 opt.command.c_str());
-    usage(argv[0]);
+    fatal("unknown command '%s' (see --help)", opt.command);
+} catch (const FatalError &) {
+    // fatal() has already printed the message.
     return verify::ExitUsage;
 }

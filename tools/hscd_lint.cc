@@ -23,15 +23,15 @@
  * byte-identical at any --jobs.
  */
 
-#include <cctype>
-#include <charconv>
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/log.hh"
 #include "common/parallel.hh"
 #include "common/strutil.hh"
@@ -86,177 +86,112 @@ struct TargetResult
     std::uint64_t violations = 0;      ///< oracle+shadow+doall, after
 };
 
-bool
-strcaseeq(const std::string &a, const std::string &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (std::tolower(static_cast<unsigned char>(a[i])) !=
-            std::tolower(static_cast<unsigned char>(b[i])))
-            return false;
-    return true;
-}
-
-void
-usage(const char *argv0)
-{
-    std::string names;
-    for (const std::string &n : workloads::benchmarkNames())
-        names += (names.empty() ? "" : "|") + n;
-    std::printf(
-        "usage: %s [options] [target...]\n"
-        "\n"
-        "Targets: any of the six workloads (%s),\n"
-        "         gen:<seed> for a random legal-DOALL program,\n"
-        "         synth:<family>:<seed> for a synthetic workload\n"
-        "         (families: falseshare, migratory, prodcons, reuse,\n"
-        "         stencil, streaming),\n"
-        "         trace:<file> to strictly parse-validate an external\n"
-        "         memory trace (exit 2 on malformed input), or\n"
-        "         'all' for all six workloads (also the default).\n"
-        "\n"
-        "Options:\n"
-        "  --json             render diagnostics as JSON\n"
-        "  --sarif=FILE       also write a SARIF 2.1.0 log to FILE\n"
-        "  --werror           warnings also produce exit code 1\n"
-        "  --tighten          rewrite proven-over-conservative marks\n"
-        "                     (MARK001), re-lint, and re-simulate TPI\n"
-        "                     with the runtime checkers on\n"
-        "  --symbolic         mark against declared parameter ranges\n"
-        "                     (separate-compilation style) instead of\n"
-        "                     the bound problem size\n"
-        "  --conservative     compile a migration-safe marking (no\n"
-        "                     serial-processor-affinity reasoning); the\n"
-        "                     verified machine still pins serial epochs,\n"
-        "                     so --tighten can win the precision back\n"
-        "  --max-distance=N   compiler Time-Read distance budget (an\n"
-        "                     operand-width limit; default 255). The\n"
-        "                     oracle still verifies against the full\n"
-        "                     timetag window, so a small budget is what\n"
-        "                     --tighten provably relaxes\n"
-        "  --catalog          print the diagnostic catalog markdown\n"
-        "  --jobs=N           lint N programs concurrently (default 1)\n"
-        "  --scale=N          workload problem scale (default 1)\n"
-        "  --timetag-bits=N   timetag width checked by GRAPH002/oracle\n"
-        "  --no-oracle        skip the oracle and the MARK/GRAPH004\n"
-        "                     passes that build on it\n"
-        "  --list             list targets and exit\n"
-        "  --help             this text\n",
-        argv0, names.c_str());
-}
-
-/** The seed of a `gen:<seed>` target: decimal digits only, in 64 bits. */
-std::optional<std::uint64_t>
+/** The seed of a `gen:<seed>` target. */
+std::uint64_t
 genSeed(const std::string &target)
 {
-    const char *first = target.c_str() + 4; // past "gen:"
-    const char *last = target.c_str() + target.size();
-    std::uint64_t seed = 0;
-    const auto [end, ec] = std::from_chars(first, last, seed);
-    if (first == last || ec != std::errc() || end != last)
-        return std::nullopt;
-    return seed;
+    return Params::parseUint("gen seed", target.substr(4));
 }
 
 CliOptions
 parseArgs(int argc, char **argv)
 {
     CliOptions opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto value = [&](const std::string &prefix) {
-            return a.substr(prefix.size());
-        };
-        if (a == "--json") {
-            opt.json = true;
-        } else if (a == "--werror") {
-            opt.werror = true;
-        } else if (a == "--list") {
-            opt.listOnly = true;
-        } else if (a == "--catalog") {
-            opt.catalog = true;
-        } else if (a == "--tighten") {
-            opt.tighten = true;
-        } else if (a == "--symbolic") {
-            opt.symbolic = true;
-        } else if (a == "--conservative") {
-            opt.conservative = true;
-        } else if (a.rfind("--max-distance=", 0) == 0) {
-            opt.maxDistance = static_cast<unsigned>(
-                std::atoi(value("--max-distance=").c_str()));
-        } else if (a.rfind("--sarif=", 0) == 0) {
-            opt.sarifPath = value("--sarif=");
-        } else if (a == "--no-oracle") {
-            opt.lint.runOracle = false;
-        } else if (a.rfind("--jobs=", 0) == 0) {
-            opt.jobs = static_cast<unsigned>(
-                std::strtoul(value("--jobs=").c_str(), nullptr, 10));
-            if (opt.jobs == 0)
-                opt.jobs = 1;
-        } else if (a.rfind("--scale=", 0) == 0) {
-            opt.scale = std::atoi(value("--scale=").c_str());
-        } else if (a.rfind("--timetag-bits=", 0) == 0) {
-            opt.lint.timetagBits = static_cast<unsigned>(
-                std::atoi(value("--timetag-bits=").c_str()));
-        } else if (a == "--help" || a == "-h") {
-            usage(argv[0]);
-            std::exit(0);
-        } else if (!a.empty() && a[0] == '-') {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            usage(argv[0]);
-            std::exit(verify::ExitUsage);
-        } else if (a == "all") {
-            for (const std::string &n : workloads::benchmarkNames())
-                opt.targets.push_back(n);
-        } else {
-            opt.targets.push_back(a);
-        }
+    Params p;
+    p.defineFlag("json", "render diagnostics as JSON")
+        .define("sarif", "", "also write a SARIF 2.1.0 log to this file")
+        .defineFlag("werror", "warnings also produce exit code 1")
+        .defineFlag("tighten",
+                    "rewrite proven-over-conservative marks\n"
+                    "(MARK001), re-lint, and re-simulate TPI\n"
+                    "with the runtime checkers on")
+        .defineFlag("symbolic",
+                    "mark against declared parameter ranges\n"
+                    "(separate-compilation style) instead of\n"
+                    "the bound problem size")
+        .defineFlag("conservative",
+                    "compile a migration-safe marking (no\n"
+                    "serial-processor-affinity reasoning); the\n"
+                    "verified machine still pins serial epochs,\n"
+                    "so --tighten can win the precision back")
+        .define("max-distance", std::to_string(opt.maxDistance),
+                "compiler Time-Read distance budget (an\n"
+                "operand-width limit). The oracle still\n"
+                "verifies against the full timetag window, so\n"
+                "a small budget is what --tighten provably\n"
+                "relaxes")
+        .defineFlag("catalog", "print the diagnostic catalog markdown")
+        .define("jobs", std::to_string(opt.jobs),
+                "lint this many programs concurrently")
+        .define("scale", std::to_string(opt.scale),
+                "workload problem scale")
+        .define("timetag-bits", std::to_string(opt.lint.timetagBits),
+                "timetag width checked by GRAPH002/oracle,\n"
+                "1..32")
+        .defineFlag("no-oracle", "skip the oracle and the MARK/GRAPH004\n"
+                                 "passes that build on it")
+        .defineFlag("list", "list targets and exit")
+        .defineFlag("help", "this text")
+        .alias("-h", "help");
+    const std::vector<std::string> args = p.parseCommandLine(argc, argv);
+    if (p.getBool("help")) {
+        std::string list;
+        for (const std::string &n : workloads::benchmarkNames())
+            list += (list.empty() ? "" : "|") + n;
+        std::printf(
+            "usage: %s [options] [target...]\n"
+            "\n"
+            "Targets: any of the six workloads (%s),\n"
+            "         gen:<seed> for a random legal-DOALL program,\n"
+            "         synth:<family>:<seed> for a synthetic workload\n"
+            "         (families: falseshare, migratory, prodcons, reuse,\n"
+            "         stencil, streaming),\n"
+            "         trace:<file> to strictly parse-validate an external\n"
+            "         memory trace (exit 2 on malformed input), or\n"
+            "         'all' for all six workloads (also the default).\n"
+            "\n"
+            "Options:\n%s",
+            argv[0], list.c_str(), p.help().c_str());
+        std::exit(verify::ExitSuccess);
     }
-    if (opt.tighten && !opt.lint.runOracle) {
-        std::fprintf(stderr,
-                     "--tighten needs the oracle (drop --no-oracle)\n");
-        std::exit(verify::ExitUsage);
+    constexpr auto kUnsignedMax = std::numeric_limits<unsigned>::max();
+    opt.json = p.getBool("json");
+    opt.sarifPath = p.getString("sarif");
+    opt.werror = p.getBool("werror");
+    opt.tighten = p.getBool("tighten");
+    opt.symbolic = p.getBool("symbolic");
+    opt.conservative = p.getBool("conservative");
+    opt.maxDistance = unsigned(p.getUint("max-distance", 0, kUnsignedMax));
+    opt.catalog = p.getBool("catalog");
+    opt.jobs = std::max(1u, unsigned(p.getUint("jobs", 0, kUnsignedMax)));
+    opt.scale = int(p.getUint("scale", 1, std::numeric_limits<int>::max()));
+    opt.lint.timetagBits = unsigned(p.getUint("timetag-bits", 1, 32));
+    opt.lint.runOracle = !p.getBool("no-oracle");
+    opt.listOnly = p.getBool("list");
+    if (opt.tighten && !opt.lint.runOracle)
+        fatal("--tighten needs the oracle (drop --no-oracle)");
+
+    const std::vector<std::string> names = workloads::benchmarkNames();
+    for (const std::string &a : args) {
+        if (a == "all")
+            opt.targets.insert(opt.targets.end(), names.begin(), names.end());
+        else
+            opt.targets.push_back(a);
     }
     if (opt.targets.empty())
-        opt.targets = workloads::benchmarkNames();
+        opt.targets = names;
     for (const std::string &t : opt.targets) {
-        if (t.rfind("gen:", 0) == 0) {
-            if (!genSeed(t)) {
-                std::fprintf(stderr, "%s: bad seed in '%s' (want "
-                             "gen:<decimal seed below 2^64>)\n", argv[0],
-                             t.c_str());
-                std::exit(verify::ExitUsage);
-            }
-            continue;
-        }
-        if (workloads::isSynthSpec(t)) {
-            try {
-                workloads::parseSynthSpec(t);
-            } catch (const FatalError &) {
-                // fatal() already emitted the reason.
-                std::exit(verify::ExitUsage);
-            }
-            continue;
-        }
-        if (workloads::isTraceSpec(t)) {
-            try {
-                workloads::traceSpecPath(t);
-            } catch (const FatalError &) {
-                std::exit(verify::ExitUsage);
-            }
-            continue;
-        }
-        bool known = false;
-        for (const std::string &n : workloads::benchmarkNames())
-            if (strcaseeq(t, n))
-                known = true;
-        if (!known) {
-            std::fprintf(stderr, "%s: unknown target '%s'\n", argv[0],
-                         t.c_str());
-            usage(argv[0]);
-            std::exit(verify::ExitUsage);
-        }
+        if (t.rfind("gen:", 0) == 0)
+            genSeed(t);
+        else if (workloads::isSynthSpec(t))
+            workloads::parseSynthSpec(t);
+        else if (workloads::isTraceSpec(t))
+            workloads::traceSpecPath(t);
+        else if (std::none_of(names.begin(), names.end(),
+                              [&](const std::string &n) {
+                                  return toLower(n) == toLower(t);
+                              }))
+            fatal("unknown target '%s' (see --help)", t);
     }
     return opt;
 }
@@ -266,7 +201,7 @@ buildTarget(const std::string &name, int scale)
 {
     if (name.rfind("gen:", 0) == 0) {
         testgen::GenOptions g;
-        g.seed = *genSeed(name); // parseArgs checked it
+        g.seed = genSeed(name);
         return testgen::randomLegalProgram(g);
     }
     return workloads::buildBenchmark(name, scale);
@@ -344,7 +279,7 @@ lintOne(const CliOptions &opt, const std::string &target)
 
 int
 main(int argc, char **argv)
-{
+try {
     CliOptions opt = parseArgs(argc, argv);
 
     if (opt.catalog) {
@@ -359,16 +294,9 @@ main(int argc, char **argv)
 
     // Lint in parallel, render strictly in input order: the output is
     // byte-identical at any --jobs (same contract as the sweep engine).
-    std::vector<TargetResult> results;
-    try {
-        results = parallelMap(
-            opt.jobs, opt.targets.size(),
-            [&](std::size_t i) { return lintOne(opt, opt.targets[i]); });
-    } catch (const FatalError &) {
-        // User error (bad trace file, malformed spec); the reason was
-        // already emitted by fatal().
-        return verify::ExitUsage;
-    }
+    std::vector<TargetResult> results = parallelMap(
+        opt.jobs, opt.targets.size(),
+        [&](std::size_t i) { return lintOne(opt, opt.targets[i]); });
 
     obs::Provenance prov;
     prov.schema = "hscd-lint";
@@ -442,4 +370,8 @@ main(int argc, char **argv)
         std::fclose(f);
     }
     return exit_code;
+} catch (const FatalError &) {
+    // A user error (bad flag, target, trace file or spec); fatal() has
+    // already printed the reason.
+    return verify::ExitUsage;
 }

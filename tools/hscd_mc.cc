@@ -34,11 +34,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/log.hh"
 #include "common/strutil.hh"
 #include "fault/plan.hh"
@@ -62,110 +63,77 @@ struct CliOptions
     std::string jsonPath;
 };
 
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "\n"
-        "Exhaustively model-checks the TPI timetag protocol: explores\n"
-        "every legal interleaving (and every fault firing pattern, when\n"
-        "a budget is given) of a small machine, checks the no-stale-read\n"
-        "and timetag-wraparound invariants, and cross-checks paths\n"
-        "against the real TpiScheme via scripted trace replay.\n"
-        "\n"
-        "Options:\n"
-        "  --procs N       processors, 2..3 (default 2)\n"
-        "  --words N       shared words, 1..4 (default 2)\n"
-        "  --line-words N  words per cache line (default 2)\n"
-        "  --bits N        timetag bits, 1..3 (default 1)\n"
-        "  --epochs N      explored horizon (default 2*2^bits+1)\n"
-        "  --ops N         references per processor per epoch (default 2)\n"
-        "  --faults N      injected-fault budget per run, 0..2 (default 0)\n"
-        "  --sites SPEC    fault sites (mem, net.drop, mem.tag, all, ...)\n"
-        "  --no-critical   skip lock-ordered (critical) writes\n"
-        "  --no-promote    model tpiPromoteOnHit=false machines\n"
-        "  --no-symmetry   disable processor symmetry reduction\n"
-        "  --max-states N  abandon past N states (default 8000000)\n"
-        "  --xcheck N      random full paths replayed on the real scheme\n"
-        "                  (default 32; 0 disables)\n"
-        "  --json PATH     write a machine-readable verdict to PATH\n"
-        "  --verbose       print per-phase detail\n"
-        "  --help          this text\n",
-        argv0);
-}
-
 CliOptions
 parseArgs(int argc, char **argv)
 {
     CliOptions opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: %s requires an argument\n",
-                             argv[0], flag);
-                std::exit(verify::ExitUsage);
-            }
-            return argv[++i];
-        };
-        auto number = [&](const char *flag) {
-            const std::string v = value(flag);
-            char *end = nullptr;
-            double d = std::strtod(v.c_str(), &end);
-            if (end == v.c_str() || *end != '\0' || d < 0) {
-                std::fprintf(stderr, "%s: bad %s value '%s'\n", argv[0],
-                             flag, v.c_str());
-                std::exit(verify::ExitUsage);
-            }
-            return d;
-        };
-        if (a == "--help" || a == "-h") {
-            usage(argv[0]);
-            std::exit(verify::ExitSuccess);
-        } else if (a == "--procs") {
-            opt.model.procs = unsigned(number("--procs"));
-        } else if (a == "--words") {
-            opt.model.words = unsigned(number("--words"));
-        } else if (a == "--line-words") {
-            opt.model.lineWords = unsigned(number("--line-words"));
-        } else if (a == "--bits") {
-            opt.model.timetagBits = unsigned(number("--bits"));
-        } else if (a == "--epochs") {
-            opt.model.horizonEpochs = unsigned(number("--epochs"));
-        } else if (a == "--ops") {
-            opt.model.opsPerEpoch = unsigned(number("--ops"));
-        } else if (a == "--faults") {
-            opt.model.faultBudget = unsigned(number("--faults"));
-        } else if (a == "--sites") {
-            opt.sitesSpec = value("--sites");
-            try {
-                opt.model.faultSites =
-                    fault::FaultPlan::parse("1:1:" + opt.sitesSpec).sites;
-            } catch (const FatalError &) {
-                std::exit(verify::ExitUsage);
-            }
-        } else if (a == "--no-critical") {
-            opt.model.allowCritical = false;
-        } else if (a == "--no-promote") {
-            opt.model.promote = false;
-        } else if (a == "--no-symmetry") {
-            opt.symmetry = false;
-        } else if (a == "--max-states") {
-            opt.maxStates = std::uint64_t(number("--max-states"));
-        } else if (a == "--xcheck") {
-            opt.xcheck = std::uint64_t(number("--xcheck"));
-        } else if (a == "--json") {
-            opt.jsonPath = value("--json");
-        } else if (a == "--verbose") {
-            opt.verbose = true;
-        } else {
-            std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                         a.c_str());
-            usage(argv[0]);
-            std::exit(verify::ExitUsage);
-        }
+    const mc::McConfig &m = opt.model;
+    Params p;
+    p.define("procs", std::to_string(m.procs), "processors, 2..3")
+        .define("words", std::to_string(m.words), "shared words, 1..4")
+        .define("line-words", std::to_string(m.lineWords),
+                "words per cache line")
+        .define("bits", std::to_string(m.timetagBits), "timetag bits, 1..3")
+        .define("epochs", std::to_string(m.horizonEpochs),
+                "explored horizon; 0 means 2*2^bits+1")
+        .define("ops", std::to_string(m.opsPerEpoch),
+                "references per processor per epoch")
+        .define("faults", std::to_string(m.faultBudget),
+                "injected-fault budget per run, 0..2")
+        .define("sites", opt.sitesSpec,
+                "fault sites (mem, net.drop, mem.tag, all, ...)")
+        .defineFlag("no-critical", "skip lock-ordered (critical) writes")
+        .defineFlag("no-promote", "model tpiPromoteOnHit=false machines")
+        .defineFlag("no-symmetry", "disable processor symmetry reduction")
+        .define("max-states", std::to_string(opt.maxStates),
+                "abandon past this many states")
+        .define("xcheck", std::to_string(opt.xcheck),
+                "random full paths replayed on the real scheme;\n"
+                "0 disables")
+        .define("json", "", "write a machine-readable verdict to this file")
+        .defineFlag("verbose", "print per-phase detail")
+        .defineFlag("help", "this text")
+        .alias("-h", "help");
+    const std::vector<std::string> args = p.parseCommandLine(argc, argv);
+    if (p.getBool("help")) {
+        std::printf(
+            "usage: %s [options]\n"
+            "\n"
+            "Exhaustively model-checks the TPI timetag protocol: explores\n"
+            "every legal interleaving (and every fault firing pattern, when\n"
+            "a budget is given) of a small machine, checks the no-stale-read\n"
+            "and timetag-wraparound invariants, and cross-checks paths\n"
+            "against the real TpiScheme via scripted trace replay.\n"
+            "\n"
+            "Options:\n%s",
+            argv[0], p.help().c_str());
+        std::exit(verify::ExitSuccess);
     }
+    if (!args.empty())
+        fatal("unexpected argument '%s'", args.front());
+
+    auto narrow = [&p](const char *key) {
+        return unsigned(
+            p.getUint(key, 0, std::numeric_limits<unsigned>::max()));
+    };
+    opt.model.procs = narrow("procs");
+    opt.model.words = narrow("words");
+    opt.model.lineWords = narrow("line-words");
+    opt.model.timetagBits = narrow("bits");
+    opt.model.horizonEpochs = narrow("epochs");
+    opt.model.opsPerEpoch = narrow("ops");
+    opt.model.faultBudget = narrow("faults");
+    opt.sitesSpec = p.getString("sites");
+    opt.model.faultSites =
+        fault::FaultPlan::parse("1:1:" + opt.sitesSpec).sites;
+    opt.model.allowCritical = !p.getBool("no-critical");
+    opt.model.promote = !p.getBool("no-promote");
+    opt.symmetry = !p.getBool("no-symmetry");
+    opt.maxStates = p.getUint("max-states");
+    opt.xcheck = p.getUint("xcheck");
+    opt.jsonPath = p.getString("json");
+    opt.verbose = p.getBool("verbose");
+    opt.model.validate();
     return opt;
 }
 
@@ -321,10 +289,11 @@ run(const CliOptions &opt)
 int
 main(int argc, char **argv)
 {
-    CliOptions opt = parseArgs(argc, argv);
+    CliOptions opt;
     try {
-        opt.model.validate();
+        opt = parseArgs(argc, argv);
     } catch (const FatalError &) {
+        // fatal() has already printed the message.
         return verify::ExitUsage;
     }
     try {
