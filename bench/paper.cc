@@ -508,7 +508,7 @@ f14(Sweep &sweep, int scale)
         }
         t.print(os);
         os << csprintf(
-            "\nTPI/HW geomean-ish average %.2f, worst %.2f - the HSCD "
+            "\nTPI/HW arithmetic mean %.2f, worst %.2f - the HSCD "
             "scheme tracks the directory without directory storage.\n",
             sum / double(names.size()), worst);
     };
@@ -832,7 +832,8 @@ s5(Sweep &sweep, int scale)
         t.print(os);
 
         os << "\n(b) serial-task migration vs the affinity "
-              "assumption (serial-reuse demo, migration rate 1.0):\n";
+              "assumption (serial-reuse demo, migration rates 0.0 and "
+              "1.0):\n";
         TextTable m = table({"compilation", "migration", "stale reads",
                              "time-reads", "cycles"});
         for (std::size_t i = 0; i < 4; ++i) {
@@ -1480,23 +1481,30 @@ findRow(const std::string &id)
 }
 
 void
-printRowHeader(std::ostream &os, const Row &row)
+printRow(std::ostream &os, const Row &row, const RowRun &run)
 {
     os << "== " << row.id << ": " << row.banner << " ==\n";
-    if (row.legend) {
-        os << row.legend << "\n";
-        return;
-    }
     const MachineConfig cfg; // the Figure 8 defaults
-    os << csprintf(
-        "config (Figure 8): %d procs | %dKB %s cache, %dB lines | "
-        "hit %d cy | base miss %d cy | %d-bit timetags | two-phase reset "
-        "%d cy | Kruskal-Snir MIN radix %d\n",
-        cfg.procs, cfg.cacheBytes / 1024,
-        cfg.assoc == 1 ? "direct-mapped"
-                       : csprintf("%d-way", cfg.assoc).c_str(),
-        cfg.lineBytes, cfg.hitCycles, cfg.baseMissCycles, cfg.timetagBits,
-        cfg.twoPhaseResetCycles, cfg.networkRadix);
+    if (row.legend)
+        os << row.legend << "\n";
+    else
+        os << csprintf(
+            "config (Figure 8): %d procs | %dKB %s cache, %dB lines | "
+            "hit %d cy | base miss %d cy | %d-bit timetags | two-phase "
+            "reset %d cy | Kruskal-Snir MIN radix %d\n",
+            cfg.procs, cfg.cacheBytes / 1024,
+            cfg.assoc == 1 ? "direct-mapped"
+                           : csprintf("%d-way", cfg.assoc).c_str(),
+            cfg.lineBytes, cfg.hitCycles, cfg.baseMissCycles,
+            cfg.timetagBits, cfg.twoPhaseResetCycles, cfg.networkRadix);
+    run.render(os);
+}
+
+std::string
+claimLine(const Claim &c)
+{
+    return csprintf("[claim] %-22s %-5s %s (observed %s)\n", c.id,
+                    c.holds ? "holds" : "FAILS", c.text, c.observed);
 }
 
 std::vector<RowRun>

@@ -57,8 +57,11 @@ const std::vector<Row> &paperRows();
 /** The row named @p id, or null. */
 const Row *findRow(const std::string &id);
 
-/** Print @p row's header, as its table's first lines. */
-void printRowHeader(std::ostream &os, const Row &row);
+/** Print @p row's header, then @p run's table: the row's campaign output. */
+void printRow(std::ostream &os, const Row &row, const RowRun &run);
+
+/** @p claim's ledger line, "[claim] ID holds|FAILS text (observed ...)". */
+std::string claimLine(const Claim &claim);
 
 /**
  * Build every row of @p rows into @p sweep at @p scale, one Sweep group

@@ -63,8 +63,7 @@ paperMain(int argc, char **argv)
     for (std::size_t r = 0; r < rows.size(); ++r) {
         if (r)
             std::cout << "\n";
-        printRowHeader(std::cout, *rows[r]);
-        runs[r].render(std::cout);
+        printRow(std::cout, *rows[r], runs[r]);
         const std::vector<Claim> claims = runs[r].claims();
         sweep.setGroupJson(r, claimsJson(claims));
         ledger.insert(ledger.end(), claims.begin(), claims.end());
@@ -74,9 +73,7 @@ paperMain(int argc, char **argv)
                                         [](const Claim &c) { return c.holds; }),
                           ledger.size());
     for (const Claim &c : ledger)
-        std::cout << csprintf("[claim] %-22s %-5s %s (observed %s)\n", c.id,
-                              c.holds ? "holds" : "FAILS", c.text,
-                              c.observed);
+        std::cout << claimLine(c);
 
     // Each cell is gated by its row: the last one starting at or before
     // it (a row without cells starts where the next one does).

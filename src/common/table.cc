@@ -114,10 +114,10 @@ TextTable::print(std::ostream &os) const
     emit(_headers);
     hr();
     for (const Row &r : _rows) {
-        if (r.is_rule)
-            hr();
-        else
+        if (!r.is_rule)
             emit(r.cells);
+        else if (&r != &_rows.back())
+            hr();
     }
     hr();
 }

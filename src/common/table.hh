@@ -32,7 +32,7 @@ class TextTable
     TextTable &cell(int v);
     TextTable &cell(unsigned v);
 
-    /** Insert a horizontal rule before the next row. */
+    /** Insert a horizontal rule before the next row (none if none follows). */
     TextTable &rule();
 
     void print(std::ostream &os) const;

@@ -41,6 +41,11 @@ TEST(TextTable, RuleSeparatesSections)
          pos = s.find("+--", pos + 1))
         ++count;
     EXPECT_EQ(count, 4u);
+
+    // A trailing rule has no next row to separate: the closing border
+    // is drawn once.
+    t.rule();
+    EXPECT_EQ(t.str(), s);
 }
 
 TEST(TextTable, MissingTrailingCellsRenderEmpty)
