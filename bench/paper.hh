@@ -3,9 +3,11 @@
  * The paper campaign (hscd_paper): each experiment of EXPERIMENTS.md is
  * one row, and the selected rows run as one bench::Sweep, so a cell two
  * rows share (F11's grid reappears in F12-F14, S1-S8 and A1) runs once.
- * A row enqueues its cells at a workload scale, then renders its table,
+ * A row enqueues its cells at a workload scale, then renders its tables,
  * gates its cells and checks its claims: the shape statements
- * EXPERIMENTS.md makes, as predicates over the results. A failing claim
+ * EXPERIMENTS.md makes, as predicates over the results. Most rows are
+ * benchmark x variant tables declared as data (benchmarks, variants,
+ * columns, note, claims) that one function enqueues and one renders. A failing claim
  * is reported, never an exit code; tests/test_paper.cc pins them.
  */
 
@@ -38,6 +40,7 @@ struct RowRun
     std::function<std::vector<Claim>()> claims;
     Sweep::Gate gate = {}; ///< over sweep indices; empty: soundness()
     std::size_t first = 0; ///< the row's first sweep index
+    std::size_t end = 0;   ///< one past its last
 };
 
 /** One experiment of the campaign. */
@@ -45,10 +48,13 @@ struct Row
 {
     const char *id;
     const char *banner;
-    /** The header's second line; null means the Figure 8 config. */
+    /**
+     * The header's second line; null means the Figure 8 config, printed
+     * when the row has cells.
+     */
     const char *legend;
     /** Enqueue the row's cells at workload scale @p scale. */
-    RowRun (*build)(Sweep &sweep, int scale);
+    std::function<RowRun(Sweep &sweep, int scale)> build;
 };
 
 /** F5, F9, F11-F14, T1, S1-S8, A1-A3, W1 and R1, in campaign order. */

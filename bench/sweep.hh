@@ -161,6 +161,9 @@ class Sweep
      */
     const sim::RunResult &operator[](std::size_t i) const;
 
+    /** Cell @p i's label. */
+    const std::string &label(std::size_t i) const { return _cells[i].label; }
+
     /** Harness error for cell @p i ("" when the cell ran to an end). */
     const std::string &error(std::size_t i) const;
 

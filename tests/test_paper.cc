@@ -21,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strutil.hh"
 #include "harness.hh"
+#include "obs/provenance.hh"
 #include "paper.hh"
 
 using namespace hscd;
@@ -39,6 +41,9 @@ struct Campaign
      */
     std::vector<std::string> blocks;
     std::vector<Claim> claims; ///< every row's, in campaign order
+    std::size_t cells = 0, runs = 0;
+    /** FNV-1a over every cell's label, then over label and fingerprint. */
+    std::uint64_t labels = 0, results = 0;
 };
 
 Campaign
@@ -61,6 +66,15 @@ campaignAt(int scale)
         }
         c.blocks.push_back(os.str());
     }
+    c.cells = sweep.size();
+    c.runs = sweep.runs();
+    std::string labels, results;
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+        labels += sweep.label(i) + "\n";
+        results += csprintf("%s %x\n", sweep.label(i), sweep[i].fingerprint());
+    }
+    c.labels = obs::fnv1a(labels);
+    c.results = obs::fnv1a(results);
     return c;
 }
 
@@ -200,6 +214,19 @@ TEST(PaperClaims, Scale1Pinned)
         why += "  " + c.id + " (observed " + c.observed + ")\n";
     }
     EXPECT_EQ(failed, failAtScale1) << "claims failing at scale 1:\n" << why;
+}
+
+TEST(PaperCampaign, CellListPinned)
+{
+    // Dedup, --json and GoldenMissRates read the campaign's cells by
+    // position: adding, dropping, renaming or reordering one, or moving
+    // any result, must be deliberate. A failure prints the new digest;
+    // update it here with the change that moved it.
+    const Campaign &c = scale2();
+    EXPECT_EQ(c.cells, 2985u);
+    EXPECT_EQ(c.runs, 2781u);
+    EXPECT_EQ(c.labels, 0x7bf3ee51eed4e187ull) << std::hex << "labels 0x" << c.labels;
+    EXPECT_EQ(c.results, 0x08b660021ed35cbcull) << std::hex << "results 0x" << c.results;
 }
 
 TEST(SweepDedup, SameCellRunsOnce)
