@@ -1,7 +1,9 @@
 /**
  * @file
  * Trace workflow tool: capture a benchmark's memory-event trace to a
- * file, or replay a trace file through any coherence scheme.
+ * file, or replay a trace file through any coherence scheme. The file
+ * is in the one trace grammar (workloads/trace.hh), so it also runs as
+ * `--workload trace:FILE` in hscd_inspect and lints as `trace:FILE`.
  *
  *   $ ./trace_tool capture OCEAN ocean.trace
  *   $ ./trace_tool replay ocean.trace scheme=hw line_bytes=64
@@ -15,6 +17,7 @@
 #include "sim/machine.hh"
 #include "sim/trace.hh"
 #include "verify/diagnostic.hh"
+#include "workloads/trace.hh"
 #include "workloads/workloads.hh"
 
 using namespace hscd;
@@ -36,8 +39,7 @@ doCapture(const std::string &bench, const std::string &path)
     std::ofstream os(path);
     if (!os)
         fatal("cannot open '%s' for writing", path);
-    sim::writeTrace(os, buf.records(), cfg.procs,
-                    cp.program.dataBytes());
+    sim::writeTrace(os, buf.records(), cfg.procs);
     std::cout << csprintf("captured %d records (%d refs, %d epochs) "
                           "from %s into %s\n",
                           buf.records().size(), r.reads + r.writes,
@@ -48,18 +50,14 @@ doCapture(const std::string &bench, const std::string &path)
 int
 doReplay(const std::string &path, const std::vector<std::string> &args)
 {
-    std::ifstream is(path);
-    if (!is)
-        fatal("cannot open '%s'", path);
-    sim::ParsedTrace trace = sim::readTrace(is);
+    const workloads::TraceWorkload trace = workloads::loadTraceFile(path);
 
     Params params = MachineConfig::params();
     params.parseArgs(args);
     MachineConfig cfg = MachineConfig::fromParams(params);
     cfg.procs = trace.procs; // the trace fixes the processor count
 
-    sim::Machine m(trace.records, trace.dataBytes, cfg);
-    sim::RunResult r = m.run();
+    sim::RunResult r = workloads::runTrace(trace, cfg);
     std::cout << csprintf(
         "replayed %d records on %s: reads=%d misses=%d (%.2f%%) "
         "conservative=%d false-share=%d traffic=%d words cycles=%d\n",

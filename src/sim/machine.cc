@@ -9,6 +9,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "common/bitutil.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/strutil.hh"
@@ -917,8 +918,10 @@ validated(MachineConfig cfg)
 
 // The config is validated before any member is built from it: the
 // network, caches and line histories divide and shift by its fields.
+// Memory holds whole lines, since a fill reads the whole line.
 Machine::Machine(Addr dataBytes, MachineConfig cfg)
-    : _cfg(validated(std::move(cfg))), _memory(dataBytes),
+    : _cfg(validated(std::move(cfg))),
+      _memory(roundUp(dataBytes, _cfg.lineBytes)),
       _network(_cfg.procs, _cfg.networkRadix, _cfg.maxNetworkLoad,
                _cfg.topology),
       _scheme(mem::makeScheme(_cfg, _memory, _network))

@@ -7,12 +7,16 @@
  * under any coherence scheme on a sim::Machine built from its records,
  * without re-interpreting the program - the classic trace-driven
  * workflow of the era ([32] pairs both modes), on the same engine,
- * oracle and observers as a program run. The text format is stable and
- * diff-friendly:
+ * oracle and observers as a program run.
  *
- *     H hscd-trace 1 <procs> <dataBytes>
- *     A <proc> <addr> <arrayId> <R|W> <mark> <dist> <stamp> <crit>
- *     B <epoch>
+ * writeTrace() serializes a capture in the one trace grammar, which
+ * workloads::parseTraceText() reads back (workloads/trace.hh): a
+ * `procs <P>` line, then one line per record, an `epoch <E>` line for
+ * each boundary and, for each access, every column:
+ *
+ *     <proc> <addr> <r|w> <epoch> <mark> <distance> <array> <crit>
+ *
+ * Write stamps are not serialized: a run numbers writes in record order.
  */
 
 #ifndef HSCD_SIM_TRACE_HH
@@ -25,15 +29,6 @@
 
 namespace hscd {
 namespace sim {
-
-/**
- * Limits shared by both trace parsers (readTrace and the external
- * frontend in workloads/trace.hh): a trace asking for more is almost
- * certainly corrupt, and refusing beats allocating gigabytes.
- */
-constexpr unsigned kMaxProcs = 1024;
-constexpr Addr kMaxAddr = Addr{1} << 26;       // 64 MiB footprint
-constexpr EpochId kMaxEpoch = EpochId{1} << 20;
 
 struct TraceRecord
 {
@@ -62,26 +57,9 @@ class TraceBuffer : public TraceSink
     std::vector<TraceRecord> _records;
 };
 
-/** Serialize records (with a header carrying machine facts). */
+/** Serialize @p records, captured on @p procs processors. */
 void writeTrace(std::ostream &os, const std::vector<TraceRecord> &records,
-                unsigned procs, Addr data_bytes);
-
-/**
- * Parse a trace; fatal() on malformed input, naming the line. The
- * header's processor count and data size must stay within kMaxProcs and
- * kMaxAddr. An access must name a processor below the header's count, a
- * word-aligned address inside its data size and an array id below its
- * word count; each boundary must name the epoch after the previous one
- * (the first is epoch 1). So every parsed trace can run on the machine
- * its header describes.
- */
-struct ParsedTrace
-{
-    std::vector<TraceRecord> records;
-    unsigned procs = 0;
-    Addr dataBytes = 0;
-};
-ParsedTrace readTrace(std::istream &is);
+                unsigned procs);
 
 } // namespace sim
 } // namespace hscd

@@ -1,30 +1,36 @@
 /**
  * @file
- * Memory-trace ingestion frontend.
+ * The one trace grammar: its parser and trace runs.
  *
- * Replays externally captured access streams - traces from a real
- * machine, another simulator, or a hand-written scenario - through any
- * of the five coherence schemes, without an HIR program. The text
- * format is one access per line:
+ * Replays memory traces - captured from a program run by
+ * sim::writeTrace, or from a real machine, another simulator or a
+ * hand-written scenario - through any of the five coherence schemes,
+ * without an HIR program. The text format is one record per line:
  *
  *     # comment (blank lines ignored)
- *     procs <P>                  # optional, before the first access
- *     <proc> <addr> <r|w> [<epoch>]
+ *     procs <P>            # optional, before every other record
+ *     epoch <E>            # advance to epoch E with no access
+ *     <proc> <addr> <r|w> [<epoch> [<mark> <distance> <array> <crit>]]
  *
- * with byte addresses (word aligned, 4 bytes) and monotone epoch
- * numbers; an increase emits epoch boundaries (barriers). The parser
- * is strict: malformed lines, out-of-range processor ids, misaligned
- * or out-of-range addresses, non-monotone epochs, and a torn
+ * with byte addresses (word aligned, 4 bytes), monotone epoch numbers
+ * (an increase emits epoch boundaries, i.e. barriers), a mark of n
+ * (Normal), t (Time-Read) or b (Bypass) and a critical flag of 0 or 1.
+ * The parser is strict: malformed lines, out-of-range processor ids, misaligned
+ * or out-of-range addresses, distances past 32 bits, array ids at or
+ * above the trace's word count, non-monotone epochs, and a torn
  * (incomplete, unterminated) final line are all user errors - fatal()
  * with file:line context, which the CLIs map to the usage exit code
  * (2). Nothing is ever silently skipped or clamped.
  *
- * A trace carries no dependence information, so the marking stub is
- * maximally conservative: every read is a Time-Read of distance 0
- * (hardware may only vouch for words written in the current epoch),
- * which is sound whenever the trace's epoch markers separate
- * cross-processor dependences - the same contract compiled programs
- * satisfy at their barriers.
+ * Missing columns take the marking stub. A trace without marks carries
+ * no dependence information, so the stub is maximally conservative:
+ * every read is a Time-Read of distance 0 (hardware may only vouch for
+ * words written in the current epoch), every write is Normal, and the
+ * array id and critical flag are 0. That is sound whenever the trace's
+ * epoch markers separate cross-processor dependences - the same
+ * contract compiled programs satisfy at their barriers. The footprint
+ * is the highest address, rounded up to 64 bytes; writes are numbered
+ * in record order.
  */
 
 #ifndef HSCD_WORKLOADS_TRACE_HH
@@ -39,7 +45,15 @@
 namespace hscd {
 namespace workloads {
 
-/** A parsed external trace, ready to replay. */
+/**
+ * The parser's limits: a trace asking for more is almost certainly
+ * corrupt, and refusing beats allocating gigabytes.
+ */
+constexpr unsigned kMaxProcs = 1024;
+constexpr Addr kMaxAddr = Addr{1} << 26;       // 64 MiB footprint
+constexpr EpochId kMaxEpoch = EpochId{1} << 20;
+
+/** A parsed trace, ready to replay. */
 struct TraceWorkload
 {
     std::vector<sim::TraceRecord> records;

@@ -4,6 +4,7 @@
 
 #include "hir/builder.hh"
 #include "sim/machine.hh"
+#include "workloads/trace.hh"
 #include "workloads/workloads.hh"
 
 using namespace hscd;
@@ -82,6 +83,31 @@ TEST(EdgeMachines, SingleWordLinesHaveNoSideFills)
         EXPECT_EQ(r.oracleViolations, 0u) << schemeName(k);
         EXPECT_EQ(r.missFalseShare, 0u)
             << "one word per line cannot false-share";
+    }
+}
+
+TEST(EdgeMachines, LinesLongerThanTheDataStayInMemory)
+{
+    // A fill reads its whole line, so the memory must hold whole lines
+    // even where the program's data (laid out on 256 B boundaries) or a
+    // trace's footprint (rounded to 64 B) ends mid-line. HW's accessed-
+    // word mask refuses lines this long.
+    ASSERT_NE(jacobi().program.dataBytes() % 1024, 0u);
+    const workloads::TraceWorkload word =
+        workloads::parseTraceText("procs 2\n0 0 w 0\n1 0 r 1\n", "word");
+    ASSERT_EQ(word.dataBytes, 64u);
+    for (SchemeKind k : {SchemeKind::SC, SchemeKind::TPI, SchemeKind::VC}) {
+        MachineConfig cfg;
+        cfg.scheme = k;
+        cfg.procs = 2;
+        cfg.lineBytes = 1024;
+        const RunResult r = simulate(jacobi(), cfg);
+        EXPECT_EQ(r.oracleViolations, 0u) << schemeName(k);
+        EXPECT_GT(r.readMisses, 0u) << schemeName(k);
+        cfg.lineBytes = 512;
+        const RunResult t = workloads::runTrace(word, cfg);
+        EXPECT_EQ(t.oracleViolations, 0u) << schemeName(k);
+        EXPECT_EQ(t.readMisses, 1u) << schemeName(k);
     }
 }
 

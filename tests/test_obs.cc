@@ -140,7 +140,7 @@ TEST(Timeline, PerfettoCountsRoundTrip)
                obs::Timeline::memTrack(procs), 2, 260, 1);
 
     obs::Provenance prov;
-    prov.schema = "hscd-trace";
+    prov.schema = "hscd-timeline";
     prov.tool = "test";
     std::ostringstream os;
     tl.writePerfetto(os, prov, procs, "test");

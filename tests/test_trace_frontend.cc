@@ -149,6 +149,48 @@ TEST(TraceParse, WriteStampsAreUniqueAndOrdered)
     EXPECT_EQ(t.records[2].op.stamp, 0u);
 }
 
+TEST(TraceParse, MarkingColumnsAndEpochDirective)
+{
+    TraceWorkload t = parseTraceText("procs 4\n"
+                                     "3 1020 w 0 n 0 255 0\n"
+                                     "0 16 r 1 t 7 3 1\n"
+                                     "1 8 R 1 b 0 2 0\n"
+                                     "epoch 1\n"
+                                     "epoch 3\n",
+                                     "m");
+    // access, boundary(1), access, access, boundary(2), boundary(3).
+    ASSERT_EQ(t.records.size(), 6u);
+    const mem::MemOp &w = t.records[0].op;
+    EXPECT_TRUE(w.write);
+    EXPECT_EQ(w.mark, compiler::MarkKind::Normal);
+    EXPECT_EQ(w.arrayId, 255u);
+    EXPECT_EQ(w.stamp, 1u);
+    const mem::MemOp &tr = t.records[2].op;
+    EXPECT_EQ(tr.mark, compiler::MarkKind::TimeRead);
+    EXPECT_EQ(tr.distance, 7u);
+    EXPECT_EQ(tr.arrayId, 3u);
+    EXPECT_TRUE(tr.critical);
+    EXPECT_EQ(t.records[3].op.mark, compiler::MarkKind::Bypass);
+    EXPECT_FALSE(t.records[3].op.critical);
+    EXPECT_EQ(t.records[4].type, sim::TraceRecord::Type::Boundary);
+    EXPECT_EQ(t.records[5].epoch, 3u);
+    EXPECT_EQ(t.epochCount, 4u);
+    // The highest address, rounded to 64 B, holds 256 words: ids to 255.
+    EXPECT_EQ(t.dataBytes, 1024u);
+}
+
+TEST(TraceParse, FieldsAtTheirLimits)
+{
+    TraceWorkload t = parseTraceText(
+        "procs 1024\n1023 67108860 r 0 t 4294967295 0 0\n", "m");
+    EXPECT_EQ(t.procs, kMaxProcs);
+    EXPECT_EQ(t.dataBytes, kMaxAddr);
+    EXPECT_EQ(t.records.back().op.distance, 4294967295u);
+    // An array id is checked against the whole trace's footprint.
+    EXPECT_EQ(parseTraceText("0 0 r 0 n 0 40 0\n0 252 w\n", "m").dataBytes,
+              256u);
+}
+
 // ---------------------------------------------------------------------
 // Negative parsing: every class of malformed input is a structured
 // error (FatalError -> CLI exit 2), never a crash or a silent skip.
@@ -183,6 +225,46 @@ TEST(TraceParseError, NonMonotoneEpoch)
 {
     expectTraceError("0 0 w 2\n0 0 w 1\n", "non-monotone epoch 1");
     expectTraceError("0 0 w 9999999\n", "out of range");
+}
+
+TEST(TraceParseError, MarkingColumns)
+{
+    expectTraceError("0 0 r 0 z 0 0 0\n", "bad mark 'z'");
+    expectTraceError("0 0 r 0 tn 0 0 0\n", "bad mark 'tn'");
+    expectTraceError("0 0 r 0 t -1 0 0\n", "distance '-1' out of range");
+    expectTraceError("0 0 r 0 t 4294967296 0 0\n",
+                     "distance '4294967296' out of range");
+    expectTraceError("0 0 r 0 t 0 -1 0\n", "array id '-1' out of range");
+    expectTraceError("0 0 r 0 t 0 0 2\n", "critical flag '2'");
+    // Every marking column or none; nothing after the critical flag.
+    expectTraceError("0 0 r 0 t\n", "malformed access record");
+    expectTraceError("0 0 r 0 t 0 0\n", "malformed access record");
+    expectTraceError("0 0 r 0 t 0 0 0 junk\n", "malformed access record");
+    expectTraceError("0 16 r 0 t -1 0 0 trailing junk\n",
+                     "malformed access record");
+}
+
+TEST(TraceParseError, ArrayIdPastWords)
+{
+    // A 64 B footprint holds 16 words, so array ids 0 to 15: each array
+    // holds a word, and VC sizes its version table by the id.
+    expectTraceError("0 0 r 0 n 0 16 0\n",
+                     "array id 16 at or above the trace's 16 words");
+    expectTraceError("0 0 r 0 n 0 4294967295 0\n0 4 w\n",
+                     "t.trace:1: array id 4294967295");
+}
+
+TEST(TraceParseError, EpochDirective)
+{
+    expectTraceError("0 0 w 2\nepoch 1\n", "non-monotone epoch 1");
+    expectTraceError("epoch 2\nepoch 1\n0 0 w\n", "non-monotone epoch 1");
+    expectTraceError("0 0 w\nepoch\n", "malformed 'epoch' directive");
+    expectTraceError("0 0 w\nepoch 1 2\n", "malformed 'epoch' directive");
+    expectTraceError("0 0 w\nepoch -1\n", "malformed 'epoch' directive");
+    expectTraceError("0 0 w\nepoch 9999999\n", "out of range");
+    expectTraceError("epoch 1\nprocs 2\n0 0 w\n",
+                     "must precede all accesses");
+    expectTraceError("epoch 1\n", "no accesses");
 }
 
 TEST(TraceParseError, TornFinalLine)

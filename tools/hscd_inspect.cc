@@ -2,13 +2,13 @@
  * @file
  * hscd_inspect: query observability artifacts and instrumented runs.
  *
- * Answers "what happened?" questions about a simulation from four
+ * Answers "what happened?" questions about a simulation from three
  * sources: a metrics time-series JSON (`--metrics FILE`, written by the
  * bench `--metrics/--metrics-out` flags), a Perfetto timeline
- * (`--perfetto FILE`, written by `--trace-out`), a recorded text trace
- * (`--trace FILE`, replayed through the `--scheme` scheme), or an
- * in-process run of a workload (`--workload NAME`). Both run sources
- * collect the scheme's own verdicts and TagEvents through a TraceSink.
+ * (`--perfetto FILE`, written by `--trace-out`), or an in-process run
+ * of a workload (`--workload NAME`; `--workload trace:FILE` replays a
+ * trace file through the `--scheme` scheme). A run collects the
+ * scheme's own verdicts and TagEvents through a TraceSink.
  *
  *   hscd_inspect --metrics metrics.json summary
  *   hscd_inspect --metrics metrics.json epoch 12
@@ -60,7 +60,6 @@ struct CliOptions
 {
     std::string metricsPath;
     std::string perfettoPath;
-    std::string tracePath;
     std::string workload;
     SchemeKind scheme = SchemeKind::TPI;
     int scale = 1;
@@ -85,14 +84,11 @@ parseArgs(int argc, char **argv)
     Params p;
     p.define("metrics", "", "metrics series JSON (bench --metrics)")
         .define("perfetto", "", "Perfetto timeline JSON (bench --trace-out)")
-        .define("trace", "",
-                "replay a recorded text trace through --scheme\n"
-                "on the machine its header names")
         .define("workload", "",
-                "run this workload in-process\n(" + names + ")")
+                "run this workload in-process\n(" + names +
+                    "|trace:FILE)")
         .define("scheme", "tpi",
-                "scheme of a --trace or --workload run:\n"
-                "base|sc|tpi|hw|vc")
+                "scheme of a --workload run:\nbase|sc|tpi|hw|vc")
         .define("scale", std::to_string(opt.scale),
                 "workload problem scale")
         .define("procs", std::to_string(opt.procs),
@@ -116,8 +112,7 @@ parseArgs(int argc, char **argv)
             "  why-miss <proc> <addr>  attribute Time-Read misses at addr\n"
             "  why-miss auto           explain the first attributable miss\n"
             "\n"
-            "Sources (at least one): --metrics, --perfetto, --trace,\n"
-            "--workload.\n"
+            "Sources (at least one): --metrics, --perfetto, --workload.\n"
             "\n"
             "Options:\n%s",
             argv[0], p.help().c_str());
@@ -125,7 +120,6 @@ parseArgs(int argc, char **argv)
     }
     opt.metricsPath = p.getString("metrics");
     opt.perfettoPath = p.getString("perfetto");
-    opt.tracePath = p.getString("trace");
     opt.workload = p.getString("workload");
     opt.scheme = parseScheme(p.getString("scheme"));
     opt.scale = int(p.getUint("scale", 1, std::numeric_limits<int>::max()));
@@ -142,9 +136,8 @@ parseArgs(int argc, char **argv)
     opt.command = args.front();
     opt.args.assign(args.begin() + 1, args.end());
     if (opt.metricsPath.empty() && opt.perfettoPath.empty() &&
-        opt.tracePath.empty() && opt.workload.empty())
-        fatal("no source given (--metrics, --perfetto, --trace or "
-              "--workload)");
+        opt.workload.empty())
+        fatal("no source given (--metrics, --perfetto or --workload)");
     return opt;
 }
 
@@ -219,9 +212,9 @@ class OutcomeLog : public sim::TraceSink
 
 /**
  * Run the outcome stream's source on a Machine under --scheme: the
- * --workload benchmark, compiled; a --workload trace:<file> spec through
- * workloads::runTrace; or the --trace file on the machine its header
- * describes. A config the machine rejects or malformed input exits 2.
+ * --workload benchmark, compiled, or a --workload trace:<file> spec
+ * through workloads::runTrace. A config the machine rejects or
+ * malformed input exits 2.
  */
 Source
 runSource(const CliOptions &opt)
@@ -230,19 +223,7 @@ runSource(const CliOptions &opt)
     OutcomeLog log(src);
     MachineConfig cfg;
     cfg.scheme = opt.scheme;
-    if (opt.workload.empty()) {
-        std::ifstream is(opt.tracePath);
-        if (!is)
-            fatal("cannot read '%s'", opt.tracePath);
-        const sim::ParsedTrace t = sim::readTrace(is);
-        cfg.procs = t.procs;
-        sim::Machine m(t.records, t.dataBytes, cfg);
-        m.setTraceSink(&log);
-        src.run = m.run();
-        src.what = csprintf("trace %s (scheme %s, %d procs)",
-                            opt.tracePath, schemeName(cfg.scheme),
-                            cfg.procs);
-    } else if (workloads::isTraceSpec(opt.workload)) {
+    if (workloads::isTraceSpec(opt.workload)) {
         const workloads::TraceWorkload t =
             workloads::loadTraceSpec(opt.workload);
         cfg.procs = std::max(opt.procs, t.procs);
@@ -682,8 +663,7 @@ try {
     const CliOptions opt = parseArgs(argc, argv);
 
     // Build the outcome stream when any command needs one.
-    const bool wantOutcomes =
-        !opt.workload.empty() || !opt.tracePath.empty();
+    const bool wantOutcomes = !opt.workload.empty();
     const Source src = wantOutcomes ? runSource(opt) : Source{};
 
     if (opt.command == "summary") {
@@ -711,11 +691,11 @@ try {
             outcomeTotals(src, n, true);
             return verify::ExitSuccess;
         }
-        fatal("epoch needs --metrics, --workload or --trace");
+        fatal("epoch needs --metrics or --workload");
     }
     if (opt.command == "line" || opt.command == "why-miss") {
         if (!wantOutcomes)
-            fatal("%s needs --workload or --trace", opt.command);
+            fatal("%s needs --workload", opt.command);
         return opt.command == "line" ? cmdLine(src, opt)
                                      : cmdWhyMiss(src, opt);
     }
